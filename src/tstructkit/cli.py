@@ -57,7 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--primes", default="2,3",
                        help="comma-separated primes (dedekind backend)")
         p.add_argument("--format", default="json", choices=("json", "csv", "table"))
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted and ignored: work runs on one worker, and "
+                            "output is identical for every value")
         p.add_argument("--mutate", default=None, choices=faults.FAULT_NAMES,
                        help="inject a named fault (verification hardening)")
         if name == "classify":
@@ -133,8 +135,6 @@ def cmd_enumerate(args, out=sys.stdout) -> int:
 # verify
 
 def _quiver_checks(backend, lo, hi):
-    import numpy as np  # noqa: F401  (kept with the numeric backends)
-
     narrows = [frozenset(s) for s in core.enumerate_subcats(backend, ("is_narrow",))]
     yield ("narrow-flags-match-direct-extension-scan",
            all(_direct_extension_closed(backend, s) for s in narrows), None)

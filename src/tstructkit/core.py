@@ -4,6 +4,12 @@ Subcategories of a finite backend are additively-closed sets of
 indecomposable ids (frozensets).  All predicates and closures are decided
 by exhaustive enumeration of morphisms, subobjects, and extensions between
 bounded direct sums of the subcategory's indecomposables.
+
+Memo rule for this layer and the two built on it (derived, refined): every
+result that depends on the closure predicates is stored in ``memo(backend)``,
+the backend's dict for the active fault set, so a value computed under one
+set of injected faults is never read under another.  The backend's own memo
+holds only pure representation-theoretic data (see QuiverBackend).
 """
 
 from __future__ import annotations
@@ -79,19 +85,17 @@ def _violations(backend, S, rules, ambient, mult_bound):
                         yield "extensions", mid
 
 
-def _memo(backend) -> dict:
-    cache = getattr(backend, "_core_cache", None)
-    if cache is None:
-        cache = {}
-        backend._core_cache = cache
-    return cache
+def memo(backend) -> dict:
+    """The backend's memo for the active fault set (see the module docstring)."""
+    by_faults = vars(backend).setdefault("_memo_by_faults", {})
+    return by_faults.setdefault(faults.snapshot(), {})
 
 
 def is_closed(backend, S, rules, ambient=None, mult_bound=DEFAULT_MULT_BOUND):
     S = frozenset(S)
     key = ("closed", S, tuple(sorted(rules)),
-           None if ambient is None else frozenset(ambient), mult_bound, faults.snapshot())
-    cache = _memo(backend)
+           None if ambient is None else frozenset(ambient), mult_bound)
+    cache = memo(backend)
     if key not in cache:
         cache[key] = not any(True for _ in _violations(backend, S, rules, ambient, mult_bound))
     return cache[key]
@@ -105,8 +109,8 @@ def closure(backend, seed, rules, ambient=None, mult_bound=DEFAULT_MULT_BOUND) -
     """
     S = frozenset(seed)
     key = ("closure", S, tuple(sorted(rules)),
-           None if ambient is None else frozenset(ambient), mult_bound, faults.snapshot())
-    cache = _memo(backend)
+           None if ambient is None else frozenset(ambient), mult_bound)
+    cache = memo(backend)
     hit = cache.get(key)
     if hit is not None:
         return hit
@@ -135,8 +139,8 @@ def classify_subcat(backend, S, mult_bound=DEFAULT_MULT_BOUND) -> SubcatFlags:
     torsion-class flag coincides with the nullity flag.
     """
     S = frozenset(S)
-    key = ("classify", S, mult_bound, faults.snapshot())
-    cache = _memo(backend)
+    key = ("classify", S, mult_bound)
+    cache = memo(backend)
     if key not in cache:
         narrow = is_closed(backend, S, ("extensions", "cokernels"), mult_bound=mult_bound)
         wide = narrow and is_closed(backend, S, ("kernels",), mult_bound=mult_bound)
@@ -223,7 +227,7 @@ def is_tilting_in(backend, N, W, copy_bound=DEFAULT_COPY_BOUND) -> bool:
     if not N <= W:
         raise BackendError("N must be contained in W")
     key = ("tilting", N, W, copy_bound)
-    cache = _memo(backend)
+    cache = memo(backend)
     hit = cache.get(key)
     if hit is not None:
         return hit
@@ -274,10 +278,9 @@ def _composes_to_identity(backend, f, g):
     import numpy as np
 
     sd = backend.obj_dims(f.source)
-    md = backend.obj_dims(f.target)
     for v in range(backend.spec.vertices):
-        fm = f.mat(v, sd, md)
-        gm = g.mat(v, md, sd)
+        fm = f.mat(v)
+        gm = g.mat(v)
         comp = (gm @ fm) % backend.p if fm.size and gm.size else np.zeros((sd[v], sd[v]), dtype=np.int64)
         if not np.array_equal(comp, np.eye(sd[v], dtype=np.int64)):
             return False

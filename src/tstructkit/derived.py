@@ -116,36 +116,15 @@ def aisle_from_torsion(backend, T) -> SubcatSeq:
 # ---------------------------------------------------------------------------
 # narrow-sequence validation
 
-def _pred_cache(backend) -> dict:
-    cache = getattr(backend, "_seq_pred_cache", None)
-    if cache is None:
-        cache = {}
-        backend._seq_pred_cache = cache
-    return cache
-
-
-def morphism_part_sets(backend, a: Obj, b: Obj):
-    """Distinct (kernel, image, cokernel) triples over all nonzero maps a -> b."""
-    return backend.part_sets(a, b)
-
-
-def _ext_closed(backend, S, mult_bound):
-    cache = _pred_cache(backend)
-    key = ("ext", S, mult_bound)
-    if key not in cache:
-        cache[key] = core.is_closed(backend, S, ("extensions",), mult_bound=mult_bound)
-    return cache[key]
-
-
 def _cok_condition(backend, up, dn, mult_bound):
     """coker(f) in dn for every morphism f: A -> B with A in up, B in dn."""
-    cache = _pred_cache(backend)
+    cache = core.memo(backend)
     key = ("cok", up, dn, mult_bound)
     if key not in cache:
         ok = True
         for a in core.candidates(backend, up, mult_bound):
             for b in core.candidates(backend, dn, mult_bound):
-                for _, _, cok in morphism_part_sets(backend, a, b):
+                for _, _, cok in backend.part_sets(a, b):
                     if not core.obj_in(dn, cok):
                         ok = False
                         break
@@ -159,13 +138,13 @@ def _cok_condition(backend, up, dn, mult_bound):
 
 def _ker_condition(backend, cur, lower, mult_bound):
     """ker(g) in cur for every morphism g: D -> E with D in cur, E in lower."""
-    cache = _pred_cache(backend)
+    cache = core.memo(backend)
     key = ("ker", cur, lower, mult_bound)
     if key not in cache:
         ok = True
         for d in core.candidates(backend, cur, mult_bound):
             for e in core.candidates(backend, lower, mult_bound):
-                for ker, _, _ in morphism_part_sets(backend, d, e):
+                for ker, _, _ in backend.part_sets(d, e):
                     if not core.obj_in(cur, ker):
                         ok = False
                         break
@@ -189,7 +168,7 @@ def is_narrow_sequence(backend, seq: SubcatSeq, mult_bound=core.DEFAULT_MULT_BOU
         if not seq.at(k) <= seq.at(k + 1):
             report.append(f"monotonicity fails at degree {k}: N({k}) not within N({k + 1})")
     for k in degrees:
-        if not _ext_closed(backend, seq.at(k), mult_bound):
+        if not core.is_closed(backend, seq.at(k), ("extensions",), mult_bound=mult_bound):
             report.append(f"N({k}) is not closed under extensions")
         if not _cok_condition(backend, seq.at(k + 1), seq.at(k), mult_bound):
             report.append(f"cokernel condition fails at degree {k}: "
@@ -281,7 +260,7 @@ def restrict(backend, seq: SubcatSeq, k=None, l=None, mult_bound=core.DEFAULT_MU
 STAR_OPTION_LIMIT = 20000
 
 
-def _graded_options(backend, xk: Obj, allowed, budget):
+def _graded_options(backend, xk: Obj, allowed):
     """Choices (A_k, ker, coker) at one degree: A_k runs over the allowed
     objects, the map over Hom(A_k, x_k)."""
     opts = {((), (), xk)}  # A_k = 0, zero map
@@ -292,13 +271,13 @@ def _graded_options(backend, xk: Obj, allowed, budget):
             opts.add((a, a, ()))
             continue
         opts.add((a, a, xk))  # zero morphism
-        for ker, _, cok in morphism_part_sets(backend, a, xk):
+        for ker, _, cok in backend.part_sets(a, xk):
             opts.add((a, ker, cok))
     return sorted(opts)
 
 
 def star_membership(backend, left, right, x: dict, lo=None, hi=None,
-                    budget: int = 2, size_bound: int = 3):
+                    size_bound: int = 3):
     """Does x lie in left * right (objects in a triangle L -> x -> R)?
 
     `left` is a SubcatSeq or a degreewise predicate (degree, Obj) -> bool
@@ -335,7 +314,7 @@ def star_membership(backend, left, right, x: dict, lo=None, hi=None,
     pools = {}
     for k in range(kmin, kmax + 1):
         allowed = [m for m in _all_multisets(backend, size_bound) if lpred(k, m)]
-        pools[k] = _graded_options(backend, x.get(k, ()), allowed, budget)
+        pools[k] = _graded_options(backend, x.get(k, ()), allowed)
         if len(pools[k]) > STAR_OPTION_LIMIT:
             raise BackendError("star search budget exceeded")
 
@@ -360,7 +339,7 @@ def star_membership(backend, left, right, x: dict, lo=None, hi=None,
 
 def _all_multisets(backend, size_bound):
     key = ("multisets", size_bound)
-    cache = _pred_cache(backend)
+    cache = core.memo(backend)
     if key not in cache:
         ids = list(backend.all_ids())
         out = [()]
@@ -379,25 +358,13 @@ def enumerate_narrow_sequences(backend, lo: int, hi: int,
     (hence wide) above-tail, in deterministic order."""
     subsets = [frozenset(s) for s in backend.subsets()]
     subsets.sort(key=lambda s: tuple(sorted(s)))
-    cache = _pred_cache(backend)
-
-    def narrow(s):
-        key = ("narrow", s, mult_bound)
-        if key not in cache:
-            key2 = ("classify", s, mult_bound)
-            if key2 not in cache:
-                cache[key2] = core.classify_subcat(backend, s, mult_bound=mult_bound)
-            cache[key] = cache[key2].is_narrow
-        return cache[key]
 
     def wide_closure(s):
-        key = ("widecl", s, mult_bound)
-        if key not in cache:
-            cache[key] = core.closure(backend, s, ("kernels", "cokernels", "extensions"),
-                                      mult_bound=mult_bound)
-        return cache[key]
+        return core.closure(backend, s, ("kernels", "cokernels", "extensions"),
+                            mult_bound=mult_bound)
 
-    narrow_subsets = [s for s in subsets if narrow(s)]
+    narrow_subsets = [s for s in subsets
+                      if core.classify_subcat(backend, s, mult_bound=mult_bound).is_narrow]
     results = []
 
     def rec(chain):

@@ -9,6 +9,7 @@ linear algebra over F_p.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -108,13 +109,6 @@ class Rep:
         frozen = tuple(tuple(tuple(int(x) for x in row) for row in np.asarray(m, dtype=np.int64)) for m in mats)
         return Rep(dims, frozen)
 
-    def mat(self, i):
-        m = self.mats[i]
-        if not m:
-            # degenerate: one side is zero-dimensional
-            return np.zeros((0, 0), dtype=np.int64)
-        return np.array(m, dtype=np.int64)
-
     def arrow_matrix(self, i, spec):
         s, t = spec.arrows[i]
         m = np.array(self.mats[i], dtype=np.int64) if self.mats[i] else np.zeros((0, 0), dtype=np.int64)
@@ -134,10 +128,6 @@ def rep_from_arrays(spec, dims, arrays):
     return Rep(dims, tuple(mats))
 
 
-def zero_rep(spec):
-    return rep_from_arrays(spec, (0,) * spec.vertices, [np.zeros((0, 0))] * len(spec.arrows))
-
-
 @dataclass(frozen=True)
 class Morphism:
     """A homomorphism of representations, one matrix per vertex."""
@@ -146,19 +136,39 @@ class Morphism:
     target: Obj
     mats: tuple  # per-vertex numpy matrices (shape tgt_dim x src_dim)
 
-    def mat(self, v, src_dims=None, tgt_dims=None):
+    def mat(self, v):
         return self.mats[v]
+
+
+def _memoized(method):
+    """Memoise a QuiverBackend method in ``self._memo``, keyed on
+    (method name, *args).  This layer never reads the fault registry, so the
+    key carries no fault set and a faulted run reuses the same entries."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def memoized(self, *args):
+        key = (name, *args)
+        try:
+            return self._memo[key]
+        except KeyError:
+            out = self._memo[key] = method(self, *args)
+            return out
+    return memoized
 
 
 class QuiverBackend:
     """Finite hereditary backend built from an acyclic quiver.
 
-    After construction the instance is read-only: the indecomposable table,
-    the cached Hom/Ext matrices, and all memo dictionaries only accrete
-    derived values of pure functions.
+    After construction the instance is read-only: the indecomposable table
+    and the Hom/Ext matrices are fixed, and the one memo dictionary
+    ``_memo`` (filled by the ``_memoized`` methods) only accretes values of
+    pure functions of their arguments.  Closure-layer results that depend
+    on injected faults live in ``core.memo`` instead.
     """
 
     def __init__(self, spec: QuiverSpec):
+        self._memo = {}
         self.spec = spec
         self.p = spec.field
         self.truncated = False
@@ -179,13 +189,6 @@ class QuiverBackend:
         self._hom_inv = _rational_inverse(self.hom_matrix)
         if self._hom_inv is None:
             self.truncated = True
-        self._hom_basis_cache = {}
-        self._decompose_cache = {}
-        self._middle_cache = {}
-        self._subrep_cache = {}
-        self._parts_cache = {}
-        self._obj_rep_cache = {}
-        self._sub_quot_cache = {}
 
     # ------------------------------------------------------------------
     # table construction
@@ -202,11 +205,6 @@ class QuiverBackend:
                 if not self._is_new_indec(rep):
                     continue
                 self.indecs.append(rep)
-        if any(b > 0 for b in bound) and not self.indecs and any(bound):
-            return
-        # mark windows that cannot be complete: a rep-infinite quiver keeps
-        # producing indecomposables beyond any bound, detected below via the
-        # Hom-matrix invertibility check in __init__
 
     def _all_reps(self, dv):
         spec = self.spec
@@ -308,9 +306,6 @@ class QuiverBackend:
             for r in range(b.dims[t]):
                 for c in range(a.dims[s]):
                     row = np.zeros(nvar, dtype=np.int64)
-                    for k in range(a.dims[s]):
-                        # X_s entry (k_row=?, c) -> bm[r, q] * X_s[q, c]
-                        pass
                     for q in range(b.dims[s]):
                         row[offsets[s] + q * a.dims[s] + c] += bm[r, q]
                     for q in range(a.dims[t]):
@@ -343,19 +338,14 @@ class QuiverBackend:
     # ------------------------------------------------------------------
     # objects (multisets of indecomposable ids)
 
-    def obj(self, *ids) -> Obj:
-        return tuple(sorted(ids))
-
     def obj_dims(self, obj: Obj):
         dims = np.zeros(self.spec.vertices, dtype=np.int64)
         for i in obj:
             dims += np.array(self.indecs[i].dims, dtype=np.int64)
         return tuple(int(d) for d in dims)
 
+    @_memoized
     def obj_rep(self, obj: Obj) -> Rep:
-        hit = self._obj_rep_cache.get(obj)
-        if hit is not None:
-            return hit
         spec = self.spec
         parts = [self.indecs[i] for i in obj]
         dims = self.obj_dims(obj)
@@ -369,9 +359,7 @@ class QuiverBackend:
                 ro += p_.dims[t]
                 co += p_.dims[s]
             arrays.append(m)
-        rep = rep_from_arrays(spec, dims, arrays)
-        self._obj_rep_cache[obj] = rep
-        return rep
+        return rep_from_arrays(spec, dims, arrays)
 
     def hom_dim(self, x: Obj, y: Obj) -> int:
         return int(sum(self.hom_matrix[i, j] for i in x for j in y))
@@ -379,14 +367,10 @@ class QuiverBackend:
     def ext_dim(self, x: Obj, y: Obj) -> int:
         return int(sum(self.ext_matrix[i, j] for i in x for j in y))
 
+    @_memoized
     def decompose_rep(self, rep) -> Obj:
         """Multiset of indecomposable ids isomorphic to rep."""
-        key = (rep.dims, rep.mats)
-        hit = self._decompose_cache.get(key)
-        if hit is not None:
-            return hit
         if rep.total_dim == 0:
-            self._decompose_cache[key] = ()
             return ()
         if self._hom_inv is None:
             raise BackendError("cannot decompose: indecomposable table is incomplete (truncated backend)")
@@ -402,60 +386,41 @@ class QuiverBackend:
                 dims += np.array(self.indecs[i].dims, dtype=np.int64)
         if tuple(int(d) for d in dims) != rep.dims:
             raise BackendError("object does not decompose over the table")
-        out = tuple(sorted(ids))
-        self._decompose_cache[key] = out
-        return out
+        return tuple(sorted(ids))
 
     # ------------------------------------------------------------------
     # morphisms between objects
 
+    @_memoized
     def hom_basis(self, x: Obj, y: Obj):
-        key = (x, y)
-        hit = self._hom_basis_cache.get(key)
-        if hit is None:
-            hit = self._rep_hom_basis(self.obj_rep(x), self.obj_rep(y))
-            self._hom_basis_cache[key] = hit
-        return hit
+        return self._rep_hom_basis(self.obj_rep(x), self.obj_rep(y))
 
-    def morphisms(self, x: Obj, y: Obj, include_zero=False):
-        """All morphisms x -> y (F_p combinations of the Hom basis)."""
+    def morphisms(self, x: Obj, y: Obj):
+        """All nonzero morphisms x -> y (F_p combinations of the Hom basis)."""
         basis = self.hom_basis(x, y)
         h = len(basis)
         if h > MORPHISM_SPACE_LIMIT:
             raise BackendError("Hom space too large to enumerate")
-        xd, yd = self.obj_dims(x), self.obj_dims(y)
         for coeffs in itertools.product(range(self.p), repeat=h):
-            if not include_zero and not any(coeffs):
-                continue
-            mats = _combine_dims(basis, coeffs, self.p, xd, yd)
-            yield Morphism(x, y, tuple(mats))
-        if include_zero and h == 0:
-            mats = [np.zeros((yd[v], xd[v]), dtype=np.int64) for v in range(self.spec.vertices)]
-            yield Morphism(x, y, tuple(mats))
+            if any(coeffs):
+                yield Morphism(x, y, tuple(_combine(basis, coeffs, self.p)))
 
     def morphism_parts(self, f: Morphism):
         """(kernel, image, cokernel) of f, each as an Obj up to isomorphism."""
         kr, ir, cr = self.morphism_part_reps(f)
         return self.decompose_rep(kr), self.decompose_rep(ir), self.decompose_rep(cr)
 
+    @_memoized
     def part_sets(self, x: Obj, y: Obj):
         """Distinct (kernel, image, cokernel) triples over all nonzero
         morphisms x -> y."""
-        key = (x, y)
-        hit = self._parts_cache.get(key)
-        if hit is None:
-            seen = set()
-            for f in self.morphisms(x, y):
-                seen.add(self.morphism_parts(f))
-            hit = sorted(seen)
-            self._parts_cache[key] = hit
-        return hit
+        return sorted({self.morphism_parts(f) for f in self.morphisms(x, y)})
 
     def morphism_part_reps(self, f: Morphism):
         spec = self.spec
         src = self.obj_rep(f.source)
         tgt = self.obj_rep(f.target)
-        fmats = [f.mat(v, src.dims, tgt.dims) for v in range(spec.vertices)]
+        fmats = [f.mat(v) for v in range(spec.vertices)]
         # kernel: nullspace at each vertex, arrows restrict
         kbases = [la.nullspace(fmats[v], self.p) for v in range(spec.vertices)]
         ker = self._sub_rep(src, kbases)
@@ -501,29 +466,24 @@ class QuiverBackend:
 
     def is_mono(self, f: Morphism) -> bool:
         src = self.obj_rep(f.source)
-        tgt = self.obj_rep(f.target)
         return all(
-            la.rank(f.mat(v, src.dims, tgt.dims), self.p) == src.dims[v]
+            la.rank(f.mat(v), self.p) == src.dims[v]
             for v in range(self.spec.vertices)
         )
 
     def is_epi(self, f: Morphism) -> bool:
-        src = self.obj_rep(f.source)
         tgt = self.obj_rep(f.target)
         return all(
-            la.rank(f.mat(v, src.dims, tgt.dims), self.p) == tgt.dims[v]
+            la.rank(f.mat(v), self.p) == tgt.dims[v]
             for v in range(self.spec.vertices)
         )
 
     # ------------------------------------------------------------------
     # subobject enumeration
 
+    @_memoized
     def subrep_bases(self, obj: Obj):
         """All arrow-invariant subspace tuples of obj, as per-vertex bases."""
-        key = obj
-        hit = self._subrep_cache.get(key)
-        if hit is not None:
-            return hit
         spec = self.spec
         rep = self.obj_rep(obj)
         per_vertex = [all_subspaces(rep.dims[v], self.p) for v in range(spec.vertices)]
@@ -543,7 +503,6 @@ class QuiverBackend:
                     break
             if ok:
                 out.append(combo)
-        self._subrep_cache[key] = out
         return out
 
     def subobjects(self, obj: Obj):
@@ -562,19 +521,15 @@ class QuiverBackend:
             seen.add(self.decompose_rep(self._quot_rep(rep, bases)))
         return sorted(seen)
 
+    @_memoized
     def sub_quot_pairs(self, obj: Obj):
         """All (subobject, quotient) pairs of complementary subrepresentations."""
-        hit = self._sub_quot_cache.get(obj)
-        if hit is not None:
-            return hit
         rep = self.obj_rep(obj)
         seen = set()
         for bases in self.subrep_bases(obj):
             seen.add((self.decompose_rep(self._sub_rep(rep, bases)),
                       self.decompose_rep(self._quot_rep(rep, bases))))
-        out = sorted(seen)
-        self._sub_quot_cache[obj] = out
-        return out
+        return sorted(seen)
 
     # ------------------------------------------------------------------
     # extensions
@@ -598,26 +553,18 @@ class QuiverBackend:
         rec(0, dims, [])
         return sorted(results)
 
+    @_memoized
     def middle_terms(self, quot: Obj, sub: Obj):
         """All M (up to iso) fitting 0 -> sub -> M -> quot -> 0."""
-        key = (quot, sub)
-        hit = self._middle_cache.get(key)
-        if hit is not None:
-            return hit
         if not sub:
-            out = [quot]
-            self._middle_cache[key] = out
-            return out
+            return [quot]
         if not quot:
-            out = [sub]
-            self._middle_cache[key] = out
-            return out
+            return [sub]
         total = tuple(a + b for a, b in zip(self.obj_dims(quot), self.obj_dims(sub)))
         found = []
         for cand in self.objs_with_dims(total):
             if self._extension_screen(cand, quot, sub) and self._is_extension(cand, quot, sub):
                 found.append(cand)
-        self._middle_cache[key] = found
         return found
 
     def _extension_screen(self, mid: Obj, quot: Obj, sub: Obj) -> bool:
@@ -646,9 +593,6 @@ class QuiverBackend:
 
     # ------------------------------------------------------------------
     # enumeration interface
-
-    def enumerate_indecomposables(self):
-        return list(self.indecs)
 
     def all_ids(self):
         return tuple(range(len(self.indecs)))
@@ -709,12 +653,6 @@ def _combine(basis, coeffs, p):
         if c:
             mats = [(m + c * bm) % p for m, bm in zip(mats, b)]
     return mats
-
-
-def _combine_dims(basis, coeffs, p, src_dims, tgt_dims):
-    if not basis:
-        return [np.zeros((tgt_dims[v], src_dims[v]), dtype=np.int64) for v in range(len(src_dims))]
-    return _combine(basis, coeffs, p)
 
 
 def _rational_inverse(mat):

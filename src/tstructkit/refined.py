@@ -105,7 +105,7 @@ def psi(backend, r: RefinedTSeq, mult_bound=core.DEFAULT_MULT_BOUND) -> derived.
 def tilting_torsion_classes(backend, w, mult_bound=core.DEFAULT_MULT_BOUND):
     """All tilting torsion classes inside the wide subcategory w, in
     deterministic order."""
-    cache = derived._pred_cache(backend)
+    cache = core.memo(backend)
     key = ("tilttors", w, mult_bound)
     if key not in cache:
         ids = sorted(w)

@@ -231,7 +231,7 @@ def test_criterion_7_negative_controls(a1, a2, capfd):
             for up in subsets:
                 if not mid <= up:
                     continue
-                want = (derived._ext_closed(a2, frozenset(mid), 2)
+                want = (core.is_closed(a2, frozenset(mid), ("extensions",), mult_bound=2)
                         and derived._cok_condition(a2, frozenset(up), frozenset(mid), 2)
                         and derived._ker_condition(a2, frozenset(mid), frozenset(dn), 2))
                 ok &= five_term_closed(up, mid, dn) == want

@@ -1,12 +1,15 @@
+import contextlib
+
 import pytest
 
+from tstructkit import faults, refined
 from tstructkit.derived import (SubcatSeq, aisle_from_torsion,
                                 derived_hom_dim, dobj,
                                 enumerate_narrow_sequences, full_subcat,
                                 is_narrow_sequence, mu, restrict, shift,
                                 star_membership, theta_membership, truncate,
                                 window_objects)
-from tstructkit.quiver import BackendError
+from tstructkit.quiver import BackendError, QuiverSpec, build_backend
 
 
 def test_dobj_normalization():
@@ -123,3 +126,22 @@ def test_enumerate_narrow_sequence_counts(a2, a3):
     for s in seqs:
         ok, report = is_narrow_sequence(a2, s)
         assert ok, report
+
+
+def test_results_do_not_depend_on_fault_history():
+    """One backend answers as a cold one would under every fault set, even
+    after it has memoised results under another."""
+    spec = QuiverSpec(2, ((0, 1),), 2)
+    warm = build_backend(spec)  # not the session fixture: its memo is shared
+
+    def answers(b):
+        return (len(enumerate_narrow_sequences(b, 0, 1)),
+                refined.tilting_torsion_classes(b, full_subcat(b)))
+
+    steps = [(None, 14), ("drop-extension-closure", 19),
+             ("wide-closure-skips-kernels", 12), (None, 14)]
+    for fault, count in steps:
+        with faults.injected(fault) if fault else contextlib.nullcontext():
+            got, cold = answers(warm), answers(build_backend(spec))
+        assert got[0] == cold[0] == count, fault
+        assert got[1] == cold[1], fault
