@@ -68,11 +68,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_quiver(selector: str, field=None):
+    """The backend of a quiver file; a table truncated by ``dim_bound`` is
+    refused here, before any work, since its objects can leave the table."""
     path = selector.split(":", 1)[1]
     spec = QuiverSpec.from_json(path)
     if field is not None:
         spec = QuiverSpec(spec.vertices, spec.arrows, field, spec.dim_bound)
-    return build_backend(spec)
+    backend = build_backend(spec)
+    if backend.truncated:
+        raise BackendError(
+            f"indecomposable table truncated by dim_bound {list(spec.dim_bound)}: "
+            "some indecomposable lies outside it (every bound does, unless the quiver is Dynkin)")
+    return backend
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +285,16 @@ def cmd_verify(args, out=sys.stdout) -> int:
 # classify
 
 def cmd_classify(args, out=sys.stdout) -> int:
+    quiver = args.backend.startswith("quiver:")
+    backend = _load_quiver(args.backend, args.field) if quiver else None
     try:
         with open(args.input) as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         return _fail_usage(f"cannot read sequence file: {exc}")
     try:
-        if args.backend.startswith("quiver:"):
-            verdict = _classify_quiver(args, data)
+        if quiver:
+            verdict = _classify_quiver(backend, data)
         elif args.backend == "p1":
             verdict = _classify_p1(data)
         elif args.backend == "dedekind":
@@ -298,8 +307,7 @@ def cmd_classify(args, out=sys.stdout) -> int:
     return 0
 
 
-def _classify_quiver(args, data):
-    backend = _load_quiver(args.backend, args.field)
+def _classify_quiver(backend, data):
     seq = derived.SubcatSeq.from_json_dict(data)
     ok, report = derived.is_narrow_sequence(backend, seq)
     return {"valid_narrow_sequence": ok, "form": "narrow-sequence" if ok else None,

@@ -30,7 +30,12 @@ class BackendError(Exception):
 
 @dataclass(frozen=True)
 class QuiverSpec:
-    """An acyclic quiver with a prime base field and an enumeration bound."""
+    """An acyclic quiver with a prime base field and an enumeration bound.
+
+    ``dim_bound`` caps the dimension at each vertex of the representations
+    the indecomposable table is searched over (default 2 at every vertex).
+    Each entry is an integer >= 1, so every simple lies in the box.
+    """
 
     vertices: int
     arrows: tuple  # tuple of (source, target) pairs, 0-based
@@ -45,6 +50,8 @@ class QuiverSpec:
             object.__setattr__(self, "dim_bound", tuple(self.dim_bound))
         if len(self.dim_bound) != self.vertices:
             raise BackendError("dim_bound length must match vertex count")
+        if not all(isinstance(b, int) and not isinstance(b, bool) and b >= 1 for b in self.dim_bound):
+            raise BackendError(f"dim_bound entries must be integers >= 1, got {list(self.dim_bound)}")
         if self.field < 2 or not _is_prime(self.field):
             raise BackendError("field size must be a prime (prime powers beyond primes unsupported)")
         for (s, t) in self.arrows:
@@ -72,6 +79,21 @@ def _is_prime(n):
         if n % d == 0:
             return False
     return True
+
+
+def _is_connected(support, arrows):
+    """Whether the vertex set ``support`` is nonempty and connected by the
+    arrows with both ends in it, directions ignored."""
+    if not support:
+        return False
+    seen, todo = set(), [min(support)]
+    while todo:
+        v = todo.pop()
+        if v not in seen:
+            seen.add(v)
+            todo.extend(t if s == v else s for s, t in arrows
+                        if v in (s, t) and s in support and t in support)
+    return seen == support
 
 
 def _has_cycle(n, arrows):
@@ -102,12 +124,6 @@ class Rep:
 
     dims: tuple
     mats: tuple  # tuple of bytes-hashable immutable matrices stored as nested tuples
-
-    @staticmethod
-    def make(dims, mats):
-        dims = tuple(int(d) for d in dims)
-        frozen = tuple(tuple(tuple(int(x) for x in row) for row in np.asarray(m, dtype=np.int64)) for m in mats)
-        return Rep(dims, frozen)
 
     def arrow_matrix(self, i, spec):
         s, t = spec.arrows[i]
@@ -171,7 +187,7 @@ class QuiverBackend:
         self._memo = {}
         self.spec = spec
         self.p = spec.field
-        self.truncated = False
+        self.truncated = self._box_misses_a_root()
         self.indecs: list[Rep] = []
         self._build_table()
         n = len(self.indecs)
@@ -187,17 +203,45 @@ class QuiverBackend:
                     raise BackendError("negative Ext dimension; backend table inconsistent")
                 self.ext_matrix[i, j] = e
         self._hom_inv = _rational_inverse(self.hom_matrix)
-        if self._hom_inv is None:
-            self.truncated = True
 
     # ------------------------------------------------------------------
     # table construction
 
     def _build_table(self):
-        spec = self.spec
-        bound = spec.dim_bound
+        """One representative of each indecomposable whose dimension vector
+        lies in the ``dim_bound`` box, in (total dimension, vector) order.
+
+        Every representation of a visited vector goes through
+        ``_is_new_indec``, which is exact: a decomposable rep has a summand
+        of smaller dimension vector in the box, already in the table by the
+        graded order, and an indecomposable is kept unless it is isomorphic
+        to an entry.  A vector is visited only when it can carry an
+        indecomposable (``_may_be_indecomposable``):
+
+        (a) its support is connected in the underlying graph: a rep whose
+            support splits into two parts with no arrow between them is the
+            direct sum of its restrictions to the parts;
+        (b) its Tits form q(d) = euler_form(d, d) is at most 1.  Over F_q an
+            absolutely indecomposable rep has a root as its dimension
+            vector, and every root has q <= 1 (Kac 1980, *Infinite root
+            systems, representations of graphs and invariant theory*).  An
+            indecomposable M that is not absolutely indecomposable splits
+            over F_{q^r} into r >= 2 Galois conjugates of one absolutely
+            indecomposable N, so dim M = r * beta with beta = dim N a root.
+            Were beta real, N would be the only absolutely indecomposable
+            of its dimension, hence defined over F_q, and Noether-Deuring
+            would give M = N_0^r, which is decomposable.  So beta is
+            imaginary and q(r * beta) = r^2 * q(beta) <= 0.  For a Dynkin
+            quiver (a) and (b) keep exactly the positive roots (Gabriel 1972,
+            *Unzerlegbare Darstellungen I*).
+
+        A skipped vector carries no indecomposable, so the full box scan
+        adds nothing there either: the table (entries, order and matrices)
+        is the one the unpruned scan builds.
+        """
         dimvecs = sorted(
-            (dv for dv in itertools.product(*(range(b + 1) for b in bound)) if any(dv)),
+            (dv for dv in itertools.product(*(range(b + 1) for b in self.spec.dim_bound))
+             if self._may_be_indecomposable(dv)),
             key=lambda dv: (sum(dv), dv),
         )
         for dv in dimvecs:
@@ -205,6 +249,32 @@ class QuiverBackend:
                 if not self._is_new_indec(rep):
                     continue
                 self.indecs.append(rep)
+
+    def _may_be_indecomposable(self, dv):
+        """Connected support and Tits form at most 1 (see ``_build_table``)."""
+        support = {v for v, d in enumerate(dv) if d}
+        return _is_connected(support, self.spec.arrows) and self.euler_form(dv, dv) <= 1
+
+    def _box_misses_a_root(self):
+        """Whether some indecomposable lies outside the ``dim_bound`` box.
+
+        That holds iff some positive root does: a Dynkin quiver's
+        indecomposables are its positive roots (Gabriel), and any other
+        quiver has infinitely many positive roots, each carrying an
+        absolutely indecomposable over F_p (Kac).  A positive root that is
+        not simple is a positive root plus a simple root, because the
+        positive part of the Kac-Moody algebra is generated by the e_i.  On
+        such a chain up from a simple root (inside the box, since every
+        bound is >= 1) the first root outside the box lies in the box grown
+        by one at every vertex, and it has connected support and q <= 1.
+        Conversely such a vector outside the box is a positive root when
+        the quiver is Dynkin (q is positive definite there, so q = 1), and
+        the box misses a root anyway when it is not.
+        """
+        bound = self.spec.dim_bound
+        return any(self._may_be_indecomposable(dv)
+                   for dv in itertools.product(*(range(b + 2) for b in bound))
+                   if any(d > b for d, b in zip(dv, bound)))
 
     def _all_reps(self, dv):
         spec = self.spec

@@ -53,6 +53,18 @@ def test_usage_errors_exit_2():
     assert code == 2 and "error" in err, err
 
 
+def test_truncated_quiver_refused_up_front(tmp_path):
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps({"lo": 0, "hi": 0, "entries": [[0]], "below": [], "above": [0]}))
+    backend = "quiver:demos/quivers/kronecker.json"
+    for argv in (("enumerate", "--backend", backend, "--window", "0:0"),
+                 ("verify", "--backend", backend, "--window", "0:0"),
+                 ("classify", "--backend", backend, str(path))):
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == "", (argv, out, err)
+        assert "dim_bound [1, 1]" in json.loads(err)["error"], err
+
+
 def test_enumerate_json_shape():
     code, out, err = run_cli("enumerate", "--backend", f"quiver:{A2}",
                              "--window", "0:1", "--format", "json")

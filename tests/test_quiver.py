@@ -1,11 +1,16 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from tstructkit.quiver import (BackendError, QuiverSpec, build_backend,
-                               rep_from_arrays)
+from tstructkit.quiver import (BackendError, QuiverBackend, QuiverSpec,
+                               build_backend, rep_from_arrays)
 from conftest import id_by_dims
+
+A3_LINEAR = ((0, 1), (1, 2))
+D4_INTO_CENTRE = ((0, 1), (2, 1), (3, 1))  # vertex 1 is the centre
+KRONECKER = ((0, 1), (0, 1))
 
 
 def test_spec_validation():
@@ -15,6 +20,12 @@ def test_spec_validation():
         QuiverSpec(1, (), 4)  # non-prime field
     with pytest.raises(BackendError):
         QuiverSpec(1, ((0, 0),), 2)  # loop
+
+
+@pytest.mark.parametrize("dim_bound", [(0, 1), (-1, 2), (1.5, 1), (True, 1), ("2", 1)])
+def test_spec_rejects_dim_bound_entries_below_one_or_not_int(dim_bound):
+    with pytest.raises(BackendError, match="dim_bound"):
+        QuiverSpec(2, ((0, 1),), 2, dim_bound)
 
 
 def test_spec_from_json(tmp_path):
@@ -134,3 +145,61 @@ def test_subsets_bitmask_order(a2):
     assert subsets[0] == frozenset()
     assert subsets[1] == frozenset({0})
     assert subsets[3] == frozenset({0, 1})
+
+
+class FullScanBackend(QuiverBackend):
+    """Reference oracle: the table built from every dimension vector of the
+    box, with no pruning to connected roots."""
+
+    def _build_table(self):
+        box = itertools.product(*(range(b + 1) for b in self.spec.dim_bound))
+        for dv in sorted((d for d in box if any(d)), key=lambda d: (sum(d), d)):
+            for rep in self._all_reps(dv):
+                if self._is_new_indec(rep):
+                    self.indecs.append(rep)
+
+
+@pytest.mark.parametrize("spec", [
+    QuiverSpec(1, (), 2),
+    QuiverSpec(2, ((0, 1),), 2),
+    QuiverSpec(2, ((0, 1),), 3),
+    QuiverSpec(3, A3_LINEAR, 2),
+    QuiverSpec(3, ((0, 1), (2, 1)), 2),
+    QuiverSpec(3, A3_LINEAR, 3),
+    QuiverSpec(2, KRONECKER, 2, (1, 1)),
+    QuiverSpec(2, KRONECKER, 2, (2, 1)),
+    QuiverSpec(2, KRONECKER, 2, (2, 2)),
+    QuiverSpec(4, D4_INTO_CENTRE, 2, (1, 2, 1, 1)),
+], ids=lambda spec: f"{spec.arrows}-F{spec.field}-{spec.dim_bound}")
+def test_root_pruned_table_equals_full_box_scan(spec):
+    pruned, full = build_backend(spec), FullScanBackend(spec)
+    assert pruned.indecs == full.indecs  # same order, same matrices
+    assert np.array_equal(pruned.hom_matrix, full.hom_matrix)
+    assert np.array_equal(pruned.ext_matrix, full.ext_matrix)
+    assert pruned.truncated == full.truncated
+
+
+@pytest.mark.parametrize("vertices, arrows, field, count", [
+    (4, ((0, 1), (1, 2), (2, 3)), 2, 10),
+    (4, ((0, 1), (1, 2), (2, 3)), 3, 10),
+    (4, D4_INTO_CENTRE, 2, 12),
+    (4, D4_INTO_CENTRE, 3, 12),
+    (3, A3_LINEAR, 5, 6),
+])
+def test_gabriel_counts_of_positive_roots(vertices, arrows, field, count):
+    backend = build_backend(QuiverSpec(vertices, arrows, field))
+    dims = [ind.dims for ind in backend.indecs]
+    assert len(dims) == count and len(set(dims)) == count
+    assert all(backend.euler_form(d, d) == 1 for d in dims)
+    assert not backend.truncated
+
+
+@pytest.mark.parametrize("spec, truncated", [
+    (QuiverSpec(3, A3_LINEAR, 2, (1, 1, 1)), False),
+    (QuiverSpec(4, D4_INTO_CENTRE, 2), False),
+    (QuiverSpec(4, D4_INTO_CENTRE, 2, (1, 1, 1, 1)), True),  # misses (1, 2, 1, 1)
+    (QuiverSpec(2, KRONECKER, 2, (1, 1)), True),  # not Dynkin: every box misses one
+    (QuiverSpec(2, KRONECKER, 2, (2, 2)), True),
+])
+def test_truncated_iff_box_misses_an_indecomposable(spec, truncated):
+    assert build_backend(spec).truncated == truncated
