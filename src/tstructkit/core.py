@@ -2,8 +2,9 @@
 
 Subcategories of a finite backend are additively-closed sets of
 indecomposable ids (frozensets).  All predicates and closures are decided
-by exhaustive enumeration of morphisms, subobjects, and extensions between
-bounded direct sums of the subcategory's indecomposables.
+on bounded direct sums of the subcategory's indecomposables: morphisms and
+subobjects by exhaustive enumeration, extensions by the backend's
+``middle_terms``, which builds one middle term per Ext^1 class.
 
 Memo rule for this layer and the two built on it (derived, refined): every
 result that depends on the closure predicates is stored in ``memo(backend)``,

@@ -90,10 +90,11 @@ def solve(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
 
 
 def complement_basis(sub: np.ndarray, dim: int, p: int) -> np.ndarray:
-    """Columns extending the columns of `sub` to a basis of F_p^dim.
+    """Columns spanning a complement of the column space of `sub` in F_p^dim.
 
     The standard basis vectors at the non-pivot coordinates of the row
-    space of sub^T complete any independent set of columns of sub."""
+    space of sub^T complement that space, whether or not the columns of sub
+    are independent; with independent columns they extend them to a basis."""
     if sub.size == 0:
         return np.eye(dim, dtype=np.int64)
     _, piv = rref(sub.T, p)

@@ -21,7 +21,7 @@ from . import fplinalg as la
 
 Obj = tuple  # sorted tuple of indecomposable ids; () is the zero object
 
-MORPHISM_SPACE_LIMIT = 18  # refuse to enumerate Hom spaces above p^this
+MORPHISM_SPACE_LIMIT = 18  # refuse to enumerate Hom or Ext spaces above p^this
 
 
 class BackendError(Exception):
@@ -43,6 +43,14 @@ class QuiverSpec:
     dim_bound: tuple = ()
 
     def __post_init__(self):
+        if not _is_int(self.vertices) or self.vertices < 1:
+            raise BackendError(f"vertices must be an integer >= 1, got {self.vertices!r}")
+        if not (isinstance(self.arrows, (list, tuple))
+                and all(isinstance(a, (list, tuple)) and len(a) == 2 and all(map(_is_int, a))
+                        for a in self.arrows)):
+            raise BackendError(f"arrows must be a list of [source, target] integer pairs, got {self.arrows!r}")
+        if not _is_int(self.field):
+            raise BackendError(f"field must be an integer, got {self.field!r}")
         object.__setattr__(self, "arrows", tuple(tuple(a) for a in self.arrows))
         if not self.dim_bound:
             object.__setattr__(self, "dim_bound", tuple(2 for _ in range(self.vertices)))
@@ -50,7 +58,7 @@ class QuiverSpec:
             object.__setattr__(self, "dim_bound", tuple(self.dim_bound))
         if len(self.dim_bound) != self.vertices:
             raise BackendError("dim_bound length must match vertex count")
-        if not all(isinstance(b, int) and not isinstance(b, bool) and b >= 1 for b in self.dim_bound):
+        if not all(_is_int(b) and b >= 1 for b in self.dim_bound):
             raise BackendError(f"dim_bound entries must be integers >= 1, got {list(self.dim_bound)}")
         if self.field < 2 or not _is_prime(self.field):
             raise BackendError("field size must be a prime (prime powers beyond primes unsupported)")
@@ -62,14 +70,29 @@ class QuiverSpec:
 
     @staticmethod
     def from_json(path):
+        """The spec of a JSON object with keys ``vertices`` and ``arrows``
+        and optional ``field`` and ``dim_bound`` (a list); a malformed file
+        raises a ``BackendError`` naming the offending key."""
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise BackendError("quiver file must hold a JSON object")
+        for key in ("vertices", "arrows"):
+            if key not in data:
+                raise BackendError(f"quiver file lacks the required key {key!r}")
+        dim_bound = data.get("dim_bound", [])
+        if not isinstance(dim_bound, list):
+            raise BackendError(f"dim_bound must be a list, got {dim_bound!r}")
         return QuiverSpec(
             vertices=data["vertices"],
-            arrows=tuple(tuple(a) for a in data["arrows"]),
+            arrows=data["arrows"],
             field=data.get("field", 2),
-            dim_bound=tuple(data.get("dim_bound", ())),
+            dim_bound=tuple(dim_bound),
         )
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _is_prime(n):
@@ -442,19 +465,24 @@ class QuiverBackend:
         """Multiset of indecomposable ids isomorphic to rep."""
         if rep.total_dim == 0:
             return ()
+        return self._ids_from_homs([self._rep_hom_dim(ind, rep) for ind in self.indecs], rep.dims)
+
+    def _ids_from_homs(self, homs, dims) -> Obj:
+        """The multiset of ids of the rep M of dimension vector ``dims`` with
+        hom(indecs[i], M) = homs[i]: the table's Hom matrix is invertible
+        when the table holds every indecomposable."""
         if self._hom_inv is None:
             raise BackendError("cannot decompose: indecomposable table is incomplete (truncated backend)")
-        g = [Fraction(self._rep_hom_dim(self.indecs[i], rep)) for i in range(len(self.indecs))]
-        mult = _mat_vec(self._hom_inv, g)
+        mult = _mat_vec(self._hom_inv, [Fraction(h) for h in homs])
         ids = []
-        dims = np.zeros(self.spec.vertices, dtype=np.int64)
+        total = np.zeros(self.spec.vertices, dtype=np.int64)
         for i, m in enumerate(mult):
             if m.denominator != 1 or m < 0:
                 raise BackendError("object does not decompose over the table")
             for _ in range(int(m)):
                 ids.append(i)
-                dims += np.array(self.indecs[i].dims, dtype=np.int64)
-        if tuple(int(d) for d in dims) != rep.dims:
+                total += np.array(self.indecs[i].dims, dtype=np.int64)
+        if tuple(int(d) for d in total) != tuple(dims):
             raise BackendError("object does not decompose over the table")
         return tuple(sorted(ids))
 
@@ -604,62 +632,111 @@ class QuiverBackend:
     # ------------------------------------------------------------------
     # extensions
 
-    def objs_with_dims(self, dims):
-        """All multisets of indecomposables with the given total dimension vector."""
-        dims = tuple(dims)
-        results = []
-
-        def rec(start, remaining, acc):
-            if all(r == 0 for r in remaining):
-                results.append(tuple(acc))
-                return
-            for i in range(start, len(self.indecs)):
-                d = self.indecs[i].dims
-                if all(dv <= rv for dv, rv in zip(d, remaining)):
-                    acc.append(i)
-                    rec(i, tuple(rv - dv for rv, dv in zip(remaining, d)), acc)
-                    acc.pop()
-
-        rec(0, dims, [])
-        return sorted(results)
-
     @_memoized
     def middle_terms(self, quot: Obj, sub: Obj):
-        """All M (up to iso) fitting 0 -> sub -> M -> quot -> 0."""
+        """All M (up to iso) fitting 0 -> sub -> M -> quot -> 0, sorted.
+
+        Write A, B for the representations of quot and sub.  At each vertex
+        a short exact sequence 0 -> B -> M -> A -> 0 splits as vector
+        spaces, so in adapted bases M is M_eps, the representation with
+        arrow matrices [[B_a, eps_a], [0, A_a]] for some eps in
+        (+)_{a: s->t} Hom(A_s, B_t); every such M_eps is an extension.
+        Conjugating M_eps by [[1, phi_v], [0, 1]] for phi in
+        (+)_v Hom(A_v, B_v) turns eps_a into eps_a - (B_a phi_s - phi_t A_a),
+        so M_eps depends only on the class of eps modulo the image of
+        Ringel's map, that is, on its class in the cokernel of
+
+            0 -> Hom(A, B) -> (+)_v Hom(A_v, B_v) -> (+)_a Hom(A_s, B_t)
+              -> Ext^1(A, B) -> 0
+
+        (Ringel 1976, *Representations of K-species and bimodules*;
+        Crawley-Boevey, *Lectures on representations of quivers*).  A
+        complement of the image (``_ringel_map``) meets each class once, so
+        its vectors give every middle term.  Conjugating by
+        diag(c * 1_B, 1_A) sends M_eps to M_{c eps} for c != 0, so one eps
+        per line through 0 (first nonzero coordinate 1) suffices, besides
+        eps = 0, which gives B (+) A; when ``ext_dim(quot, sub)`` is 0 that
+        is the only one.
+
+        M_eps is decomposed through its Hom vector.  A morphism I -> M_eps
+        is a pair (g, f) with f in Hom(I, A) and g_v: I_v -> B_v such that
+        B_a g_s - g_t I_a = -eps_a f_s; so f lifts iff the class
+        delta_eps(f) of (eps_a f_s)_a in Ext^1(I, B) is 0, and
+        hom(I, M_eps) = hom(I, B) + hom(I, A) - rank delta_eps.  delta_eps
+        is linear in eps, so the matrices of delta on the basis of eps
+        (``_connecting_maps``) are built once per call, and each eps costs
+        one small rank per indecomposable I with Hom(I, A) and
+        Ext^1(I, B) both nonzero.  No M_eps is built as a rep, so none
+        enters the memo through ``decompose_rep``.
+        """
         if not sub:
             return [quot]
         if not quot:
             return [sub]
-        total = tuple(a + b for a, b in zip(self.obj_dims(quot), self.obj_dims(sub)))
-        found = []
-        for cand in self.objs_with_dims(total):
-            if self._extension_screen(cand, quot, sub) and self._is_extension(cand, quot, sub):
-                found.append(cand)
-        return found
+        split = tuple(sorted(quot + sub))  # eps = 0
+        if not self.ext_dim(quot, sub):
+            return [split]
+        a, b, p = self.obj_rep(quot), self.obj_rep(sub), self.p
+        ringel = self._ringel_map(a, b)
+        basis = la.complement_basis(ringel, ringel.shape[0], p)
+        e = basis.shape[1]
+        if e > MORPHISM_SPACE_LIMIT:
+            raise BackendError("Ext space too large to enumerate")
+        deltas = [(i, self._connecting_maps(self.indecs[i], a, b, basis)) for i in self.all_ids()
+                  if self.hom_dim((i,), quot) and self.ext_dim((i,), sub)]
+        split_homs = [self.hom_dim((i,), split) for i in self.all_ids()]
+        hom_vectors = set()
+        for k in range(e):
+            for tail in itertools.product(range(p), repeat=e - k - 1):
+                coeffs = np.array((0,) * k + (1,) + tail, dtype=np.int64)
+                homs = list(split_homs)
+                for i, maps in deltas:
+                    homs[i] -= la.rank(np.tensordot(coeffs, maps, 1) % p, p)
+                hom_vectors.add(tuple(homs))
+        dims = self.obj_dims(split)
+        return sorted({split} | {self._ids_from_homs(h, dims) for h in hom_vectors})
 
-    def _extension_screen(self, mid: Obj, quot: Obj, sub: Obj) -> bool:
-        """Necessary Hom-count inequalities from left exactness of Hom:
-        hom(quot,I) <= hom(mid,I) <= hom(quot,I) + hom(sub,I) and dually."""
-        for i in range(len(self.indecs)):
-            io = (i,)
-            hm = self.hom_dim(mid, io)
-            if not self.hom_dim(quot, io) <= hm <= self.hom_dim(quot, io) + self.hom_dim(sub, io):
-                return False
-            hm = self.hom_dim(io, mid)
-            if not self.hom_dim(io, sub) <= hm <= self.hom_dim(io, sub) + self.hom_dim(io, quot):
-                return False
-        return True
+    def _ringel_map(self, a, b):
+        """The matrix of Ringel's map (+)_v Hom(a_v, b_v) -> (+)_{a: s->t}
+        Hom(a_s, b_t), phi -> (b_a phi_s - phi_t a_a)_a, whose kernel is
+        Hom(a, b) and whose cokernel is Ext^1(a, b).
 
-    def _is_extension(self, mid: Obj, quot: Obj, sub: Obj):
-        for f in self.morphisms(sub, mid):
-            if not self.is_mono(f):
-                continue
-            src = self.obj_rep(f.source)
-            tgt = self.obj_rep(f.target)
-            ibases = [la.column_space(f.mat(v), self.p) for v in range(self.spec.vertices)]
-            if self.decompose_rep(self._quot_rep(tgt, ibases)) == quot:
-                return True
-        return False
+        Columns run over the per-vertex blocks in the row-major layout of
+        ``_rep_hom_basis``; rows run over the arrows, the (b_t x a_s) block
+        of each in row-major order.  Row-major vec(L X R) is
+        kron(L, R^T) vec(X)."""
+        spec = self.spec
+        ncols = [b.dims[v] * a.dims[v] for v in range(spec.vertices)]
+        blocks = [np.zeros((0, sum(ncols)), dtype=np.int64)]
+        for i, (s, t) in enumerate(spec.arrows):
+            row = [np.zeros((b.dims[t] * a.dims[s], n), dtype=np.int64) for n in ncols]
+            row[s] = np.kron(b.arrow_matrix(i, spec), np.eye(a.dims[s], dtype=np.int64))
+            row[t] = -np.kron(np.eye(b.dims[t], dtype=np.int64), a.arrow_matrix(i, spec).T)
+            blocks.append(np.hstack(row))
+        return np.vstack(blocks) % self.p
+
+    def _connecting_maps(self, c, a, b, basis):
+        """Array of shape (len eps, ext(c, b), hom(c, a)): for each column
+        eps of ``basis`` (laid out as the rows of ``_ringel_map(a, b)``), the
+        matrix of f -> class of (eps_a f_s)_a, from Hom(c, a) on the
+        ``_rep_hom_basis`` basis to the complement coordinates of
+        Ext^1(c, b) (rows laid out as in ``_ringel_map(c, b)``)."""
+        spec, p = self.spec, self.p
+        homs = self._rep_hom_basis(c, a)
+        pulled = []
+        for eps in basis.T:
+            blocks, off = [], 0
+            for s, t in spec.arrows:
+                blocks.append(eps[off:off + b.dims[t] * a.dims[s]].reshape(b.dims[t], a.dims[s]))
+                off += b.dims[t] * a.dims[s]
+            for f in homs:
+                pulled.append(np.concatenate([_mm(blk, f[s], p).reshape(-1)
+                                              for blk, (s, t) in zip(blocks, spec.arrows)]))
+        ringel = self._ringel_map(c, b)
+        image = la.column_space(ringel, p)
+        full = np.concatenate([image, la.complement_basis(image, ringel.shape[0], p)], axis=1)
+        coords = la.coords_in_basis(full, np.stack(pulled, axis=1), p)[image.shape[1]:]
+        return coords.reshape(-1, basis.shape[1], len(homs)).transpose(1, 0, 2)
 
     # ------------------------------------------------------------------
     # enumeration interface

@@ -65,6 +65,19 @@ def test_truncated_quiver_refused_up_front(tmp_path):
         assert "dim_bound [1, 1]" in json.loads(err)["error"], err
 
 
+@pytest.mark.parametrize("spec, key", [
+    ({"vertices": 2, "arrows": [[0, 1]], "dim_bound": 3}, "dim_bound"),
+    ({"vertices": 2, "arrows": [[0, 1]], "field": 2.0}, "field"),
+    ({"vertices": 2}, "arrows"),
+])
+def test_malformed_quiver_file_exits_2_naming_the_key(tmp_path, spec, key):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli("enumerate", "--backend", f"quiver:{path}", "--window", "0:0")
+    assert code == 2 and out == "", (out, err)
+    assert key in json.loads(err)["error"], err
+
+
 def test_enumerate_json_shape():
     code, out, err = run_cli("enumerate", "--backend", f"quiver:{A2}",
                              "--window", "0:1", "--format", "json")

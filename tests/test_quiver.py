@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+from tstructkit import core
+from tstructkit import fplinalg as la
 from tstructkit.quiver import (BackendError, QuiverBackend, QuiverSpec,
                                build_backend, rep_from_arrays)
 from conftest import id_by_dims
@@ -20,6 +22,21 @@ def test_spec_validation():
         QuiverSpec(1, (), 4)  # non-prime field
     with pytest.raises(BackendError):
         QuiverSpec(1, ((0, 0),), 2)  # loop
+
+
+@pytest.mark.parametrize("vertices, arrows, field, key", [
+    (0, (), 2, "vertices"),
+    (2.0, ((0, 1),), 2, "vertices"),
+    (True, (), 2, "vertices"),
+    (2, 5, 2, "arrows"),
+    (2, ((0, 1, 1),), 2, "arrows"),
+    (2, ((0, 1.0),), 2, "arrows"),
+    (2, ((0, 1),), 2.0, "field"),
+    (2, ((0, 1),), True, "field"),
+])
+def test_spec_rejects_malformed_fields(vertices, arrows, field, key):
+    with pytest.raises(BackendError, match=key):
+        QuiverSpec(vertices, arrows, field)
 
 
 @pytest.mark.parametrize("dim_bound", [(0, 1), (-1, 2), (1.5, 1), (True, 1), ("2", 1)])
@@ -139,6 +156,15 @@ def test_decompose_rejects_reps_outside_bound(kronecker):
         kronecker.decompose_rep(big)
 
 
+def test_middle_terms_refuse_extensions_outside_truncated_table(kronecker):
+    # Ext^1(S0, R) != 0 for each (1, 1) rep R; the nonsplit middle term has
+    # dimension vector (2, 1), outside the (1, 1) box
+    s0 = id_by_dims(kronecker, (1, 0))
+    r = next(i for i, ind in enumerate(kronecker.indecs) if ind.dims == (1, 1))
+    with pytest.raises(BackendError, match="does not decompose"):
+        kronecker.middle_terms((s0,), (r,))
+
+
 def test_subsets_bitmask_order(a2):
     subsets = list(a2.subsets())
     assert len(subsets) == 8
@@ -203,3 +229,109 @@ def test_gabriel_counts_of_positive_roots(vertices, arrows, field, count):
 ])
 def test_truncated_iff_box_misses_an_indecomposable(spec, truncated):
     assert build_backend(spec).truncated == truncated
+
+
+def searched_middle_terms(backend, quot, sub):
+    """Reference oracle: every multiset of indecomposables with the total
+    dimension vector, screened by Hom counts (left exactness of Hom), kept
+    when some mono sub -> M has cokernel quot."""
+    if not sub:
+        return [quot]
+    if not quot:
+        return [sub]
+    total = tuple(a + b for a, b in zip(backend.obj_dims(quot), backend.obj_dims(sub)))
+    found = []
+
+    def objs_with_dims(start, remaining, acc):
+        if not any(remaining):
+            yield tuple(acc)
+            return
+        for i in range(start, len(backend.indecs)):
+            d = backend.indecs[i].dims
+            if all(dv <= rv for dv, rv in zip(d, remaining)):
+                yield from objs_with_dims(i, tuple(rv - dv for rv, dv in zip(remaining, d)), acc + [i])
+
+    def screen(mid):
+        for i in backend.all_ids():
+            io = (i,)
+            hm = backend.hom_dim(mid, io)
+            if not backend.hom_dim(quot, io) <= hm <= backend.hom_dim(quot, io) + backend.hom_dim(sub, io):
+                return False
+            hm = backend.hom_dim(io, mid)
+            if not backend.hom_dim(io, sub) <= hm <= backend.hom_dim(io, sub) + backend.hom_dim(io, quot):
+                return False
+        return True
+
+    def is_extension(mid):
+        # f and c * f have one image, so one morphism per line is tried:
+        # the Hom(sub, mid) coordinates with first nonzero entry 1
+        p, tgt, sub_dims = backend.p, backend.obj_rep(mid), backend.obj_dims(sub)
+        basis = backend.hom_basis(sub, mid)
+        for coeffs in itertools.product(range(p), repeat=len(basis)):
+            if next((c for c in coeffs if c), 0) != 1:
+                continue
+            f = [sum(c * g[v] for c, g in zip(coeffs, basis)) % p for v in range(len(sub_dims))]
+            if all(la.rank(m, p) == d for m, d in zip(f, sub_dims)):
+                ibases = [la.column_space(m, p) for m in f]
+                if backend.decompose_rep(backend._quot_rep(tgt, ibases)) == quot:
+                    return True
+        return False
+
+    for cand in sorted(objs_with_dims(0, total, [])):
+        if screen(cand) and is_extension(cand):
+            found.append(cand)
+    return found
+
+
+@pytest.mark.parametrize("spec, mult_bound", [
+    (QuiverSpec(2, ((0, 1),), 2), 2),
+    (QuiverSpec(2, ((0, 1),), 3), 2),
+    (QuiverSpec(2, ((0, 1),), 5), 2),
+    (QuiverSpec(3, A3_LINEAR, 2), 2),
+    (QuiverSpec(3, ((0, 1), (2, 1)), 2), 2),
+    (QuiverSpec(3, A3_LINEAR, 3), 1),
+], ids=lambda x: f"{x.arrows}-F{x.field}" if isinstance(x, QuiverSpec) else f"mult{x}")
+def test_middle_terms_equal_the_searched_ones(spec, mult_bound):
+    backend = build_backend(spec)
+    cands = core.candidates(backend, backend.all_ids(), mult_bound)
+    for quot in cands:
+        for sub in cands:
+            mids = backend.middle_terms(quot, sub)
+            assert mids == searched_middle_terms(backend, quot, sub), (quot, sub)
+            split = tuple(sorted(quot + sub))
+            assert split in mids
+            assert (mids == [split]) == (backend.ext_dim(quot, sub) == 0), (quot, sub)
+
+
+@pytest.mark.parametrize("spec", [
+    QuiverSpec(2, ((0, 1),), 2),
+    QuiverSpec(3, A3_LINEAR, 3),
+    QuiverSpec(4, ((0, 1), (1, 2), (2, 3)), 2),
+    QuiverSpec(4, D4_INTO_CENTRE, 2),
+    QuiverSpec(2, KRONECKER, 2, (2, 2)),
+], ids=lambda spec: f"{spec.arrows}-F{spec.field}-{spec.dim_bound}")
+def test_ringel_cokernel_has_the_euler_form_dimension(spec):
+    """dim coker of Ringel's map = hom - <dim A, dim B> = ext_dim, on every
+    pair of indecomposables (the truncated Kronecker table included)."""
+    backend = build_backend(spec)
+    for i in backend.all_ids():
+        for j in backend.all_ids():
+            a, b = backend.indecs[i], backend.indecs[j]
+            ringel = backend._ringel_map(a, b)
+            ext = ringel.shape[0] - la.rank(ringel, backend.p)  # dim coker
+            assert ext == backend.hom_dim((i,), (j,)) - backend.euler_form(a.dims, b.dims)
+            assert ext == backend.ext_dim((i,), (j,))
+            if backend.truncated:
+                continue  # a middle term may lie outside the table
+            mids = backend.middle_terms((i,), (j,))
+            assert tuple(sorted((i, j))) in mids
+            assert (len(mids) == 1) == (ext == 0)
+
+
+def test_middle_terms_store_nothing_but_their_results_and_operands():
+    backend = build_backend(QuiverSpec(3, A3_LINEAR, 2))
+    cands = core.candidates(backend, backend.all_ids(), 2)
+    for quot in cands:
+        for sub in cands:
+            backend.middle_terms(quot, sub)
+    assert {key[0] for key in backend._memo} == {"middle_terms", "obj_rep"}
