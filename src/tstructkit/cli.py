@@ -75,10 +75,7 @@ def _load_quiver(selector: str, field=None):
     if field is not None:
         spec = QuiverSpec(spec.vertices, spec.arrows, field, spec.dim_bound)
     backend = build_backend(spec)
-    if backend.truncated:
-        raise BackendError(
-            f"indecomposable table truncated by dim_bound {list(spec.dim_bound)}: "
-            "some indecomposable lies outside it (every bound does, unless the quiver is Dynkin)")
+    backend.refuse_truncated()
     return backend
 
 
@@ -204,9 +201,13 @@ def _p1_checks(points, lo, hi, dlo, dhi):
         all(f.l2 == f.l1 + 1 for f in forms if f.form == "I" and projline.p1_is_aisle(f))
     yield ("aisle-rejection-is-wide-torsion-zone", cond, None)
     sheaves = projline.p1_test_sheaves(points, deg_bound=max(abs(dlo), abs(dhi)))
-    mono = all(projline.p1_membership(x, form.value_at(k + 1))
-               for form in forms for k in range(lo - 1, hi + 1)
-               for x in sheaves if projline.p1_membership(x, form.value_at(k)))
+
+    def nondecreasing_at(form, k):
+        lower, upper = form.value_at(k), form.value_at(k + 1)
+        return all(projline.p1_membership(x, upper)
+                   for x in sheaves if projline.p1_membership(x, lower))
+
+    mono = all(nondecreasing_at(form, k) for form in forms for k in range(lo - 1, hi + 1))
     yield ("sequences-nondecreasing-on-test-sheaves", mono, None)
     yield ("euler-form-spot-values",
            projline.euler_form((1, 0), (1, 1)) == 2

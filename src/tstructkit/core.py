@@ -1,16 +1,23 @@
 """Subcategory calculus over a finite hereditary backend.
 
 Subcategories of a finite backend are additively-closed sets of
-indecomposable ids (frozensets).  All predicates and closures are decided
-on bounded direct sums of the subcategory's indecomposables: morphisms and
-subobjects by exhaustive enumeration, extensions by the backend's
-``middle_terms``, which builds one middle term per Ext^1 class.
+indecomposable ids (frozensets).  Closures and the closure predicates are
+decided on bounded direct sums of the subcategory's indecomposables:
+morphisms and subobjects by exhaustive enumeration, extensions by the
+backend's ``middle_terms``, which builds one middle term per Ext^1 class.
+
+The wide census (``wide_census``) and the tilting torsion classes of a wide
+subcategory (``tilting_census``) are read off the Hom and Ext matrices of an
+untruncated table, with no subset scan.  The scans that decide the same
+sets from the closure predicates (``enumerate_subcats``, ``classify_subcat``,
+``is_tilting_in``) stay as their oracles.
 
 Memo rule for this layer and the two built on it (derived, refined): every
-result that depends on the closure predicates is stored in ``memo(backend)``,
-the backend's dict for the active fault set, so a value computed under one
-set of injected faults is never read under another.  The backend's own memo
-holds only pure representation-theoretic data (see QuiverBackend).
+result that depends on the closure predicates or on ``perp`` is stored in
+``memo(backend)``, the backend's dict for the active fault set, so a value
+computed under one set of injected faults is never read under another.  The
+backend's own memo holds only pure representation-theoretic data (see
+QuiverBackend).
 """
 
 from __future__ import annotations
@@ -177,6 +184,93 @@ def perp(backend, S, side, degrees="all", universe=None) -> Subcat:
         if good:
             out.add(i)
     return frozenset(out)
+
+
+def _grow_cliques(ids, compatible, visit):
+    """Call visit on every set of ids that are pairwise compatible,
+    growing each in increasing id order so it is visited once."""
+    def grow(chosen, rest):
+        visit(chosen)
+        for k, i in enumerate(rest):
+            grow(chosen + (i,), [j for j in rest[k + 1:] if compatible(i, j)])
+    grow((), list(ids))
+
+
+def _by_members(sets):
+    return sorted(sets, key=lambda s: tuple(sorted(s)))
+
+
+def wide_census(backend) -> list:
+    """All wide subcategories, from the Hom and Ext matrices: the distinct
+    W(S) = perp(perp(S, right), left) over the Hom-orthogonal sets S of
+    indecomposables (both perps with Hom and Ext), sorted by members.
+
+    Proof.  An untruncated table belongs to a Dynkin quiver (see
+    ``QuiverBackend._box_misses_a_root``), whose indecomposables are
+    exceptional: Ext^1(X, X) = 0 and End(X) = F_p.  So a Hom-orthogonal set
+    of indecomposables is a semibrick, and S -> filt(S), the extension
+    closure of S, is a bijection from semibricks onto wide subcategories;
+    its inverse takes W to its simple objects (Ringel 1976, *Representations
+    of K-species and bimodules*).  Since Ext^2 vanishes, the long exact
+    sequences carry Hom- and Ext-vanishing against S along extensions, so
+    S^perp = filt(S)^perp.  A wide subcategory W of a Dynkin category is
+    generated by an exceptional sequence, hence W = perp(W^perp)
+    (Geigle-Lenzing 1991, *Perpendicular categories*; Ingalls-Thomas 2009).
+    Together W(S) = filt(S): each wide subcategory is reached exactly once.
+    The growth visits only Hom-orthogonal sets, one per wide subcategory.
+    """
+    backend.refuse_truncated()
+    cache = memo(backend)
+    if "wide-census" not in cache:
+        hom = backend.hom_matrix
+        found = []
+        _grow_cliques(backend.all_ids(), lambda i, j: hom[i, j] == 0 and hom[j, i] == 0,
+                      lambda S: found.append(perp(backend, perp(backend, S, "right", "all"),
+                                                  "left", "all")))
+        cache["wide-census"] = _by_members(set(found))
+    return cache["wide-census"]
+
+
+def tilting_census(backend, W) -> list:
+    """The tilting torsion classes of the wide subcategory W, from the Hom
+    and Ext matrices: the distinct W cap perp0(R^perp0 cap W) over the
+    Ext-rigid sets R within W with rank(W) members, sorted by members.
+    rank(W) is the number of Ext-projectives of W (P in W with Ext(P, W) = 0).
+
+    Proof.  W is equivalent to the representations of an acyclic quiver with
+    rank(W) vertices whose Ext^1 is the ambient one (Ingalls-Thomas 2009), and
+    its projectives are the Ext-projectives of W.  A torsion class T of W
+    into whose objects every object of W embeds (``is_tilting_in``) holds
+    the injectives of W, since such an embedding splits and T is closed
+    under summands; a torsion class holding the injectives is Fac(M) for the
+    tilting module M of its Ext-projectives, and M -> Fac(M) is a bijection
+    from basic tilting modules onto these classes (Smalo 1984;
+    Assem-Simson-Skowronski, *Elements*, VI.6).  Over a hereditary algebra
+    a basic module with Ext^1(M, M) = 0 is tilting iff it has rank many
+    summands (Bongartz 1981), so the basic tilting modules are the Ext-rigid
+    sets R above.  Fac(R) is a torsion class, so it is the least one holding
+    R, whose torsion-free class in W is R^perp0 cap W; the torsion class is
+    the left Hom-perp of that inside W.  Hom vanishes summand by summand,
+    so both perps are read off ``hom_matrix``.
+    """
+    W = frozenset(W)
+    backend.refuse_truncated()
+    cache = memo(backend)
+    key = ("tilting-census", W)
+    if key not in cache:
+        ext = backend.ext_matrix
+        rank = sum(1 for p in W if not any(ext[p, x] for x in W))
+        found = []
+
+        def visit(R):
+            if len(R) == rank:
+                free = perp(backend, R, "right", "zero_only", universe=W)
+                found.append(perp(backend, free, "left", "zero_only", universe=W))
+
+        _grow_cliques(sorted(i for i in W if ext[i, i] == 0),
+                      lambda i, j: ext[i, j] == 0 and ext[j, i] == 0, visit)
+        cache[key] = _by_members(set(found))
+    return cache[key]
 
 
 def torsion_decompose(backend, obj: Obj, T) -> tuple:

@@ -318,6 +318,8 @@ def star_membership(backend, left, right, x: dict, lo=None, hi=None,
         if len(pools[k]) > STAR_OPTION_LIMIT:
             raise BackendError("star search budget exceeded")
 
+    mids = {}  # (s_prev, t_k) -> middle terms, asked once per pair
+
     def dfs(k, s_prev, bparts):
         if k > kmax:
             if s_prev:
@@ -325,7 +327,10 @@ def star_membership(backend, left, right, x: dict, lo=None, hi=None,
                 bparts[k] = s_prev
             return rmember(dobj(bparts))
         for a_k, s_k, t_k in pools[k]:
-            for b_k in backend.middle_terms(s_prev, t_k):
+            pair = (s_prev, t_k)
+            if pair not in mids:
+                mids[pair] = backend.middle_terms(s_prev, t_k)
+            for b_k in mids[pair]:
                 nb = bparts
                 if b_k:
                     nb = dict(bparts)

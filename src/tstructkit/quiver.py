@@ -226,6 +226,12 @@ class QuiverBackend:
                     raise BackendError("negative Ext dimension; backend table inconsistent")
                 self.ext_matrix[i, j] = e
         self._hom_inv = _rational_inverse(self.hom_matrix)
+        # an integral inverse (det 1, as on every Dynkin table checked)
+        # decomposes by one int64 mat-vec in place of Fraction arithmetic
+        self._hom_inv_int = None
+        if self._hom_inv is not None and all(x.denominator == 1 for row in self._hom_inv for x in row):
+            self._hom_inv_int = np.array([[int(x) for x in row] for row in self._hom_inv],
+                                         dtype=np.int64).reshape(n, n)
 
     # ------------------------------------------------------------------
     # table construction
@@ -277,6 +283,13 @@ class QuiverBackend:
         """Connected support and Tits form at most 1 (see ``_build_table``)."""
         support = {v for v, d in enumerate(dv) if d}
         return _is_connected(support, self.spec.arrows) and self.euler_form(dv, dv) <= 1
+
+    def refuse_truncated(self):
+        """Raise a BackendError naming ``dim_bound`` if the table is truncated."""
+        if self.truncated:
+            raise BackendError(
+                f"indecomposable table truncated by dim_bound {list(self.spec.dim_bound)}: "
+                "some indecomposable lies outside it (every bound does, unless the quiver is Dynkin)")
 
     def _box_misses_a_root(self):
         """Whether some indecomposable lies outside the ``dim_bound`` box.
@@ -473,7 +486,10 @@ class QuiverBackend:
         when the table holds every indecomposable."""
         if self._hom_inv is None:
             raise BackendError("cannot decompose: indecomposable table is incomplete (truncated backend)")
-        mult = _mat_vec(self._hom_inv, [Fraction(h) for h in homs])
+        if self._hom_inv_int is not None:
+            mult = (self._hom_inv_int @ np.array(homs, dtype=np.int64)).tolist()
+        else:
+            mult = _mat_vec(self._hom_inv, [Fraction(h) for h in homs])
         ids = []
         total = np.zeros(self.spec.vertices, dtype=np.int64)
         for i, m in enumerate(mult):

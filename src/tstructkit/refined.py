@@ -147,12 +147,12 @@ def validate_refined(backend, r: RefinedTSeq, mult_bound=core.DEFAULT_MULT_BOUND
     return (not report), report
 
 
-def enumerate_refined(backend, lo, hi, mult_bound=core.DEFAULT_MULT_BOUND):
+def enumerate_refined(backend, lo, hi):
     """All refined t-sequences on the window (zero below, constant above),
-    in deterministic order."""
-    wides = [frozenset(s) for s in core.enumerate_subcats(backend, ("is_wide",),
-                                                          mult_bound=mult_bound)]
-    wides.sort(key=lambda s: tuple(sorted(s)))
+    in deterministic order.  The wide subcategories and the tilting torsion
+    classes of each gap come from ``core.wide_census`` and
+    ``core.tilting_census``, so a truncated table is refused up front."""
+    wides = core.wide_census(backend)
     results = []
 
     def rec(chain):
@@ -162,10 +162,9 @@ def enumerate_refined(backend, lo, hi, mult_bound=core.DEFAULT_MULT_BOUND):
             for w in chain:
                 gaps.append(gap(backend, w, prev))
                 prev = w
-            for tfs in itertools.product(*(tilting_torsion_classes(backend, g, mult_bound)
-                                           for g in gaps)):
-                top_gap = gap(backend, chain[-1], chain[-1])
-                for tf_above in tilting_torsion_classes(backend, top_gap, mult_bound):
+            top_gap = gap(backend, chain[-1], chain[-1])
+            for tfs in itertools.product(*(core.tilting_census(backend, g) for g in gaps)):
+                for tf_above in core.tilting_census(backend, top_gap):
                     results.append(RefinedTSeq(lo, hi, tuple(chain), tfs, tf_above))
             return
         prev = chain[-1] if chain else frozenset()
@@ -252,7 +251,7 @@ def verify_roundtrips(backend, lo, hi, mult_bound=core.DEFAULT_MULT_BOUND):
         v = psi(backend, xi(backend, u, mult_bound), mult_bound)
         if v.key() != u.key():
             failures.append(("psi-xi", u.key(), v.key()))
-    refineds = enumerate_refined(backend, lo, hi, mult_bound=mult_bound)
+    refineds = enumerate_refined(backend, lo, hi)
     for r in refineds:
         ok, rep = validate_refined(backend, r, mult_bound)
         if not ok:

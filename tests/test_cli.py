@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -173,3 +174,21 @@ def test_enumerate_callable_in_process():
     assert cli.cmd_enumerate(args, out=out) == 0
     rows = json.loads(out.getvalue())["records"]
     assert len(rows) == 5
+
+
+# SHA-256 of stdout; a faster path through the classifier must leave these
+# bytes as they are
+STDOUT_SHA256 = {
+    ("enumerate", "a2", "0:2"): "ab6d5b56cef29352a7a55f769c1e49e0d7b043519ef9d75cf83ce873659df777",
+    ("enumerate", "a3", "0:1"): "4d85859a0b50eac93e8eadeec64db965b802747c7e3246cb47acda742bd63067",
+    ("verify", "a2", "0:1"): "11169c515a86b2cbabdaf47793613e6983faa09d722e27ee71135df022b9be29",
+    ("verify", "a3", "0:1"): "11169c515a86b2cbabdaf47793613e6983faa09d722e27ee71135df022b9be29",
+}
+
+
+@pytest.mark.parametrize("command, quiver, window", sorted(STDOUT_SHA256))
+def test_quiver_stdout_is_pinned(command, quiver, window):
+    code, out, err = run_cli(command, "--backend", f"quiver:demos/quivers/{quiver}.json",
+                             "--window", window)
+    assert code == 0 and err == "", err
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command, quiver, window]

@@ -4,7 +4,8 @@ from tstructkit import core
 from tstructkit.core import (classify_subcat, closure, enumerate_subcats,
                              ext_injectives, is_closed, is_tilting_in,
                              kernel_realizations, perp, split_injective_test,
-                             torsion_decompose)
+                             tilting_census, torsion_decompose, wide_census)
+from tstructkit.quiver import BackendError, QuiverSpec, build_backend
 
 
 def all_ids(backend):
@@ -118,3 +119,32 @@ def test_kernel_realizations(a2, a2_ids):
     for src, tgt in hits:
         assert set(src) <= {P1, S1} and set(tgt) <= {P1, S1}
     assert not list(kernel_realizations(a2, frozenset({S1}), S2))
+
+
+A4 = QuiverSpec(4, ((0, 1), (1, 2), (2, 3)), 2)
+D4 = QuiverSpec(4, ((0, 3), (1, 3), (2, 3)), 2, (1, 1, 1, 2))  # vertex 3 is the centre
+A5 = QuiverSpec(5, ((0, 1), (1, 2), (2, 3), (3, 4)), 2, (1,) * 5)
+
+
+@pytest.mark.parametrize("spec, wides, tilting, narrow", [
+    (A4, 42, 14, 90),  # A_n: Catalan(n + 1) wides, Catalan(n) tilting classes
+    (D4, 50, 20, 120),
+    (A5, 132, 42, 394),
+])
+def test_census_counts_without_the_scan(spec, wides, tilting, narrow):
+    """Wide subcategories, tilting torsion classes of the whole category, and
+    narrow subcategories counted as the sum over wides W of #tilting(W)."""
+    b = build_backend(spec)
+    assert not b.truncated
+    census = wide_census(b)
+    assert len(census) == wides
+    assert len(tilting_census(b, b.all_ids())) == tilting
+    assert sum(len(tilting_census(b, w)) for w in census) == narrow
+
+
+def test_a5_is_beyond_the_subset_scan():
+    b = build_backend(A5)
+    assert len(b.indecs) == 15
+    with pytest.raises(BackendError, match="too large"):
+        enumerate_subcats(b, ("is_wide",))
+

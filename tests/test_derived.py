@@ -136,12 +136,16 @@ def test_results_do_not_depend_on_fault_history():
 
     def answers(b):
         return (len(enumerate_narrow_sequences(b, 0, 1)),
-                refined.tilting_torsion_classes(b, full_subcat(b)))
+                refined.tilting_torsion_classes(b, full_subcat(b)),
+                [r.key() for r in refined.enumerate_refined(b, 0, 1)])
 
-    steps = [(None, 14), ("drop-extension-closure", 19),
-             ("wide-closure-skips-kernels", 12), (None, 14)]
-    for fault, count in steps:
+    # (fault, narrow sequences, refined t-sequences) on the window 0:1
+    steps = [(None, 14, 14), ("drop-extension-closure", 19, 14),
+             ("perp-ignores-ext", 14, 15), ("wide-closure-skips-kernels", 12, 14),
+             (None, 14, 14)]
+    for fault, count, refined_count in steps:
         with faults.injected(fault) if fault else contextlib.nullcontext():
             got, cold = answers(warm), answers(build_backend(spec))
         assert got[0] == cold[0] == count, fault
         assert got[1] == cold[1], fault
+        assert got[2] == cold[2] and len(got[2]) == refined_count, fault

@@ -1,6 +1,8 @@
 import pytest
 
+from tstructkit import core
 from tstructkit.derived import aisle_from_torsion, full_subcat
+from tstructkit.quiver import BackendError, QuiverSpec, build_backend
 from tstructkit.refined import (RefinedTSeq, enumerate_refined,
                                 enumerate_tstructures, gap, psi,
                                 star_oracle_membership,
@@ -84,3 +86,52 @@ def test_star_oracle_agrees_with_theta_on_small_window(a2):
             want = theta_membership(a2, u, x)
             got = star_oracle_membership(a2, r, 0, 2, x)
             assert want == got, (r.key(), x)
+
+
+A3_LINEAR = ((0, 1), (1, 2))
+A3_INTO_MIDDLE = ((0, 1), (2, 1))
+
+
+def by_members(sets):
+    return sorted(sets, key=lambda s: tuple(sorted(s)))
+
+
+@pytest.mark.parametrize("spec", [
+    QuiverSpec(2, ((0, 1),), 2),
+    QuiverSpec(3, A3_LINEAR, 2),
+    QuiverSpec(3, A3_INTO_MIDDLE, 2),
+    QuiverSpec(3, A3_LINEAR, 3),
+])
+def test_census_equals_the_scans(spec):
+    b = build_backend(spec)
+    wides = core.wide_census(b)
+    assert wides == by_members(core.enumerate_subcats(b, ("is_wide",)))
+    for w in wides:
+        assert core.tilting_census(b, w) == tilting_torsion_classes(b, w)
+
+
+@pytest.mark.parametrize("spec, lo, hi, count", [
+    (QuiverSpec(2, ((0, 1),), 2), 0, 2, 25),
+    (QuiverSpec(3, A3_LINEAR, 2), 0, 2, 188),
+    (QuiverSpec(3, A3_INTO_MIDDLE, 3), 0, 1, 79),
+])
+def test_enumerate_refined_equals_the_scan(spec, lo, hi, count, monkeypatch):
+    got = [r.key() for r in enumerate_refined(build_backend(spec), lo, hi)]
+    # the same chain assembly, fed by the subset scans
+    monkeypatch.setattr(core, "wide_census",
+                        lambda b: by_members(core.enumerate_subcats(b, ("is_wide",))))
+    monkeypatch.setattr(core, "tilting_census", tilting_torsion_classes)
+    want = [r.key() for r in enumerate_refined(build_backend(spec), lo, hi)]
+    assert got == want and len(got) == count
+
+
+def test_enumerate_refined_on_a4():
+    a4 = build_backend(QuiverSpec(4, ((0, 1), (1, 2), (2, 3)), 2))
+    assert len(enumerate_refined(a4, 0, 1)) == 494
+
+
+def test_truncated_table_refused_up_front(kronecker):
+    with pytest.raises(BackendError, match=r"dim_bound \[1, 1\]"):
+        enumerate_refined(kronecker, 0, 0)
+    with pytest.raises(BackendError, match=r"dim_bound \[1, 1\]"):
+        core.tilting_census(kronecker, kronecker.all_ids())
