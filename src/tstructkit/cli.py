@@ -163,9 +163,9 @@ def _quiver_checks(backend, lo, hi):
     yield ("perpendicular-includes-ext-vanishing", perp_ok, None)
     wide_ok = True
     for s in narrows:
-        w = core.closure(backend, s, ("kernels", "cokernels", "extensions"))
-        for a in core.candidates(backend, w):
-            for b in core.candidates(backend, w):
+        w = core.closure(backend, s, core.WIDE_RULES)
+        for a in core.candidates(w):
+            for b in core.candidates(w):
                 for ker, _, _ in backend.part_sets(a, b):
                     if not core.obj_in(w, ker):
                         wide_ok = False
@@ -176,8 +176,8 @@ def _quiver_checks(backend, lo, hi):
 
 
 def _direct_extension_closed(backend, s) -> bool:
-    for sub in core.candidates(backend, s):
-        for quot in core.candidates(backend, s):
+    for sub in core.candidates(s):
+        for quot in core.candidates(s):
             for mid in backend.middle_terms(quot, sub):
                 if not core.obj_in(s, mid):
                     return False

@@ -2,9 +2,14 @@
 
 Subcategories of a finite backend are additively-closed sets of
 indecomposable ids (frozensets).  Closures and the closure predicates are
-decided on bounded direct sums of the subcategory's indecomposables:
-morphisms and subobjects by exhaustive enumeration, extensions by the
-backend's ``middle_terms``, which builds one middle term per Ext^1 class.
+decided on direct sums of at most ``MULT_BOUND`` of the subcategory's
+indecomposables: morphisms and subobjects by exhaustive enumeration,
+extensions by the backend's ``middle_terms``, which builds one middle term
+per Ext^1 class.
+
+The search depths (``MULT_BOUND``, ``COPY_BOUND``, ``MAX_SCAN_INDECS``)
+are module constants, not parameters.  Memo keys do not carry them, so a
+caller that varies one, by monkeypatching it, must use a fresh backend.
 
 The wide census (``wide_census``) and the tilting torsion classes of a wide
 subcategory (``tilting_census``) are read off the Hom and Ext matrices of an
@@ -26,31 +31,35 @@ import itertools
 from dataclasses import dataclass
 
 from . import faults
-from .quiver import BackendError, QuiverBackend, Obj
+from .quiver import BackendError, Obj
 
 Subcat = frozenset
 
 RULES = ("cokernels", "kernels", "quotients", "subobjects", "extensions", "images")
 
-DEFAULT_MULT_BOUND = 2
-DEFAULT_COPY_BOUND = 4
+WIDE_RULES = ("kernels", "cokernels", "extensions")
+
+MULT_BOUND = 2  # summands of each object the closure scans try
+COPY_BOUND = 4  # summands of a target in the monomorphism search of is_tilting_in
+MAX_SCAN_INDECS = 14  # largest table enumerate_subcats scans (2^n subsets)
 
 
 def obj_in(S: Subcat, obj: Obj) -> bool:
     return all(i in S for i in obj)
 
 
-def candidates(backend: QuiverBackend, S: Subcat, mult_bound: int = DEFAULT_MULT_BOUND):
-    """Direct sums of up to mult_bound indecomposables of S, zero excluded."""
+def candidates(S: Subcat, bound: int | None = None):
+    """Direct sums of up to bound indecomposables of S, zero excluded; bound
+    defaults to MULT_BOUND, read at call time."""
     ids = sorted(S)
     out = []
-    for r in range(1, mult_bound + 1):
+    for r in range(1, (MULT_BOUND if bound is None else bound) + 1):
         for combo in itertools.combinations_with_replacement(ids, r):
             out.append(tuple(combo))
     return out
 
 
-def _violations(backend, S, rules, ambient, mult_bound):
+def _violations(backend, S, rules, ambient):
     """Yield (rule, produced Obj) for every one-step rule application whose
     result leaves S.  With an ambient set, results escaping the ambient do
     not count (they are not objects of the ambient subcategory)."""
@@ -62,7 +71,7 @@ def _violations(backend, S, rules, ambient, mult_bound):
         rules.discard("extensions")
     if faults.is_active("wide-closure-skips-kernels"):
         rules.discard("kernels")
-    cands = candidates(backend, S, mult_bound)
+    cands = candidates(S)
 
     def ok(obj):
         return obj_in(S, obj)
@@ -99,17 +108,17 @@ def memo(backend) -> dict:
     return by_faults.setdefault(faults.snapshot(), {})
 
 
-def is_closed(backend, S, rules, ambient=None, mult_bound=DEFAULT_MULT_BOUND):
+def is_closed(backend, S, rules, ambient=None):
     S = frozenset(S)
     key = ("closed", S, tuple(sorted(rules)),
-           None if ambient is None else frozenset(ambient), mult_bound)
+           None if ambient is None else frozenset(ambient))
     cache = memo(backend)
     if key not in cache:
-        cache[key] = not any(True for _ in _violations(backend, S, rules, ambient, mult_bound))
+        cache[key] = not any(True for _ in _violations(backend, S, rules, ambient))
     return cache[key]
 
 
-def closure(backend, seed, rules, ambient=None, mult_bound=DEFAULT_MULT_BOUND) -> Subcat:
+def closure(backend, seed, rules, ambient=None) -> Subcat:
     """Least superset of seed closed under the selected rules.
 
     With an ambient set, the closure is taken inside the ambient
@@ -117,14 +126,14 @@ def closure(backend, seed, rules, ambient=None, mult_bound=DEFAULT_MULT_BOUND) -
     """
     S = frozenset(seed)
     key = ("closure", S, tuple(sorted(rules)),
-           None if ambient is None else frozenset(ambient), mult_bound)
+           None if ambient is None else frozenset(ambient))
     cache = memo(backend)
     hit = cache.get(key)
     if hit is not None:
         return hit
     while True:
         new = set(S)
-        for _, produced in _violations(backend, S, rules, ambient, mult_bound):
+        for _, produced in _violations(backend, S, rules, ambient):
             new.update(produced)
         if new == S:
             cache[key] = S
@@ -140,19 +149,19 @@ class SubcatFlags:
     is_torsion_class: bool
 
 
-def classify_subcat(backend, S, mult_bound=DEFAULT_MULT_BOUND) -> SubcatFlags:
+def classify_subcat(backend, S) -> SubcatFlags:
     """Closure flags of an additively-closed subset, by one-step scans.
 
     On a finite-length backend every nullity class is coreflective, so the
     torsion-class flag coincides with the nullity flag.
     """
     S = frozenset(S)
-    key = ("classify", S, mult_bound)
+    key = ("classify", S)
     cache = memo(backend)
     if key not in cache:
-        narrow = is_closed(backend, S, ("extensions", "cokernels"), mult_bound=mult_bound)
-        wide = narrow and is_closed(backend, S, ("kernels",), mult_bound=mult_bound)
-        nullity = is_closed(backend, S, ("quotients", "extensions"), mult_bound=mult_bound)
+        narrow = is_closed(backend, S, ("extensions", "cokernels"))
+        wide = narrow and is_closed(backend, S, ("kernels",))
+        nullity = is_closed(backend, S, ("quotients", "extensions"))
         cache[key] = SubcatFlags(narrow, wide, nullity, nullity)
     return cache[key]
 
@@ -314,30 +323,30 @@ def ext_injectives(backend, C) -> Subcat:
     return frozenset(i for i in C if all(backend.ext_matrix[x, i] == 0 for x in C))
 
 
-def is_tilting_in(backend, N, W, copy_bound=DEFAULT_COPY_BOUND) -> bool:
+def is_tilting_in(backend, N, W) -> bool:
     """True iff every indecomposable of W embeds into a finite sum of
-    objects of N (monomorphism search bounded by copy_bound summands)."""
+    objects of N (monomorphism search bounded by COPY_BOUND summands)."""
     N = frozenset(N)
     W = frozenset(W)
     if not N <= W:
         raise BackendError("N must be contained in W")
-    key = ("tilting", N, W, copy_bound)
+    key = ("tilting", N, W)
     cache = memo(backend)
     hit = cache.get(key)
     if hit is not None:
         return hit
-    cache[key] = _tilting_search(backend, N, W, copy_bound)
+    cache[key] = _tilting_search(backend, N, W)
     return cache[key]
 
 
-def _tilting_search(backend, N, W, copy_bound) -> bool:
+def _tilting_search(backend, N, W) -> bool:
     for w in sorted(W):
         if w in N:
             continue
         wd = backend.indecs[w].dims
         found = False
         usable = [n for n in sorted(N) if backend.hom_matrix[w, n] > 0]
-        for r in range(1, copy_bound + 1):
+        for r in range(1, COPY_BOUND + 1):
             for combo in itertools.combinations_with_replacement(usable, r):
                 tgt = tuple(combo)
                 td = backend.obj_dims(tgt)
@@ -356,10 +365,10 @@ def _tilting_search(backend, N, W, copy_bound) -> bool:
     return True
 
 
-def split_injective_test(backend, S, I, mult_bound=DEFAULT_MULT_BOUND) -> bool:
+def split_injective_test(backend, S, I) -> bool:
     """True iff every monomorphism I -> M with M in S splits."""
     S = frozenset(S)
-    for m in candidates(backend, S, mult_bound):
+    for m in candidates(S):
         for f in backend.morphisms((I,), m):
             if not backend.is_mono(f):
                 continue
@@ -382,12 +391,12 @@ def _composes_to_identity(backend, f, g):
     return True
 
 
-def kernel_realizations(backend, S, target_id, mult_bound=DEFAULT_MULT_BOUND):
+def kernel_realizations(backend, S, target_id):
     """Epimorphisms between bounded sums of S whose kernel is the given
     indecomposable; yields (source, target) witnesses."""
     S = frozenset(S)
-    for a in candidates(backend, S, mult_bound):
-        for b in candidates(backend, S, mult_bound):
+    for a in candidates(S):
+        for b in candidates(S):
             for f in backend.morphisms(a, b):
                 if not backend.is_epi(f):
                     continue
@@ -396,15 +405,16 @@ def kernel_realizations(backend, S, target_id, mult_bound=DEFAULT_MULT_BOUND):
                     yield a, b
 
 
-def enumerate_subcats(backend, flags=(), mult_bound=DEFAULT_MULT_BOUND, max_indecs=14):
+def enumerate_subcats(backend, flags=()):
     """All additively-closed subsets passing classify_subcat with every
-    requested flag, in bitmask order."""
+    requested flag, in bitmask order; a table of more than MAX_SCAN_INDECS
+    indecomposables is refused."""
     n = len(backend.indecs)
-    if n > max_indecs:
+    if n > MAX_SCAN_INDECS:
         raise BackendError("indecomposable table too large for subset enumeration")
     out = []
     for S in backend.subsets():
-        fl = classify_subcat(backend, S, mult_bound=mult_bound)
+        fl = classify_subcat(backend, S)
         if all(getattr(fl, f) for f in flags):
             out.append(S)
     return out

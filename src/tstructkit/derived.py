@@ -6,6 +6,10 @@ homologies are stored as windowed sequences of subcategories (SubcatSeq);
 this module validates the narrow-sequence axioms, converts between the two
 presentations, computes restrictions and truncations, and answers star
 product membership by exhaustive triangle search.
+
+The exactness conditions search sums of at most ``core.MULT_BOUND``
+indecomposables; the star search takes its left factor's objects from the
+sums of at most ``STAR_SIZE_BOUND`` indecomposables.
 """
 
 from __future__ import annotations
@@ -116,47 +120,22 @@ def aisle_from_torsion(backend, T) -> SubcatSeq:
 # ---------------------------------------------------------------------------
 # narrow-sequence validation
 
-def _cok_condition(backend, up, dn, mult_bound):
-    """coker(f) in dn for every morphism f: A -> B with A in up, B in dn."""
+def _part_condition(backend, source, target, part):
+    """part(f) in its subcategory for every morphism f: A -> B with A in
+    source and B in target: ker(f) in source for part 'kernel', coker(f)
+    in target for part 'cokernel'."""
     cache = core.memo(backend)
-    key = ("cok", up, dn, mult_bound)
+    key = (part, source, target)
     if key not in cache:
-        ok = True
-        for a in core.candidates(backend, up, mult_bound):
-            for b in core.candidates(backend, dn, mult_bound):
-                for _, _, cok in backend.part_sets(a, b):
-                    if not core.obj_in(dn, cok):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        cache[key] = ok
+        holder, at = (source, 0) if part == "kernel" else (target, 2)
+        cache[key] = all(core.obj_in(holder, parts[at])
+                         for a in core.candidates(source)
+                         for b in core.candidates(target)
+                         for parts in backend.part_sets(a, b))
     return cache[key]
 
 
-def _ker_condition(backend, cur, lower, mult_bound):
-    """ker(g) in cur for every morphism g: D -> E with D in cur, E in lower."""
-    cache = core.memo(backend)
-    key = ("ker", cur, lower, mult_bound)
-    if key not in cache:
-        ok = True
-        for d in core.candidates(backend, cur, mult_bound):
-            for e in core.candidates(backend, lower, mult_bound):
-                for ker, _, _ in backend.part_sets(d, e):
-                    if not core.obj_in(cur, ker):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        cache[key] = ok
-    return cache[key]
-
-
-def is_narrow_sequence(backend, seq: SubcatSeq, mult_bound=core.DEFAULT_MULT_BOUND):
+def is_narrow_sequence(backend, seq: SubcatSeq):
     """Validate the narrow-sequence axioms: monotonicity, plus the exactness
     condition split into extension closure, a cokernel condition against the
     next level, and a kernel condition against the previous level.  The
@@ -168,14 +147,14 @@ def is_narrow_sequence(backend, seq: SubcatSeq, mult_bound=core.DEFAULT_MULT_BOU
         if not seq.at(k) <= seq.at(k + 1):
             report.append(f"monotonicity fails at degree {k}: N({k}) not within N({k + 1})")
     for k in degrees:
-        if not core.is_closed(backend, seq.at(k), ("extensions",), mult_bound=mult_bound):
+        if not core.is_closed(backend, seq.at(k), ("extensions",)):
             report.append(f"N({k}) is not closed under extensions")
-        if not _cok_condition(backend, seq.at(k + 1), seq.at(k), mult_bound):
+        if not _part_condition(backend, seq.at(k + 1), seq.at(k), "cokernel"):
             report.append(f"cokernel condition fails at degree {k}: "
                           f"a map from N({k + 1}) into N({k}) has cokernel outside N({k})")
         if faults.is_active("skip-kernel-condition"):
             continue
-        if not _ker_condition(backend, seq.at(k), seq.at(k - 1), mult_bound):
+        if not _part_condition(backend, seq.at(k), seq.at(k - 1), "kernel"):
             report.append(f"kernel condition fails at degree {k}: "
                           f"a map from N({k}) into N({k - 1}) has kernel outside N({k})")
     return (not report), report
@@ -213,19 +192,20 @@ def window_objects(backend, lo: int, hi: int, size_bound: int = 2, ids=None):
     return uniq
 
 
-def mu(backend, seq_or_member, lo=None, hi=None, size_bound: int = 2):
+def mu(backend, seq_or_member, lo=None, hi=None):
     """Degreewise homologies of a preaisle.
 
     Preaisles represented as SubcatSeq are their own homology sequences, so
     mu is the identity there.  A membership callable is sampled over all
-    window objects and the homologies of accepted objects are collected."""
+    window objects (``window_objects`` with its default size bound) and the
+    homologies of accepted objects are collected."""
     if isinstance(seq_or_member, SubcatSeq):
         return seq_or_member
     if lo is None or hi is None:
         raise BackendError("mu of a membership oracle needs an explicit window")
     member = seq_or_member
     entries = [set() for _ in range(lo, hi + 1)]
-    for x in window_objects(backend, lo, hi, size_bound):
+    for x in window_objects(backend, lo, hi):
         if member(x):
             for k, xk in x.items():
                 entries[k - lo].update(xk)
@@ -236,18 +216,17 @@ def mu(backend, seq_or_member, lo=None, hi=None, size_bound: int = 2):
 # ---------------------------------------------------------------------------
 # restrictions
 
-def restrict(backend, seq: SubcatSeq, k=None, l=None, mult_bound=core.DEFAULT_MULT_BOUND) -> SubcatSeq:
+def restrict(backend, seq: SubcatSeq, k=None, l=None) -> SubcatSeq:
     """The restriction of a preaisle to degrees [k, l]: zero below k, the
     original values on [k, l], the wide closure of the value at l above."""
     if k is not None and l is not None and k > l:
         raise BackendError("restriction needs k <= l")
-    wide_rules = ("kernels", "cokernels", "extensions")
 
     def value(n):
         if k is not None and n < k:
             return frozenset()
         if l is not None and n > l:
-            return core.closure(backend, seq.at(l), wide_rules, mult_bound=mult_bound)
+            return core.closure(backend, seq.at(l), core.WIDE_RULES)
         return seq.at(n)
 
     entries = tuple(value(n) for n in range(seq.lo, seq.hi + 1))
@@ -258,6 +237,7 @@ def restrict(backend, seq: SubcatSeq, k=None, l=None, mult_bound=core.DEFAULT_MU
 # star products
 
 STAR_OPTION_LIMIT = 20000
+STAR_SIZE_BOUND = 3  # summands of each left-factor object the star search tries
 
 
 def _graded_options(backend, xk: Obj, allowed):
@@ -276,8 +256,7 @@ def _graded_options(backend, xk: Obj, allowed):
     return sorted(opts)
 
 
-def star_membership(backend, left, right, x: dict, lo=None, hi=None,
-                    size_bound: int = 3):
+def star_membership(backend, left, right, x: dict, lo=None, hi=None):
     """Does x lie in left * right (objects in a triangle L -> x -> R)?
 
     `left` is a SubcatSeq or a degreewise predicate (degree, Obj) -> bool
@@ -313,7 +292,7 @@ def star_membership(backend, left, right, x: dict, lo=None, hi=None,
 
     pools = {}
     for k in range(kmin, kmax + 1):
-        allowed = [m for m in _all_multisets(backend, size_bound) if lpred(k, m)]
+        allowed = [m for m in _all_multisets(backend) if lpred(k, m)]
         pools[k] = _graded_options(backend, x.get(k, ()), allowed)
         if len(pools[k]) > STAR_OPTION_LIMIT:
             raise BackendError("star search budget exceeded")
@@ -342,34 +321,26 @@ def star_membership(backend, left, right, x: dict, lo=None, hi=None,
     return dfs(kmin, (), {})
 
 
-def _all_multisets(backend, size_bound):
-    key = ("multisets", size_bound)
+def _all_multisets(backend):
     cache = core.memo(backend)
-    if key not in cache:
+    if "multisets" not in cache:
         ids = list(backend.all_ids())
         out = [()]
-        for r in range(1, size_bound + 1):
+        for r in range(1, STAR_SIZE_BOUND + 1):
             out.extend(itertools.combinations_with_replacement(ids, r))
-        cache[key] = out
-    return cache[key]
+        cache["multisets"] = out
+    return cache["multisets"]
 
 
 # ---------------------------------------------------------------------------
 # enumeration of narrow sequences
 
-def enumerate_narrow_sequences(backend, lo: int, hi: int,
-                               mult_bound=core.DEFAULT_MULT_BOUND):
+def enumerate_narrow_sequences(backend, lo: int, hi: int):
     """All narrow sequences on the window with zero below-tail and constant
     (hence wide) above-tail, in deterministic order."""
     subsets = [frozenset(s) for s in backend.subsets()]
     subsets.sort(key=lambda s: tuple(sorted(s)))
-
-    def wide_closure(s):
-        return core.closure(backend, s, ("kernels", "cokernels", "extensions"),
-                            mult_bound=mult_bound)
-
-    narrow_subsets = [s for s in subsets
-                      if core.classify_subcat(backend, s, mult_bound=mult_bound).is_narrow]
+    narrow_subsets = [s for s in subsets if core.classify_subcat(backend, s).is_narrow]
     results = []
 
     def rec(chain):
@@ -377,14 +348,15 @@ def enumerate_narrow_sequences(backend, lo: int, hi: int,
             # beyond the window the values are forced: the next entry must
             # contain the wide closure of the top entry yet stay inside the
             # (constant) wide closure, so the tail is that wide closure
-            seq = SubcatSeq(lo, hi, tuple(chain), frozenset(), wide_closure(chain[-1]))
-            ok, _ = is_narrow_sequence(backend, seq, mult_bound=mult_bound)
+            seq = SubcatSeq(lo, hi, tuple(chain), frozenset(),
+                            core.closure(backend, chain[-1], core.WIDE_RULES))
+            ok, _ = is_narrow_sequence(backend, seq)
             if ok:
                 results.append(seq)
             return
         prev = chain[-1] if chain else frozenset()
         for s in narrow_subsets:
-            if prev <= s and wide_closure(prev) <= s:
+            if prev <= s and core.closure(backend, prev, core.WIDE_RULES) <= s:
                 rec(chain + [s])
 
     rec([])

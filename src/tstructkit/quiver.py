@@ -621,19 +621,11 @@ class QuiverBackend:
 
     def subobjects(self, obj: Obj):
         """All subobjects of obj up to isomorphism, as Objs."""
-        rep = self.obj_rep(obj)
-        seen = set()
-        for bases in self.subrep_bases(obj):
-            seen.add(self.decompose_rep(self._sub_rep(rep, bases)))
-        return sorted(seen)
+        return sorted({sub for sub, _ in self.sub_quot_pairs(obj)})
 
     def quotients(self, obj: Obj):
         """All quotient objects of obj up to isomorphism, as Objs."""
-        rep = self.obj_rep(obj)
-        seen = set()
-        for bases in self.subrep_bases(obj):
-            seen.add(self.decompose_rep(self._quot_rep(rep, bases)))
-        return sorted(seen)
+        return sorted({quot for _, quot in self.sub_quot_pairs(obj)})
 
     @_memoized
     def sub_quot_pairs(self, obj: Obj):
@@ -767,16 +759,11 @@ class QuiverBackend:
             yield frozenset(i for i in range(n) if mask >> i & 1)
 
 
+@functools.cache
 def all_subspaces(dim, p):
     """All subspaces of F_p^dim, each as a matrix whose columns are a basis."""
-    key = (dim, p)
-    hit = _SUBSPACE_CACHE.get(key)
-    if hit is not None:
-        return hit
     if dim == 0:
-        out = [np.zeros((0, 0), dtype=np.int64)]
-        _SUBSPACE_CACHE[key] = out
-        return out
+        return [np.zeros((0, 0), dtype=np.int64)]
     vectors = []
     for code in range(1, p**dim):
         v = []
@@ -796,12 +783,7 @@ def all_subspaces(dim, p):
             keyb = (len(piv) if combo else 0, keyb)
             if keyb not in seen:
                 seen[keyb] = basis_rows.T.copy() if combo else np.zeros((dim, 0), dtype=np.int64)
-    out = sorted(seen.values(), key=lambda m: (m.shape[1], m.tobytes()))
-    _SUBSPACE_CACHE[key] = out
-    return out
-
-
-_SUBSPACE_CACHE: dict = {}
+    return sorted(seen.values(), key=lambda m: (m.shape[1], m.tobytes()))
 
 
 def _mm(a, b, p):

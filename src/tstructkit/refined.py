@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from . import core, derived
 from .quiver import BackendError
 
-WIDE_RULES = ("kernels", "cokernels", "extensions")
-
 
 @dataclass(frozen=True)
 class RefinedTSeq:
@@ -70,16 +68,16 @@ def gap(backend, w_cur, w_prev) -> frozenset:
     return frozenset(core.perp(backend, w_prev, "left", "all", universe=w_cur))
 
 
-def xi(backend, u: derived.SubcatSeq, mult_bound=core.DEFAULT_MULT_BOUND) -> RefinedTSeq:
+def xi(backend, u: derived.SubcatSeq) -> RefinedTSeq:
     """Cut an aisle into a refined t-sequence: f(n) is the wide closure of
     the degree-n value, t_f(n) the part of the degree-n value perpendicular
     to f(n-1)."""
-    ok, report = derived.is_narrow_sequence(backend, u, mult_bound=mult_bound)
+    ok, report = derived.is_narrow_sequence(backend, u)
     if not ok:
         raise BackendError("xi needs a narrow sequence; " + "; ".join(report))
     wide = {}
     for n in range(u.lo - 1, u.hi + 2):
-        wide[n] = core.closure(backend, u.at(n), WIDE_RULES, mult_bound=mult_bound)
+        wide[n] = core.closure(backend, u.at(n), core.WIDE_RULES)
     f = tuple(wide[n] for n in range(u.lo, u.hi + 1))
     tf = tuple(frozenset(core.perp(backend, wide[n - 1], "left", "all", universe=u.at(n)))
                for n in range(u.lo, u.hi + 1))
@@ -87,7 +85,7 @@ def xi(backend, u: derived.SubcatSeq, mult_bound=core.DEFAULT_MULT_BOUND) -> Ref
     return RefinedTSeq(u.lo, u.hi, f, tf, tf_above)
 
 
-def psi(backend, r: RefinedTSeq, mult_bound=core.DEFAULT_MULT_BOUND) -> derived.SubcatSeq:
+def psi(backend, r: RefinedTSeq) -> derived.SubcatSeq:
     """Glue a refined t-sequence back into an aisle, degreewise: the value
     at k is the nullity closure (quotients and extensions) of
     t_f(k) together with f(k-1), taken inside f(k)."""
@@ -95,26 +93,25 @@ def psi(backend, r: RefinedTSeq, mult_bound=core.DEFAULT_MULT_BOUND) -> derived.
     for k in range(r.lo, r.hi + 1):
         seed = r.tf_at(k) | r.f_at(k - 1)
         entries.append(core.closure(backend, seed, ("quotients", "extensions"),
-                                    ambient=r.f_at(k), mult_bound=mult_bound))
+                                    ambient=r.f_at(k)))
     above_seed = r.tf_at(r.hi + 1) | r.f_at(r.hi)
     above = core.closure(backend, above_seed, ("quotients", "extensions"),
-                         ambient=r.f_at(r.hi + 1), mult_bound=mult_bound)
+                         ambient=r.f_at(r.hi + 1))
     return derived.SubcatSeq(r.lo, r.hi, tuple(entries), frozenset(), above)
 
 
-def tilting_torsion_classes(backend, w, mult_bound=core.DEFAULT_MULT_BOUND):
+def tilting_torsion_classes(backend, w):
     """All tilting torsion classes inside the wide subcategory w, in
     deterministic order."""
     cache = core.memo(backend)
-    key = ("tilttors", w, mult_bound)
+    key = ("tilttors", w)
     if key not in cache:
         ids = sorted(w)
         found = []
         for r in range(len(ids) + 1):
             for combo in itertools.combinations(ids, r):
                 t = frozenset(combo)
-                if not core.is_closed(backend, t, ("quotients", "extensions"),
-                                      ambient=w, mult_bound=mult_bound):
+                if not core.is_closed(backend, t, ("quotients", "extensions"), ambient=w):
                     continue
                 if not core.is_tilting_in(backend, t, w):
                     continue
@@ -124,12 +121,12 @@ def tilting_torsion_classes(backend, w, mult_bound=core.DEFAULT_MULT_BOUND):
     return cache[key]
 
 
-def validate_refined(backend, r: RefinedTSeq, mult_bound=core.DEFAULT_MULT_BOUND):
+def validate_refined(backend, r: RefinedTSeq):
     """Check all refined t-sequence invariants; returns (ok, report)."""
     report = []
     for n in range(r.lo, r.hi + 1):
         w = r.f_at(n)
-        if not core.classify_subcat(backend, w, mult_bound=mult_bound).is_wide:
+        if not core.classify_subcat(backend, w).is_wide:
             report.append(f"f({n}) is not wide")
         if not r.f_at(n - 1) <= w:
             report.append(f"f is decreasing at degree {n}")
@@ -139,8 +136,7 @@ def validate_refined(backend, r: RefinedTSeq, mult_bound=core.DEFAULT_MULT_BOUND
         if not t <= g:
             report.append(f"t_f({n}) is not inside f({n}) cap perp f({n - 1})")
             continue
-        if not core.is_closed(backend, t, ("quotients", "extensions"),
-                              ambient=g, mult_bound=mult_bound):
+        if not core.is_closed(backend, t, ("quotients", "extensions"), ambient=g):
             report.append(f"t_f({n}) is not a nullity class in its gap")
         if not core.is_tilting_in(backend, t, g):
             report.append(f"t_f({n}) is not tilting in its gap")
@@ -187,26 +183,25 @@ def _level_seq(backend, r: RefinedTSeq, m: int) -> derived.SubcatSeq:
 
 
 def star_oracle_membership(backend, r: RefinedTSeq, n: int, m: int, x: dict,
-                           memo=None, size_bound: int = 3) -> bool:
+                           memo=None) -> bool:
     """Membership in the approximant V(n, m), replaying the construction
     V(n,n) = V^(n) * T(n-1), V(n,m+1) = V^(m+1) * V(n,m) by exhaustive
     triangle search; T(n-1) is everything with homologies in f(n-1)."""
+    if m < n:  # zero homologies lie in every subcategory: no need to normalise
+        return all(core.obj_in(r.f_at(n - 1), xk) for xk in x.values())
     x = derived.dobj(x)
     if memo is None:
         memo = {}
-    if m < n:
-        return all(core.obj_in(r.f_at(n - 1), xk) for xk in x.values())
     key = (n, m, derived.dobj_key(x))
     if key in memo:
         return memo[key]
     left = _level_seq(backend, r, m)
 
     def rmember(b):
-        return star_oracle_membership(backend, r, n, m - 1, b, memo, size_bound)
+        return star_oracle_membership(backend, r, n, m - 1, b, memo)
 
     hi = max([m, r.hi] + list(x)) + 1
-    ans = derived.star_membership(backend, left, rmember, x, lo=min(n, r.lo), hi=hi,
-                                  size_bound=size_bound)
+    ans = derived.star_membership(backend, left, rmember, x, lo=min(n, r.lo), hi=hi)
     memo[key] = ans
     return ans
 
@@ -229,35 +224,34 @@ class TStructRecord:
                 "sequence": seq, "refined": ref, "checks": dict(self.checks)}
 
 
-def enumerate_tstructures(backend, lo, hi, mult_bound=core.DEFAULT_MULT_BOUND,
-                          backend_id="quiver"):
+def enumerate_tstructures(backend, lo, hi, backend_id="quiver"):
     """All t-structures on the window of a finite quiver backend: narrow
     sequences with zero below-tail and wide constant above-tail (each is an
     aisle at finite length), paired with their refined t-sequences."""
     records = []
-    for seq in derived.enumerate_narrow_sequences(backend, lo, hi, mult_bound=mult_bound):
-        r = xi(backend, seq, mult_bound=mult_bound)
+    for seq in derived.enumerate_narrow_sequences(backend, lo, hi):
+        r = xi(backend, seq)
         checks = (("narrow-sequence", True), ("is-aisle", True))
         records.append(TStructRecord(backend_id, (lo, hi), seq, r, checks))
     return records
 
 
-def verify_roundtrips(backend, lo, hi, mult_bound=core.DEFAULT_MULT_BOUND):
+def verify_roundtrips(backend, lo, hi):
     """Check psi(xi(U)) = U on every enumerated aisle and xi(psi(r)) = r on
     every enumerated refined t-sequence; returns a report dict."""
     failures = []
-    aisles = derived.enumerate_narrow_sequences(backend, lo, hi, mult_bound=mult_bound)
+    aisles = derived.enumerate_narrow_sequences(backend, lo, hi)
     for u in aisles:
-        v = psi(backend, xi(backend, u, mult_bound), mult_bound)
+        v = psi(backend, xi(backend, u))
         if v.key() != u.key():
             failures.append(("psi-xi", u.key(), v.key()))
     refineds = enumerate_refined(backend, lo, hi)
     for r in refineds:
-        ok, rep = validate_refined(backend, r, mult_bound)
+        ok, rep = validate_refined(backend, r)
         if not ok:
             failures.append(("refined-invalid", r.key(), tuple(rep)))
             continue
-        r2 = xi(backend, psi(backend, r, mult_bound), mult_bound)
+        r2 = xi(backend, psi(backend, r))
         if r2.key() != r.key():
             failures.append(("xi-psi", r.key(), r2.key()))
     return {"aisles": len(aisles), "refined": len(refineds), "failures": failures}

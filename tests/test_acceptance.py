@@ -193,7 +193,7 @@ def test_criterion_7_negative_controls(a1, a2, capfd):
 
     # five-term exactness condition == extension + cokernel + kernel conditions
     def bounded_sums(s):
-        return [()] + candidates(a2, frozenset(s), 2)
+        return [()] + candidates(frozenset(s), 2)
 
     def five_term_closed(up, mid, dn):
         cokers = set()
@@ -231,9 +231,9 @@ def test_criterion_7_negative_controls(a1, a2, capfd):
             for up in subsets:
                 if not mid <= up:
                     continue
-                want = (core.is_closed(a2, frozenset(mid), ("extensions",), mult_bound=2)
-                        and derived._cok_condition(a2, frozenset(up), frozenset(mid), 2)
-                        and derived._ker_condition(a2, frozenset(mid), frozenset(dn), 2))
+                want = (core.is_closed(a2, frozenset(mid), ("extensions",))
+                        and derived._part_condition(a2, frozenset(up), frozenset(mid), "cokernel")
+                        and derived._part_condition(a2, frozenset(mid), frozenset(dn), "kernel"))
                 ok &= five_term_closed(up, mid, dn) == want
                 compared += 1
 

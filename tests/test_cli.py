@@ -10,6 +10,14 @@ from tstructkit.faults import FAULT_NAMES
 
 A2 = "demos/quivers/a2.json"
 
+# sequence files on a2: one valid narrow sequence (an aisle), one invalid
+A2_SEQUENCES = {
+    "valid": {"lo": 0, "hi": 1, "entries": [[1, 2], [0, 1, 2]],
+              "below": [], "above": [0, 1, 2]},
+    "invalid": {"lo": 0, "hi": 1, "entries": [[0, 1], [0, 1]],
+                "below": [], "above": [0, 1, 2]},
+}
+
 
 def run_cli(*argv):
     proc = run_cli_process(*argv)
@@ -34,12 +42,23 @@ def test_verify_p1_and_dedekind_pass():
     assert code == 0 and "FAIL" not in out, err
 
 
+# SHA-256 of `verify --mutate FAULT` stdout on a2, window 0:1
+MUTATE_STDOUT_SHA256 = {
+    "drop-extension-closure": "909722b5a0a95fb67316b470e7df2c1d4ebfaedf97b0b5d778cf62acdb6e3e90",
+    "skip-kernel-condition": "2f2e5a7354a30431418a43d7ab47d68011ab84588344108658d5a744b7d3788f",
+    "swap-ext-direction": "fab09bc82d256df97317354b2268100b868292eaa105fd02d4af6850e92d1839",
+    "perp-ignores-ext": "8e402e6eb7a84eed07dee33dba32df15b4ecbb67a853d820a71a9edc62aa56c3",
+    "wide-closure-skips-kernels": "1126f579fbc507f8b0ff45a1db480a778482d35deccf7d24e5b955a8a717da08",
+}
+
+
 @pytest.mark.parametrize("fault", FAULT_NAMES)
 def test_every_fault_turns_verify_red(fault):
     code, out, err = run_cli("verify", "--backend", f"quiver:{A2}",
                              "--window", "0:1", "--mutate", fault)
     assert code == 1, (fault, out, err)
     assert "FAIL" in out, err
+    assert hashlib.sha256(out.encode()).hexdigest() == MUTATE_STDOUT_SHA256[fault], out
 
 
 def test_usage_errors_exit_2():
@@ -117,18 +136,14 @@ def test_output_is_deterministic_across_jobs():
 
 
 def test_classify_verdicts(tmp_path):
-    seq = {"lo": 0, "hi": 1, "entries": [[1, 2], [0, 1, 2]],
-           "below": [], "above": [0, 1, 2]}
     path = tmp_path / "seq.json"
-    path.write_text(json.dumps(seq))
+    path.write_text(json.dumps(A2_SEQUENCES["valid"]))
     code, out, err = run_cli("classify", "--backend", f"quiver:{A2}", str(path))
     assert code == 0, err
     verdict = json.loads(out)
     assert verdict["valid_narrow_sequence"] and verdict["is_aisle"]
 
-    bad = {"lo": 0, "hi": 1, "entries": [[0, 1], [0, 1]],
-           "below": [], "above": [0, 1, 2]}
-    path.write_text(json.dumps(bad))
+    path.write_text(json.dumps(A2_SEQUENCES["invalid"]))
     code, out, err = run_cli("classify", "--backend", f"quiver:{A2}", str(path))
     assert code == 0, err
     verdict = json.loads(out)
@@ -176,19 +191,27 @@ def test_enumerate_callable_in_process():
     assert len(rows) == 5
 
 
-# SHA-256 of stdout; a faster path through the classifier must leave these
-# bytes as they are
+# SHA-256 of stdout, keyed on (command, quiver, window or sequence name); a
+# faster or simpler path through the classifier must leave these bytes as
+# they are
 STDOUT_SHA256 = {
     ("enumerate", "a2", "0:2"): "ab6d5b56cef29352a7a55f769c1e49e0d7b043519ef9d75cf83ce873659df777",
     ("enumerate", "a3", "0:1"): "4d85859a0b50eac93e8eadeec64db965b802747c7e3246cb47acda742bd63067",
     ("verify", "a2", "0:1"): "11169c515a86b2cbabdaf47793613e6983faa09d722e27ee71135df022b9be29",
     ("verify", "a3", "0:1"): "11169c515a86b2cbabdaf47793613e6983faa09d722e27ee71135df022b9be29",
+    ("classify", "a2", "valid"): "eb5a7a15fe7cb89b2b625fa2067d57c2161d9977455d1aceaaec7fcae4f6e600",
+    ("classify", "a2", "invalid"): "299c531c785c1dc2c988de6f1a1c39607e8c39156913ba012960b6c7978d0f02",
 }
 
 
-@pytest.mark.parametrize("command, quiver, window", sorted(STDOUT_SHA256))
-def test_quiver_stdout_is_pinned(command, quiver, window):
-    code, out, err = run_cli(command, "--backend", f"quiver:demos/quivers/{quiver}.json",
-                             "--window", window)
+@pytest.mark.parametrize("command, quiver, arg", sorted(STDOUT_SHA256))
+def test_quiver_stdout_is_pinned(command, quiver, arg, tmp_path):
+    if command == "classify":
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps(A2_SEQUENCES[arg]))
+        tail = (str(path),)
+    else:
+        tail = ("--window", arg)
+    code, out, err = run_cli(command, "--backend", f"quiver:demos/quivers/{quiver}.json", *tail)
     assert code == 0 and err == "", err
-    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command, quiver, window]
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command, quiver, arg]

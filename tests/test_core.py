@@ -99,6 +99,17 @@ def test_ext_injectives(a2, a2_ids):
     assert ext_injectives(a2, frozenset({P1, S1})) == frozenset({P1, S1})
 
 
+def test_search_bounds_are_read_at_call_time(monkeypatch):
+    """A test varies a bound by monkeypatching its constant on a fresh
+    backend, since memo keys do not carry the bound."""
+    b = build_backend(QuiverSpec(2, ((0, 1),), 2))
+    monkeypatch.setattr(core, "MULT_BOUND", 1)
+    assert core.candidates(b.all_ids()) == [(i,) for i in b.all_ids()]
+    monkeypatch.setattr(core, "MAX_SCAN_INDECS", 2)
+    with pytest.raises(BackendError, match="too large"):
+        enumerate_subcats(b)
+
+
 def test_split_injective(a2, a2_ids):
     S1, S2, P1 = a2_ids["S1"], a2_ids["S2"], a2_ids["P1"]
     assert split_injective_test(a2, all_ids(a2), S1)

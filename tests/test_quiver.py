@@ -283,7 +283,7 @@ def searched_middle_terms(backend, quot, sub):
     return found
 
 
-@pytest.mark.parametrize("spec, mult_bound", [
+@pytest.mark.parametrize("spec, bound", [
     (QuiverSpec(2, ((0, 1),), 2), 2),
     (QuiverSpec(2, ((0, 1),), 3), 2),
     (QuiverSpec(2, ((0, 1),), 5), 2),
@@ -291,9 +291,9 @@ def searched_middle_terms(backend, quot, sub):
     (QuiverSpec(3, ((0, 1), (2, 1)), 2), 2),
     (QuiverSpec(3, A3_LINEAR, 3), 1),
 ], ids=lambda x: f"{x.arrows}-F{x.field}" if isinstance(x, QuiverSpec) else f"mult{x}")
-def test_middle_terms_equal_the_searched_ones(spec, mult_bound):
+def test_middle_terms_equal_the_searched_ones(spec, bound):
     backend = build_backend(spec)
-    cands = core.candidates(backend, backend.all_ids(), mult_bound)
+    cands = core.candidates(backend.all_ids(), bound)
     for quot in cands:
         for sub in cands:
             mids = backend.middle_terms(quot, sub)
@@ -330,7 +330,7 @@ def test_ringel_cokernel_has_the_euler_form_dimension(spec):
 
 def test_middle_terms_store_nothing_but_their_results_and_operands():
     backend = build_backend(QuiverSpec(3, A3_LINEAR, 2))
-    cands = core.candidates(backend, backend.all_ids(), 2)
+    cands = core.candidates(backend.all_ids(), 2)
     for quot in cands:
         for sub in cands:
             backend.middle_terms(quot, sub)
