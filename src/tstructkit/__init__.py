@@ -13,7 +13,7 @@ from .quiver import QuiverSpec, Rep, Morphism, QuiverBackend, BackendError, buil
 from .core import (Subcat, SubcatFlags, classify_subcat, closure, is_closed, perp,
                    torsion_decompose, ext_injectives, is_tilting_in,
                    enumerate_subcats, kernel_realizations, split_injective_test,
-                   wide_census, tilting_census)
+                   wide_census, tilting_census, generated_torsion)
 from .derived import (SubcatSeq, dobj, shift, truncate, derived_hom_dim,
                       aisle_from_torsion, is_narrow_sequence, theta_membership,
                       mu, restrict, star_membership, window_objects,

@@ -11,11 +11,13 @@ The search depths (``MULT_BOUND``, ``COPY_BOUND``, ``MAX_SCAN_INDECS``)
 are module constants, not parameters.  Memo keys do not carry them, so a
 caller that varies one, by monkeypatching it, must use a fresh backend.
 
-The wide census (``wide_census``) and the tilting torsion classes of a wide
-subcategory (``tilting_census``) are read off the Hom and Ext matrices of an
-untruncated table, with no subset scan.  The scans that decide the same
+The wide census (``wide_census``), the tilting torsion classes of a wide
+subcategory (``tilting_census``) and the torsion class a set generates in a
+wide subcategory (``generated_torsion``, which ``refined.psi`` glues with)
+are read off the Hom and Ext matrices of an untruncated table as perps, with
+no subset scan and no closure.  The scans and closures that decide the same
 sets from the closure predicates (``enumerate_subcats``, ``classify_subcat``,
-``is_tilting_in``) stay as their oracles.
+``is_tilting_in``, ``closure``) stay as their oracles.
 
 Memo rule for this layer and the two built on it (derived, refined): every
 result that depends on the closure predicates or on ``perp`` is stored in
@@ -118,22 +120,17 @@ def is_closed(backend, S, rules, ambient=None):
     return cache[key]
 
 
-def closure(backend, seed, rules, ambient=None) -> Subcat:
-    """Least superset of seed closed under the selected rules.
-
-    With an ambient set, the closure is taken inside the ambient
-    subcategory: produced objects outside it are discarded.
-    """
+def closure(backend, seed, rules) -> Subcat:
+    """Least superset of seed closed under the selected rules."""
     S = frozenset(seed)
-    key = ("closure", S, tuple(sorted(rules)),
-           None if ambient is None else frozenset(ambient))
+    key = ("closure", S, tuple(sorted(rules)))
     cache = memo(backend)
     hit = cache.get(key)
     if hit is not None:
         return hit
     while True:
         new = set(S)
-        for _, produced in _violations(backend, S, rules, ambient):
+        for _, produced in _violations(backend, S, rules, None):
             new.update(produced)
         if new == S:
             cache[key] = S
@@ -193,6 +190,32 @@ def perp(backend, S, side, degrees="all", universe=None) -> Subcat:
         if good:
             out.add(i)
     return frozenset(out)
+
+
+def generated_torsion(backend, X, W) -> Subcat:
+    """The torsion class of the wide subcategory W generated by X within W:
+    W cap perp0(X^perp0 cap W), both perps with Hom alone.
+
+    Proof.  W is closed under kernels, cokernels and extensions, so it is an
+    abelian length category whose short exact sequences are those of the
+    ambient category with all three terms in W.  Hence a quotient in the
+    ambient category of an object of W that lies in W is a quotient in W,
+    and the extensions in W are the ambient ones; the least subcategory of W
+    holding X and closed under quotients and extensions in the ambient
+    category, keeping only what lies in W, is the least torsion class of W
+    holding X.  In a length category a subcategory closed under quotients
+    and extensions is a torsion class, and its torsion-free class is its
+    right Hom-perp (Dickson 1966, *A torsion theory for abelian
+    categories*).  F = X^perp0 cap W is closed under subobjects and
+    extensions, so it is a torsion-free class of W, and its torsion class
+    perp0(F) cap W holds X.  Every torsion class T of W holding X has its
+    torsion-free class inside F, so T contains perp0(F) cap W.  Hom vanishes
+    summand by summand, so both perps are read off ``hom_matrix`` over the
+    indecomposables of W.
+    """
+    W = frozenset(W)
+    free = perp(backend, X, "right", "zero_only", universe=W)
+    return perp(backend, free, "left", "zero_only", universe=W)
 
 
 def _grow_cliques(ids, compatible, visit):
@@ -258,9 +281,7 @@ def tilting_census(backend, W) -> list:
     a basic module with Ext^1(M, M) = 0 is tilting iff it has rank many
     summands (Bongartz 1981), so the basic tilting modules are the Ext-rigid
     sets R above.  Fac(R) is a torsion class, so it is the least one holding
-    R, whose torsion-free class in W is R^perp0 cap W; the torsion class is
-    the left Hom-perp of that inside W.  Hom vanishes summand by summand,
-    so both perps are read off ``hom_matrix``.
+    R: ``generated_torsion(backend, R, W)``.
     """
     W = frozenset(W)
     backend.refuse_truncated()
@@ -273,8 +294,7 @@ def tilting_census(backend, W) -> list:
 
         def visit(R):
             if len(R) == rank:
-                free = perp(backend, R, "right", "zero_only", universe=W)
-                found.append(perp(backend, free, "left", "zero_only", universe=W))
+                found.append(generated_torsion(backend, R, W))
 
         _grow_cliques(sorted(i for i in W if ext[i, i] == 0),
                       lambda i, j: ext[i, j] == 0 and ext[j, i] == 0, visit)

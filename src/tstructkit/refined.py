@@ -87,17 +87,22 @@ def xi(backend, u: derived.SubcatSeq) -> RefinedTSeq:
 
 def psi(backend, r: RefinedTSeq) -> derived.SubcatSeq:
     """Glue a refined t-sequence back into an aisle, degreewise: the value
-    at k is the nullity closure (quotients and extensions) of
-    t_f(k) together with f(k-1), taken inside f(k)."""
-    entries = []
-    for k in range(r.lo, r.hi + 1):
-        seed = r.tf_at(k) | r.f_at(k - 1)
-        entries.append(core.closure(backend, seed, ("quotients", "extensions"),
-                                    ambient=r.f_at(k)))
-    above_seed = r.tf_at(r.hi + 1) | r.f_at(r.hi)
-    above = core.closure(backend, above_seed, ("quotients", "extensions"),
-                         ambient=r.f_at(r.hi + 1))
-    return derived.SubcatSeq(r.lo, r.hi, tuple(entries), frozenset(), above)
+    at k is the torsion class that t_f(k) together with f(k-1) generates
+    in f(k), ``core.generated_torsion``, and the above-tail is the same
+    with f and t_f at hi + 1.
+
+    That is the closure of t_f(k) and f(k-1) under quotients and extensions
+    taken inside f(k), keeping only what lies in f(k): f(k) is wide, so the
+    proof of ``generated_torsion`` applies.  The tests check it against that
+    bounded closure (``core._violations`` with f(k) as ambient).  A
+    truncated table is refused up front, as by the censuses."""
+    backend.refuse_truncated()
+
+    def value(k):
+        return core.generated_torsion(backend, r.tf_at(k) | r.f_at(k - 1), r.f_at(k))
+
+    entries = tuple(value(k) for k in range(r.lo, r.hi + 1))
+    return derived.SubcatSeq(r.lo, r.hi, entries, frozenset(), value(r.hi + 1))
 
 
 def tilting_torsion_classes(backend, w):
@@ -187,8 +192,11 @@ def star_oracle_membership(backend, r: RefinedTSeq, n: int, m: int, x: dict,
     """Membership in the approximant V(n, m), replaying the construction
     V(n,n) = V^(n) * T(n-1), V(n,m+1) = V^(m+1) * V(n,m) by exhaustive
     triangle search; T(n-1) is everything with homologies in f(n-1)."""
-    if m < n:  # zero homologies lie in every subcategory: no need to normalise
-        return all(core.obj_in(r.f_at(n - 1), xk) for xk in x.values())
+    def in_t(y):  # zero homologies lie in every subcategory: no need to normalise
+        return all(core.obj_in(r.f_at(n - 1), yk) for yk in y.values())
+
+    if m < n:
+        return in_t(x)
     x = derived.dobj(x)
     if memo is None:
         memo = {}
@@ -197,8 +205,11 @@ def star_oracle_membership(backend, r: RefinedTSeq, n: int, m: int, x: dict,
         return memo[key]
     left = _level_seq(backend, r, m)
 
-    def rmember(b):
-        return star_oracle_membership(backend, r, n, m - 1, b, memo)
+    if m == n:  # the right factor is T(n-1): answered here, not by a call
+        rmember = in_t
+    else:
+        def rmember(b):
+            return star_oracle_membership(backend, r, n, m - 1, b, memo)
 
     hi = max([m, r.hi] + list(x)) + 1
     ans = derived.star_membership(backend, left, rmember, x, lo=min(n, r.lo), hi=hi)
@@ -225,14 +236,17 @@ class TStructRecord:
 
 
 def enumerate_tstructures(backend, lo, hi, backend_id="quiver"):
-    """All t-structures on the window of a finite quiver backend: narrow
-    sequences with zero below-tail and wide constant above-tail (each is an
-    aisle at finite length), paired with their refined t-sequences."""
-    records = []
-    for seq in derived.enumerate_narrow_sequences(backend, lo, hi):
-        r = xi(backend, seq)
-        checks = (("narrow-sequence", True), ("is-aisle", True))
-        records.append(TStructRecord(backend_id, (lo, hi), seq, r, checks))
+    """All t-structures on the window of a finite quiver backend, glued
+    from the refined t-sequences: ``psi`` of each ``enumerate_refined``
+    sequence, paired with it, in the order of the aisles' keys.  psi is a
+    bijection onto the narrow sequences with zero below-tail and wide
+    above-tail (``verify_roundtrips`` checks both directions), and each of
+    those is an aisle at finite length.  The narrow-sequence scan
+    (``derived.enumerate_narrow_sequences`` with ``xi``) is the oracle."""
+    checks = (("narrow-sequence", True), ("is-aisle", True))
+    records = [TStructRecord(backend_id, (lo, hi), psi(backend, r), r, checks)
+               for r in enumerate_refined(backend, lo, hi)]
+    records.sort(key=lambda rec: rec.sequence.key())
     return records
 
 

@@ -10,15 +10,20 @@ from tstructkit.quiver import QuiverSpec, build_backend
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_cli_process(*argv, text=True):
-    """Run ``python -m tstructkit.cli`` as a subprocess from the repo root,
-    so relative demo paths resolve, importing ``tstructkit`` from this
-    checkout's ``src/`` ahead of any inherited ``PYTHONPATH``."""
+def run_python_process(*argv, text=True):
+    """Run ``python *argv`` as a subprocess from the repo root, so relative
+    demo paths resolve, importing ``tstructkit`` from this checkout's
+    ``src/`` ahead of any inherited ``PYTHONPATH``."""
     inherited = os.environ.get("PYTHONPATH")
     pythonpath = str(REPO_ROOT / "src") + (os.pathsep + inherited if inherited else "")
-    return subprocess.run([sys.executable, "-m", "tstructkit.cli", *argv],
+    return subprocess.run([sys.executable, *argv],
                           capture_output=True, text=text, cwd=REPO_ROOT,
                           env={**os.environ, "PYTHONPATH": pythonpath})
+
+
+def run_cli_process(*argv, text=True):
+    """Run ``python -m tstructkit.cli`` with ``run_python_process``."""
+    return run_python_process("-m", "tstructkit.cli", *argv, text=text)
 
 
 @pytest.fixture(scope="session")

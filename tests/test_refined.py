@@ -1,9 +1,12 @@
+import time
+
 import pytest
 
 from tstructkit import core
-from tstructkit.derived import aisle_from_torsion, full_subcat
+from tstructkit.derived import (SubcatSeq, aisle_from_torsion,
+                                enumerate_narrow_sequences, full_subcat)
 from tstructkit.quiver import BackendError, QuiverSpec, build_backend
-from tstructkit.refined import (RefinedTSeq, enumerate_refined,
+from tstructkit.refined import (RefinedTSeq, TStructRecord, enumerate_refined,
                                 enumerate_tstructures, gap, psi,
                                 star_oracle_membership,
                                 tilting_torsion_classes, validate_refined,
@@ -125,9 +128,89 @@ def test_enumerate_refined_equals_the_scan(spec, lo, hi, count, monkeypatch):
     assert got == want and len(got) == count
 
 
+A4 = QuiverSpec(4, ((0, 1), (1, 2), (2, 3)), 2)
+D4 = QuiverSpec(4, ((0, 3), (1, 3), (2, 3)), 2, (1, 1, 1, 2))  # vertex 3 is the centre
+
+
 def test_enumerate_refined_on_a4():
-    a4 = build_backend(QuiverSpec(4, ((0, 1), (1, 2), (2, 3)), 2))
-    assert len(enumerate_refined(a4, 0, 1)) == 494
+    assert len(enumerate_refined(build_backend(A4), 0, 1)) == 494
+
+
+def closure_psi(backend, r, closed):
+    """psi by the bounded closure, the oracle of the perp formula: the value
+    at k is the least superset of t_f(k) and f(k-1) closed under quotients
+    and extensions, keeping only what lies in f(k).  closed memoises the
+    closures of one backend."""
+
+    def glue(seed, ambient):
+        key = (seed, ambient)
+        if key not in closed:
+            S = seed
+            while True:
+                new = S.union(*(obj for _, obj in core._violations(
+                    backend, S, ("quotients", "extensions"), ambient)))
+                if new == S:
+                    break
+                S = new
+            closed[key] = S
+        return closed[key]
+
+    def value(k):
+        return glue(r.tf_at(k) | r.f_at(k - 1), r.f_at(k))
+
+    entries = tuple(value(k) for k in range(r.lo, r.hi + 1))
+    return SubcatSeq(r.lo, r.hi, entries, frozenset(), value(r.hi + 1))
+
+
+@pytest.mark.parametrize("spec, lo, hi, count", [
+    (QuiverSpec(2, ((0, 1),), 2), 0, 2, 25),
+    (QuiverSpec(3, A3_LINEAR, 2), 0, 2, 188),
+    (QuiverSpec(3, A3_INTO_MIDDLE, 2), 0, 2, 188),
+    (QuiverSpec(3, A3_LINEAR, 3), 0, 1, 79),
+    (A4, 0, 1, 494),
+])
+def test_psi_equals_the_closure(spec, lo, hi, count):
+    b = build_backend(spec)
+    refineds = enumerate_refined(b, lo, hi)
+    assert len(refineds) == count
+    closed = {}
+    for r in refineds:
+        assert psi(b, r).key() == closure_psi(b, r, closed).key(), r.key()
+
+
+@pytest.mark.parametrize("spec, lo, hi", [
+    (QuiverSpec(2, ((0, 1),), 2), 0, 2),
+    (QuiverSpec(3, A3_LINEAR, 2), 0, 2),
+    (QuiverSpec(3, A3_LINEAR, 3), 0, 1),
+])
+def test_enumerate_tstructures_equals_the_narrow_scan(spec, lo, hi):
+    b = build_backend(spec)
+    got = [rec.to_json_dict() for rec in enumerate_tstructures(b, lo, hi)]
+    checks = (("narrow-sequence", True), ("is-aisle", True))
+    want = [TStructRecord("quiver", (lo, hi), u, xi(b, u), checks).to_json_dict()
+            for u in enumerate_narrow_sequences(b, lo, hi)]
+    assert got == want
+
+
+def wide_chain_count(backend, lo, hi):
+    """Sum over chains of wide subcategories on the window of the product of
+    the per-gap tilting counts (the top gap f(hi) cap perp f(hi) is zero)."""
+    ways = {frozenset(): 1}  # chains ending at f(lo - 1) = 0
+    for _ in range(lo, hi + 1):
+        ways = {w: sum(n * len(core.tilting_census(backend, gap(backend, w, prev)))
+                       for prev, n in ways.items() if prev <= w)
+                for w in core.wide_census(backend)}
+    return sum(ways.values())
+
+
+@pytest.mark.parametrize("spec, lo, hi, count", [(A4, 0, 2, 1563), (D4, 0, 1, 656)])
+def test_glued_enumeration_beyond_the_scan(spec, lo, hi, count):
+    b = build_backend(spec)
+    t0 = time.perf_counter()
+    recs = enumerate_tstructures(b, lo, hi)
+    assert time.perf_counter() - t0 < 5
+    assert len({rec.sequence.key() for rec in recs}) == len(recs) == count
+    assert wide_chain_count(b, lo, hi) == count
 
 
 def test_truncated_table_refused_up_front(kronecker):
@@ -135,3 +218,6 @@ def test_truncated_table_refused_up_front(kronecker):
         enumerate_refined(kronecker, 0, 0)
     with pytest.raises(BackendError, match=r"dim_bound \[1, 1\]"):
         core.tilting_census(kronecker, kronecker.all_ids())
+    zero = RefinedTSeq(0, 0, (frozenset(),), (frozenset(),))
+    with pytest.raises(BackendError, match=r"dim_bound \[1, 1\]"):
+        psi(kronecker, zero)
