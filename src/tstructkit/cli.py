@@ -68,15 +68,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_quiver(selector: str, field=None):
-    """The backend of a quiver file; a table truncated by ``dim_bound`` is
-    refused here, before any work, since its objects can leave the table."""
+    """The backend of a quiver file; a spec whose table ``dim_bound``
+    truncates is refused here, before the table is built, since its objects
+    can leave the table."""
     path = selector.split(":", 1)[1]
     spec = QuiverSpec.from_json(path)
     if field is not None:
         spec = QuiverSpec(spec.vertices, spec.arrows, field, spec.dim_bound)
-    backend = build_backend(spec)
-    backend.refuse_truncated()
-    return backend
+    spec.refuse_truncated()
+    return build_backend(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -238,7 +238,7 @@ def wide_census(backend) -> list:
     indecomposables (both perps with Hom and Ext), sorted by members.
 
     Proof.  An untruncated table belongs to a Dynkin quiver (see
-    ``QuiverBackend._box_misses_a_root``), whose indecomposables are
+    ``QuiverSpec.truncated``), whose indecomposables are
     exceptional: Ext^1(X, X) = 0 and End(X) = F_p.  So a Hom-orthogonal set
     of indecomposables is a semibrick, and S -> filt(S), the extension
     closure of S, is a bijection from semibricks onto wide subcategories;

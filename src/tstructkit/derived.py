@@ -301,10 +301,12 @@ def star_membership(backend, left, right, x: dict, lo=None, hi=None):
 
     def dfs(k, s_prev, bparts):
         if k > kmax:
+            # already a dobj: int keys, and every value a sorted nonzero
+            # tuple from middle_terms, part_sets or _all_multisets
             if s_prev:
                 bparts = dict(bparts)
                 bparts[k] = s_prev
-            return rmember(dobj(bparts))
+            return rmember(bparts)
         for a_k, s_k, t_k in pools[k]:
             pair = (s_prev, t_k)
             if pair not in mids:

@@ -90,6 +90,50 @@ class QuiverSpec:
             dim_bound=tuple(dim_bound),
         )
 
+    def euler_form(self, d, e):
+        """<d, e> = sum_v d_v e_v - sum_{s->t} d_s e_t, which is
+        hom(M, N) - ext(M, N) for representations of dimension vectors d, e."""
+        total = sum(dv * ev for dv, ev in zip(d, e))
+        for (s, t) in self.arrows:
+            total -= d[s] * e[t]
+        return total
+
+    def _may_be_indecomposable(self, dv):
+        """Connected support and Tits form at most 1 (see
+        ``QuiverBackend._build_table``)."""
+        support = {v for v, d in enumerate(dv) if d}
+        return _is_connected(support, self.arrows) and self.euler_form(dv, dv) <= 1
+
+    @functools.cached_property
+    def truncated(self):
+        """Whether some indecomposable lies outside the ``dim_bound`` box.
+
+        That holds iff some positive root does: a Dynkin quiver's
+        indecomposables are its positive roots (Gabriel), and any other
+        quiver has infinitely many positive roots, each carrying an
+        absolutely indecomposable over F_p (Kac).  A positive root that is
+        not simple is a positive root plus a simple root, because the
+        positive part of the Kac-Moody algebra is generated by the e_i.  On
+        such a chain up from a simple root (inside the box, since every
+        bound is >= 1) the first root outside the box lies in the box grown
+        by one at every vertex, and it has connected support and q <= 1.
+        Conversely such a vector outside the box is a positive root when
+        the quiver is Dynkin (q is positive definite there, so q = 1), and
+        the box misses a root anyway when it is not.  Only the spec is
+        read, so a truncated spec is refused before any table is built.
+        """
+        bound = self.dim_bound
+        return any(self._may_be_indecomposable(dv)
+                   for dv in itertools.product(*(range(b + 2) for b in bound))
+                   if any(d > b for d, b in zip(dv, bound)))
+
+    def refuse_truncated(self):
+        """Raise a BackendError naming ``dim_bound`` if the table is truncated."""
+        if self.truncated:
+            raise BackendError(
+                f"indecomposable table truncated by dim_bound {list(self.dim_bound)}: "
+                "some indecomposable lies outside it (every bound does, unless the quiver is Dynkin)")
+
 
 def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
@@ -210,24 +254,27 @@ class QuiverBackend:
         self._memo = {}
         self.spec = spec
         self.p = spec.field
-        self.truncated = self._box_misses_a_root()
+        self.truncated = spec.truncated
         self.indecs: list[Rep] = []
         self._build_table()
+        dims = np.array([ind.dims for ind in self.indecs], dtype=np.int64).reshape(-1, spec.vertices)
+        euler_matrix = np.eye(spec.vertices, dtype=np.int64)
+        for s, t in spec.arrows:
+            euler_matrix[s, t] -= 1
+        euler = dims @ euler_matrix @ dims.T  # euler[i, j] = <dim X_i, dim X_j>
+        if not self.truncated:
+            self.hom_matrix, self.ext_matrix = _hom_ext_of_dynkin(euler)
+            self._hom_inv, self._hom_inv_int = None, _unitriangular_inverse(self.hom_matrix)
+            return
         n = len(self.indecs)
-        self.hom_matrix = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                self.hom_matrix[i, j] = self._rep_hom_dim(self.indecs[i], self.indecs[j])
-        self.ext_matrix = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                e = self.hom_matrix[i, j] - self.euler_form(self.indecs[i].dims, self.indecs[j].dims)
-                if e < 0:
-                    raise BackendError("negative Ext dimension; backend table inconsistent")
-                self.ext_matrix[i, j] = e
+        self.hom_matrix = np.array([[self._rep_hom_dim(a, b) for b in self.indecs] for a in self.indecs],
+                                   dtype=np.int64).reshape(n, n)
+        self.ext_matrix = self.hom_matrix - euler
+        if (self.ext_matrix < 0).any():
+            raise BackendError("negative Ext dimension; backend table inconsistent")
         self._hom_inv = _rational_inverse(self.hom_matrix)
-        # an integral inverse (det 1, as on every Dynkin table checked)
-        # decomposes by one int64 mat-vec in place of Fraction arithmetic
+        # an integral inverse decomposes by one int64 mat-vec in place of
+        # Fraction arithmetic
         self._hom_inv_int = None
         if self._hom_inv is not None and all(x.denominator == 1 for row in self._hom_inv for x in row):
             self._hom_inv_int = np.array([[int(x) for x in row] for row in self._hom_inv],
@@ -240,12 +287,8 @@ class QuiverBackend:
         """One representative of each indecomposable whose dimension vector
         lies in the ``dim_bound`` box, in (total dimension, vector) order.
 
-        Every representation of a visited vector goes through
-        ``_is_new_indec``, which is exact: a decomposable rep has a summand
-        of smaller dimension vector in the box, already in the table by the
-        graded order, and an indecomposable is kept unless it is isomorphic
-        to an entry.  A vector is visited only when it can carry an
-        indecomposable (``_may_be_indecomposable``):
+        A vector is visited only when it can carry an indecomposable
+        (``QuiverSpec._may_be_indecomposable``):
 
         (a) its support is connected in the underlying graph: a rep whose
             support splits into two parts with no arrow between them is the
@@ -265,52 +308,40 @@ class QuiverBackend:
             *Unzerlegbare Darstellungen I*).
 
         A skipped vector carries no indecomposable, so the full box scan
-        adds nothing there either: the table (entries, order and matrices)
-        is the one the unpruned scan builds.
+        adds nothing there either.
+
+        On a truncated table every representation of a visited vector goes
+        through ``_is_new_indec``, which is exact: a decomposable rep has a
+        summand of smaller dimension vector in the box, already in the
+        table by the graded order, and an indecomposable is kept unless it
+        is isomorphic to an entry.
+
+        On an untruncated table the quiver is Dynkin, and each visited
+        vector (a positive root) carries exactly one indecomposable, which
+        is a brick: End = F_p (Gabriel 1972; Ringel 1984, *Tame algebras and
+        integral quadratic forms*, LNM 1099, 2.4).  A brick is
+        indecomposable, and a decomposable rep has End of dimension >= 2.
+        So the first rep in ``_all_reps`` order with a one-dimensional End
+        is the first indecomposable, the one entry the scan keeps for that
+        vector: the table (entries and order) is the scan's.
         """
         dimvecs = sorted(
             (dv for dv in itertools.product(*(range(b + 1) for b in self.spec.dim_bound))
-             if self._may_be_indecomposable(dv)),
+             if self.spec._may_be_indecomposable(dv)),
             key=lambda dv: (sum(dv), dv),
         )
         for dv in dimvecs:
-            for rep in self._all_reps(dv):
-                if not self._is_new_indec(rep):
-                    continue
-                self.indecs.append(rep)
-
-    def _may_be_indecomposable(self, dv):
-        """Connected support and Tits form at most 1 (see ``_build_table``)."""
-        support = {v for v, d in enumerate(dv) if d}
-        return _is_connected(support, self.spec.arrows) and self.euler_form(dv, dv) <= 1
+            reps = self._all_reps(dv)
+            if not self.truncated:
+                self.indecs.append(next(rep for rep in reps if self._rep_hom_dim(rep, rep) == 1))
+                continue
+            for rep in reps:
+                if self._is_new_indec(rep):
+                    self.indecs.append(rep)
 
     def refuse_truncated(self):
         """Raise a BackendError naming ``dim_bound`` if the table is truncated."""
-        if self.truncated:
-            raise BackendError(
-                f"indecomposable table truncated by dim_bound {list(self.spec.dim_bound)}: "
-                "some indecomposable lies outside it (every bound does, unless the quiver is Dynkin)")
-
-    def _box_misses_a_root(self):
-        """Whether some indecomposable lies outside the ``dim_bound`` box.
-
-        That holds iff some positive root does: a Dynkin quiver's
-        indecomposables are its positive roots (Gabriel), and any other
-        quiver has infinitely many positive roots, each carrying an
-        absolutely indecomposable over F_p (Kac).  A positive root that is
-        not simple is a positive root plus a simple root, because the
-        positive part of the Kac-Moody algebra is generated by the e_i.  On
-        such a chain up from a simple root (inside the box, since every
-        bound is >= 1) the first root outside the box lies in the box grown
-        by one at every vertex, and it has connected support and q <= 1.
-        Conversely such a vector outside the box is a positive root when
-        the quiver is Dynkin (q is positive definite there, so q = 1), and
-        the box misses a root anyway when it is not.
-        """
-        bound = self.spec.dim_bound
-        return any(self._may_be_indecomposable(dv)
-                   for dv in itertools.product(*(range(b + 2) for b in bound))
-                   if any(d > b for d, b in zip(dv, bound)))
+        self.spec.refuse_truncated()
 
     def _all_reps(self, dv):
         spec = self.spec
@@ -436,10 +467,7 @@ class QuiverBackend:
         return len(self._rep_hom_basis(a, b))
 
     def euler_form(self, d, e):
-        total = sum(dv * ev for dv, ev in zip(d, e))
-        for (s, t) in self.spec.arrows:
-            total -= d[s] * e[t]
-        return total
+        return self.spec.euler_form(d, e)
 
     # ------------------------------------------------------------------
     # objects (multisets of indecomposable ids)
@@ -484,12 +512,12 @@ class QuiverBackend:
         """The multiset of ids of the rep M of dimension vector ``dims`` with
         hom(indecs[i], M) = homs[i]: the table's Hom matrix is invertible
         when the table holds every indecomposable."""
-        if self._hom_inv is None:
-            raise BackendError("cannot decompose: indecomposable table is incomplete (truncated backend)")
         if self._hom_inv_int is not None:
             mult = (self._hom_inv_int @ np.array(homs, dtype=np.int64)).tolist()
-        else:
+        elif self._hom_inv is not None:
             mult = _mat_vec(self._hom_inv, [Fraction(h) for h in homs])
+        else:
+            raise BackendError("cannot decompose: indecomposable table is incomplete (truncated backend)")
         ids = []
         total = np.zeros(self.spec.vertices, dtype=np.int64)
         for i, m in enumerate(mult):
@@ -818,6 +846,51 @@ def _rational_inverse(mat):
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [row[n:] for row in a]
+
+
+def _hom_ext_of_dynkin(euler):
+    """The Hom and Ext^1 matrices of a Dynkin table from its Euler matrix
+    euler[i, j] = <dim X_i, dim X_j> = hom(X_i, X_j) - ext(X_i, X_j).
+
+    For indecomposables X, Y of a Dynkin quiver, Hom(X, Y) and Ext^1(X, Y)
+    are never both nonzero, so each is the positive or negative part of
+    the Euler form.  Ext^1(X, Y) is 0 when X is projective, and otherwise
+    Ext^1(X, Y) = D Hom(Y, tau X) by the Auslander-Reiten formula for a
+    hereditary algebra.  A nonzero map between indecomposables of a
+    representation-finite algebra is a sum of composites of irreducible
+    maps, so Hom(X, Y) != 0 != Hom(Y, tau X) would give a path
+    X -> ... -> Y -> ... -> tau X in the AR quiver, and the mesh at X a
+    path tau X -> E -> X: a cycle.  The AR quiver of a Dynkin quiver is its
+    preprojective component, which is acyclic: the category is
+    representation-directed (Ringel 1984, *Tame algebras and integral
+    quadratic forms*, LNM 1099, 2.4).
+    """
+    return np.maximum(euler, 0), np.maximum(-euler, 0)
+
+
+def _unitriangular_inverse(hom):
+    """The inverse of the Hom matrix H of a Dynkin table, in int64.
+
+    H has ones on the diagonal (every entry is a brick), and N = H - I is
+    nilpotent: N[i, j] != 0 means a nonzero map X_i -> X_j between
+    distinct indecomposables, a path from X_i to X_j in the acyclic AR
+    quiver, so N is strictly triangular in any order refining the AR
+    quiver's path order (see ``_hom_ext_of_dynkin``).  Hence N^n = 0 and
+    H^-1 = sum_{k<n} (-N)^k, summed by Horner's rule.  int64 matmuls wrap
+    around, but the arithmetic is exact modulo 2^64, and the true inverse
+    has small entries: H^-1 @ hom-vector gives multiplicities, and its row
+    for X_i is the defect formula of the almost split sequence starting
+    at X_i (or of X_i -> X_i / soc X_i when X_i is injective), with
+    entries among 0, 1 and minus the multiplicities in its middle term.
+    So the int64 result is the exact inverse.
+    """
+    n = hom.shape[0]
+    eye = np.eye(n, dtype=np.int64)
+    nilpotent = hom - eye
+    inverse = eye
+    for _ in range(n - 1):
+        inverse = eye - nilpotent @ inverse
+    return inverse
 
 
 def _mat_vec(mat, vec):

@@ -10,20 +10,21 @@ from tstructkit.quiver import QuiverSpec, build_backend
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_python_process(*argv, text=True):
+def run_python_process(*argv, text=True, timeout=None):
     """Run ``python *argv`` as a subprocess from the repo root, so relative
     demo paths resolve, importing ``tstructkit`` from this checkout's
-    ``src/`` ahead of any inherited ``PYTHONPATH``."""
+    ``src/`` ahead of any inherited ``PYTHONPATH``.  Past ``timeout``
+    seconds the process is killed and ``subprocess.TimeoutExpired`` raised."""
     inherited = os.environ.get("PYTHONPATH")
     pythonpath = str(REPO_ROOT / "src") + (os.pathsep + inherited if inherited else "")
     return subprocess.run([sys.executable, *argv],
-                          capture_output=True, text=text, cwd=REPO_ROOT,
+                          capture_output=True, text=text, cwd=REPO_ROOT, timeout=timeout,
                           env={**os.environ, "PYTHONPATH": pythonpath})
 
 
-def run_cli_process(*argv, text=True):
+def run_cli_process(*argv, text=True, timeout=None):
     """Run ``python -m tstructkit.cli`` with ``run_python_process``."""
-    return run_python_process("-m", "tstructkit.cli", *argv, text=text)
+    return run_python_process("-m", "tstructkit.cli", *argv, text=text, timeout=timeout)
 
 
 @pytest.fixture(scope="session")

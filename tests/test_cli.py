@@ -85,6 +85,15 @@ def test_truncated_quiver_refused_up_front(tmp_path):
         assert "dim_bound [1, 1]" in json.loads(err)["error"], err
 
 
+def test_truncated_spec_refused_before_the_table_is_built(tmp_path):
+    # building this Kronecker table takes minutes; the refusal reads the spec
+    path = tmp_path / "kronecker.json"
+    path.write_text(json.dumps({"vertices": 2, "arrows": [[0, 1], [0, 1]], "dim_bound": [3, 3]}))
+    proc = run_cli_process("enumerate", "--backend", f"quiver:{path}", "--window", "0:0", timeout=30)
+    assert proc.returncode == 2 and proc.stdout == "", (proc.stdout, proc.stderr)
+    assert "dim_bound [3, 3]" in json.loads(proc.stderr)["error"], proc.stderr
+
+
 @pytest.mark.parametrize("spec, key", [
     ({"vertices": 2, "arrows": [[0, 1]], "dim_bound": 3}, "dim_bound"),
     ({"vertices": 2, "arrows": [[0, 1]], "field": 2.0}, "field"),

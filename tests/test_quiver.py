@@ -7,10 +7,12 @@ import pytest
 from tstructkit import core
 from tstructkit import fplinalg as la
 from tstructkit.quiver import (BackendError, QuiverBackend, QuiverSpec,
-                               build_backend, rep_from_arrays)
+                               _rational_inverse, build_backend, rep_from_arrays)
 from conftest import id_by_dims
 
 A3_LINEAR = ((0, 1), (1, 2))
+A4_LINEAR = ((0, 1), (1, 2), (2, 3))
+A5_LINEAR = ((0, 1), (1, 2), (2, 3), (3, 4))
 D4_INTO_CENTRE = ((0, 1), (2, 1), (3, 1))  # vertex 1 is the centre
 KRONECKER = ((0, 1), (0, 1))
 
@@ -175,7 +177,19 @@ def test_subsets_bitmask_order(a2):
 
 class FullScanBackend(QuiverBackend):
     """Reference oracle: the table built from every dimension vector of the
-    box, with no pruning to connected roots."""
+    box by the split-summand and isomorphism scan, with no pruning to
+    connected roots; its Hom matrix by linear algebra on each pair of
+    entries and its inverse in Fractions, whatever the table."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        n = len(self.indecs)
+        self.hom_matrix = np.array([[self._rep_hom_dim(a, b) for b in self.indecs] for a in self.indecs],
+                                   dtype=np.int64).reshape(n, n)
+        euler = np.array([[self.euler_form(a.dims, b.dims) for b in self.indecs] for a in self.indecs],
+                         dtype=np.int64).reshape(n, n)
+        self.ext_matrix = self.hom_matrix - euler
+        self.hom_inverse = _rational_inverse(self.hom_matrix)
 
     def _build_table(self):
         box = itertools.product(*(range(b + 1) for b in self.spec.dim_bound))
@@ -185,24 +199,49 @@ class FullScanBackend(QuiverBackend):
                     self.indecs.append(rep)
 
 
-@pytest.mark.parametrize("spec", [
+TABLE_SPECS = [
     QuiverSpec(1, (), 2),
     QuiverSpec(2, ((0, 1),), 2),
     QuiverSpec(2, ((0, 1),), 3),
     QuiverSpec(3, A3_LINEAR, 2),
     QuiverSpec(3, ((0, 1), (2, 1)), 2),
     QuiverSpec(3, A3_LINEAR, 3),
+    QuiverSpec(3, ((1, 0), (1, 2)), 3),
+    QuiverSpec(4, A4_LINEAR, 2, (1, 1, 1, 1)),
+    QuiverSpec(4, A4_LINEAR, 3, (1, 1, 1, 1)),
+    QuiverSpec(5, A5_LINEAR, 2, (1, 1, 1, 1, 1)),
+    QuiverSpec(4, D4_INTO_CENTRE, 2, (1, 2, 1, 1)),
+    QuiverSpec(4, D4_INTO_CENTRE, 2, (1, 1, 1, 2)),  # misses (1, 2, 1, 1)
     QuiverSpec(2, KRONECKER, 2, (1, 1)),
     QuiverSpec(2, KRONECKER, 2, (2, 1)),
     QuiverSpec(2, KRONECKER, 2, (2, 2)),
-    QuiverSpec(4, D4_INTO_CENTRE, 2, (1, 2, 1, 1)),
-], ids=lambda spec: f"{spec.arrows}-F{spec.field}-{spec.dim_bound}")
+]
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=lambda spec: f"{spec.arrows}-F{spec.field}-{spec.dim_bound}")
 def test_root_pruned_table_equals_full_box_scan(spec):
     pruned, full = build_backend(spec), FullScanBackend(spec)
     assert pruned.indecs == full.indecs  # same order, same matrices
     assert np.array_equal(pruned.hom_matrix, full.hom_matrix)
     assert np.array_equal(pruned.ext_matrix, full.ext_matrix)
     assert pruned.truncated == full.truncated
+    if not pruned.truncated:
+        assert pruned._hom_inv_int is not None
+    if pruned._hom_inv_int is not None:
+        assert pruned._hom_inv_int.tolist() == full.hom_inverse
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=lambda spec: f"{spec.arrows}-F{spec.field}-{spec.dim_bound}")
+def test_only_truncated_tables_run_the_indecomposability_scan(spec, monkeypatch):
+    def scan(self, rep):
+        raise AssertionError("the split-summand and isomorphism scan ran")
+
+    monkeypatch.setattr(QuiverBackend, "_is_new_indec", scan)
+    if spec.truncated:
+        with pytest.raises(AssertionError, match="scan ran"):
+            build_backend(spec)
+    else:
+        assert not build_backend(spec).truncated
 
 
 @pytest.mark.parametrize("vertices, arrows, field, count", [
