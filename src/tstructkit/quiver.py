@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -105,27 +105,53 @@ class QuiverSpec:
         return _is_connected(support, self.arrows) and self.euler_form(dv, dv) <= 1
 
     @functools.cached_property
-    def truncated(self):
-        """Whether some indecomposable lies outside the ``dim_bound`` box.
+    def positive_roots(self):
+        """The positive roots in (total dimension, vector) order, or None
+        when some indecomposable lies outside the ``dim_bound`` box.
 
-        That holds iff some positive root does: a Dynkin quiver's
-        indecomposables are its positive roots (Gabriel), and any other
-        quiver has infinitely many positive roots, each carrying an
-        absolutely indecomposable over F_p (Kac).  A positive root that is
-        not simple is a positive root plus a simple root, because the
-        positive part of the Kac-Moody algebra is generated by the e_i.  On
-        such a chain up from a simple root (inside the box, since every
-        bound is >= 1) the first root outside the box lies in the box grown
-        by one at every vertex, and it has connected support and q <= 1.
-        Conversely such a vector outside the box is a positive root when
-        the quiver is Dynkin (q is positive definite there, so q = 1), and
-        the box misses a root anyway when it is not.  Only the spec is
-        read, so a truncated spec is refused before any table is built.
+        A walk: start from the simple roots (inside the box, since every
+        bound is >= 1) and step d -> d + e_v whenever the new vector has
+        connected support and q <= 1 (``_may_be_indecomposable``); stop
+        with None at the first such step that leaves the box.
+
+        Some indecomposable lies outside the box iff some positive root
+        does: a Dynkin quiver's indecomposables are its positive roots
+        (Gabriel), and any other quiver has infinitely many positive roots,
+        each carrying an absolutely indecomposable over F_p (Kac).  A
+        positive root that is not simple is a positive root plus a simple
+        root, because the positive part of the Kac-Moody algebra is
+        generated by the e_i.  Every positive root has connected support and
+        q <= 1, so the walk takes each step of such a chain up from a simple
+        root until the chain first leaves the box: if a root lies outside
+        the box, the walk stops with None.  Conversely a vector it stops at
+        is a positive root outside the box when the quiver is Dynkin (q is
+        positive definite there, so q = 1), and the box misses a root anyway
+        when it is not.  If the walk never leaves the box, the quiver is
+        Dynkin and every vector visited is a positive root (q = 1 again), and
+        every positive root is visited (its chain stays in the box).  Only
+        the spec is read, so a truncated spec is refused before any table is
+        built.
         """
-        bound = self.dim_bound
-        return any(self._may_be_indecomposable(dv)
-                   for dv in itertools.product(*(range(b + 2) for b in bound))
-                   if any(d > b for d, b in zip(dv, bound)))
+        n, bound = self.vertices, self.dim_bound
+        seen = {tuple(int(w == v) for w in range(n)) for v in range(n)}
+        todo = list(seen)
+        while todo:
+            d = todo.pop()
+            for v in range(n):
+                e = d[:v] + (d[v] + 1,) + d[v + 1:]
+                if e in seen or not self._may_be_indecomposable(e):
+                    continue
+                if e[v] > bound[v]:
+                    return None
+                seen.add(e)
+                todo.append(e)
+        return tuple(sorted(seen, key=lambda dv: (sum(dv), dv)))
+
+    @property
+    def truncated(self):
+        """Whether some indecomposable lies outside the ``dim_bound`` box
+        (decided by the walk of ``positive_roots``)."""
+        return self.positive_roots is None
 
     def refuse_truncated(self):
         """Raise a BackendError naming ``dim_bound`` if the table is truncated."""
@@ -316,26 +342,39 @@ class QuiverBackend:
         table by the graded order, and an indecomposable is kept unless it
         is isomorphic to an entry.
 
-        On an untruncated table the quiver is Dynkin, and each visited
-        vector (a positive root) carries exactly one indecomposable, which
-        is a brick: End = F_p (Gabriel 1972; Ringel 1984, *Tame algebras and
-        integral quadratic forms*, LNM 1099, 2.4).  A brick is
-        indecomposable, and a decomposable rep has End of dimension >= 2.
-        So the first rep in ``_all_reps`` order with a one-dimensional End
-        is the first indecomposable, the one entry the scan keeps for that
-        vector: the table (entries and order) is the scan's.
+        On an untruncated table the quiver is Dynkin, the visited vectors
+        are ``QuiverSpec.positive_roots``, and each carries exactly one
+        indecomposable, which is a brick: End = F_p (Gabriel 1972; Ringel
+        1984, *Tame algebras and integral quadratic forms*, LNM 1099, 2.4).
+        A brick is indecomposable, and a decomposable rep has End of
+        dimension >= 2.  So the first rep in ``_all_reps`` order with a
+        one-dimensional End is the first indecomposable, the one entry the
+        scan keeps for that vector: the table (entries and order) is the
+        scan's.  A thin root (every entry <= 1) needs no search: a Dynkin
+        graph is a tree, so a zero scalar on an arrow inside the support
+        splits the support and the rep decomposes, while with every scalar
+        nonzero End = F_p (an endomorphism is one scalar per vertex, equal
+        along each arrow of the connected support).  The first such rep in
+        ``_all_reps`` order has every scalar 1: each arrow inside the
+        support carries the 1 x 1 matrix (1), every other arrow an empty
+        one, nested as ``rep_from_arrays`` nests them.
         """
+        spec = self.spec
+        if not self.truncated:
+            for dv in spec.positive_roots:
+                if max(dv) <= 1:
+                    self.indecs.append(Rep(dv, tuple(((1,) * dv[s],) * dv[t] for s, t in spec.arrows)))
+                else:
+                    self.indecs.append(next(rep for rep in self._all_reps(dv)
+                                            if self._rep_hom_dim(rep, rep) == 1))
+            return
         dimvecs = sorted(
-            (dv for dv in itertools.product(*(range(b + 1) for b in self.spec.dim_bound))
-             if self.spec._may_be_indecomposable(dv)),
+            (dv for dv in itertools.product(*(range(b + 1) for b in spec.dim_bound))
+             if spec._may_be_indecomposable(dv)),
             key=lambda dv: (sum(dv), dv),
         )
         for dv in dimvecs:
-            reps = self._all_reps(dv)
-            if not self.truncated:
-                self.indecs.append(next(rep for rep in reps if self._rep_hom_dim(rep, rep) == 1))
-                continue
-            for rep in reps:
+            for rep in self._all_reps(dv):
                 if self._is_new_indec(rep):
                     self.indecs.append(rep)
 
@@ -465,9 +504,6 @@ class QuiverBackend:
 
     def _rep_hom_dim(self, a, b):
         return len(self._rep_hom_basis(a, b))
-
-    def euler_form(self, d, e):
-        return self.spec.euler_form(d, e)
 
     # ------------------------------------------------------------------
     # objects (multisets of indecomposable ids)

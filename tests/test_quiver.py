@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from tstructkit import core
 from tstructkit import fplinalg as la
 from tstructkit.quiver import (BackendError, QuiverBackend, QuiverSpec,
-                               _rational_inverse, build_backend, rep_from_arrays)
+                               _has_cycle, _rational_inverse, build_backend, rep_from_arrays)
 from conftest import id_by_dims
 
 A3_LINEAR = ((0, 1), (1, 2))
@@ -85,7 +86,7 @@ def test_euler_form_matches_hom_minus_ext(a2, a3):
             for j in backend.all_ids():
                 di = backend.indecs[i].dims
                 dj = backend.indecs[j].dims
-                assert backend.euler_form(di, dj) == \
+                assert backend.spec.euler_form(di, dj) == \
                     backend.hom_dim((i,), (j,)) - backend.ext_dim((i,), (j,))
 
 
@@ -186,7 +187,7 @@ class FullScanBackend(QuiverBackend):
         n = len(self.indecs)
         self.hom_matrix = np.array([[self._rep_hom_dim(a, b) for b in self.indecs] for a in self.indecs],
                                    dtype=np.int64).reshape(n, n)
-        euler = np.array([[self.euler_form(a.dims, b.dims) for b in self.indecs] for a in self.indecs],
+        euler = np.array([[spec.euler_form(a.dims, b.dims) for b in self.indecs] for a in self.indecs],
                          dtype=np.int64).reshape(n, n)
         self.ext_matrix = self.hom_matrix - euler
         self.hom_inverse = _rational_inverse(self.hom_matrix)
@@ -255,7 +256,7 @@ def test_gabriel_counts_of_positive_roots(vertices, arrows, field, count):
     backend = build_backend(QuiverSpec(vertices, arrows, field))
     dims = [ind.dims for ind in backend.indecs]
     assert len(dims) == count and len(set(dims)) == count
-    assert all(backend.euler_form(d, d) == 1 for d in dims)
+    assert all(backend.spec.euler_form(d, d) == 1 for d in dims)
     assert not backend.truncated
 
 
@@ -268,6 +269,96 @@ def test_gabriel_counts_of_positive_roots(vertices, arrows, field, count):
 ])
 def test_truncated_iff_box_misses_an_indecomposable(spec, truncated):
     assert build_backend(spec).truncated == truncated
+
+
+def box_scan_truncated(spec):
+    """Reference oracle for ``QuiverSpec.truncated``: whether some vector of
+    the box grown by one at every vertex, but outside the box, has connected
+    support and q <= 1."""
+    bound = spec.dim_bound
+    return any(spec._may_be_indecomposable(dv)
+               for dv in itertools.product(*(range(b + 2) for b in bound))
+               if any(d > b for d, b in zip(dv, bound)))
+
+
+def acyclic_orientations(vertices, edges):
+    """Every orientation of the undirected ``edges`` without an oriented cycle."""
+    for flips in itertools.product((False, True), repeat=len(edges)):
+        arrows = tuple((t, s) if flip else (s, t) for (s, t), flip in zip(edges, flips))
+        if not _has_cycle(vertices, arrows):
+            yield arrows
+
+
+ORACLE_GRAPHS = {  # name: (vertices, undirected edges, Dynkin)
+    "A1": (1, (), True),
+    "A2": (2, ((0, 1),), True),
+    "A3": (3, ((0, 1), (1, 2)), True),
+    "A4": (4, ((0, 1), (1, 2), (2, 3)), True),
+    "D4": (4, ((0, 1), (2, 1), (3, 1)), True),  # vertex 1 is the centre
+    "kronecker": (2, KRONECKER, False),
+    "affine-A2": (3, ((0, 1), (1, 2), (2, 0)), False),
+    "affine-D4": (5, ((0, 1), (2, 1), (3, 1), (4, 1)), False),  # 4-leaf star
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_GRAPHS)
+def test_root_walk_truncation_equals_the_grown_box_scan(name):
+    vertices, edges, dynkin = ORACLE_GRAPHS[name]
+    bounds = {(1,) * vertices, (2,) * vertices}
+    bounds |= {spec.dim_bound for spec in TABLE_SPECS if spec.vertices == vertices}
+    for arrows in acyclic_orientations(vertices, edges):
+        for bound in sorted(bounds):
+            spec = QuiverSpec(vertices, arrows, 2, bound)
+            assert spec.truncated == box_scan_truncated(spec), (arrows, bound)
+            if not dynkin:
+                assert spec.truncated
+            if not spec.truncated:
+                box = itertools.product(*(range(b + 1) for b in bound))
+                assert spec.positive_roots == tuple(sorted(
+                    (dv for dv in box if spec._may_be_indecomposable(dv)),
+                    key=lambda dv: (sum(dv), dv)))
+
+
+def test_root_walk_finds_the_known_root_counts():
+    # (vertices, edges, highest root, |positive roots|); E_n is a chain with
+    # a branch vertex (listed last) on the third chain vertex
+    types = [
+        (6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5)), (1, 1, 1, 1, 1, 1), 21),  # A6
+        (5, ((0, 1), (1, 2), (2, 3), (2, 4)), (1, 2, 2, 1, 1), 20),  # D5
+        (6, ((0, 1), (1, 2), (2, 3), (3, 4), (2, 5)), (1, 2, 3, 2, 1, 2), 36),  # E6
+        (7, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)), (2, 3, 4, 3, 2, 1, 2), 63),  # E7
+        (8, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 7)),
+         (2, 4, 6, 5, 4, 3, 2, 3), 120),  # E8
+    ]
+    start = time.perf_counter()
+    for vertices, arrows, highest, count in types:
+        spec = QuiverSpec(vertices, arrows, 2, highest)
+        roots = spec.positive_roots
+        assert not spec.truncated
+        assert len(roots) == len(set(roots)) == count
+        assert all(spec.euler_form(d, d) == 1 for d in roots)
+        assert tuple(map(max, zip(*roots))) == highest
+        for v, h in enumerate(highest):
+            if h > 1:
+                lowered = highest[:v] + (h - 1,) + highest[v + 1:]
+                assert QuiverSpec(vertices, arrows, 2, lowered).truncated, lowered
+    assert time.perf_counter() - start < 1.0
+
+
+def test_only_non_thin_roots_search_the_representations(monkeypatch):
+    all_reps, searched = QuiverBackend._all_reps, []
+
+    def guarded(self, dv):
+        if max(dv) <= 1:
+            raise AssertionError(f"the thin vector {dv} was searched")
+        searched.append((self.spec, dv))
+        return all_reps(self, dv)
+
+    monkeypatch.setattr(QuiverBackend, "_all_reps", guarded)
+    for spec in TABLE_SPECS:
+        if not spec.truncated:
+            build_backend(spec)
+    assert searched == [(QuiverSpec(4, D4_INTO_CENTRE, 2, (1, 2, 1, 1)), (1, 2, 1, 1))]
 
 
 def searched_middle_terms(backend, quot, sub):
@@ -358,7 +449,7 @@ def test_ringel_cokernel_has_the_euler_form_dimension(spec):
             a, b = backend.indecs[i], backend.indecs[j]
             ringel = backend._ringel_map(a, b)
             ext = ringel.shape[0] - la.rank(ringel, backend.p)  # dim coker
-            assert ext == backend.hom_dim((i,), (j,)) - backend.euler_form(a.dims, b.dims)
+            assert ext == backend.hom_dim((i,), (j,)) - backend.spec.euler_form(a.dims, b.dims)
             assert ext == backend.ext_dim((i,), (j,))
             if backend.truncated:
                 continue  # a middle term may lie outside the table
