@@ -256,7 +256,7 @@ def _graded_options(backend, xk: Obj, allowed):
     return sorted(opts)
 
 
-def star_membership(backend, left, right, x: dict, lo=None, hi=None):
+def star_membership(backend, left, right, x: dict, lo=None, hi=None, envelope=None):
     """Does x lie in left * right (objects in a triangle L -> x -> R)?
 
     `left` is a SubcatSeq or a degreewise predicate (degree, Obj) -> bool
@@ -264,7 +264,14 @@ def star_membership(backend, left, right, x: dict, lo=None, hi=None):
     membership callable on derived objects.  The search enumerates the
     homology long exact sequence degreewise: per degree an exact sequence
     0 -> s_k -> A_k -> x_k -> t_k -> 0, with the right piece's homology at k
-    a middle term of (quotient s_{k-1}, sub t_k)."""
+    a middle term of (quotient s_{k-1}, sub t_k).
+
+    `envelope(k, obj)`, optional, is a degreewise condition that every
+    member of a callable `right` satisfies at each degree k.  A middle term
+    b_k that fails it is skipped where it is chosen: it is R's homology at
+    k, which no later degree overwrites, so every completion holding it
+    would be refused by `right`.  A SubcatSeq `right` is its own envelope,
+    exactly, since ``theta_membership`` is degreewise."""
     x = dobj(x)
     if isinstance(left, SubcatSeq):
         lseq = left
@@ -282,8 +289,14 @@ def star_membership(backend, left, right, x: dict, lo=None, hi=None):
 
         def rmember(b):
             return theta_membership(backend, rseq, b)
+
+        def envelope(k, obj):
+            return core.obj_in(rseq.at(k), obj)
     else:
         rmember = right
+        if envelope is None:
+            def envelope(k, obj):
+                return True
 
     kmin = min([lo] + list(x)) if x else lo
     kmax = max([hi] + list(x)) if x else hi
@@ -312,6 +325,8 @@ def star_membership(backend, left, right, x: dict, lo=None, hi=None):
             if pair not in mids:
                 mids[pair] = backend.middle_terms(s_prev, t_k)
             for b_k in mids[pair]:
+                if not envelope(k, b_k):
+                    continue
                 nb = bparts
                 if b_k:
                     nb = dict(bparts)

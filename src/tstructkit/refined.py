@@ -191,7 +191,25 @@ def star_oracle_membership(backend, r: RefinedTSeq, n: int, m: int, x: dict,
                            memo=None) -> bool:
     """Membership in the approximant V(n, m), replaying the construction
     V(n,n) = V^(n) * T(n-1), V(n,m+1) = V^(m+1) * V(n,m) by exhaustive
-    triangle search; T(n-1) is everything with homologies in f(n-1)."""
+    triangle search; T(n-1) is everything with homologies in f(n-1).
+
+    Every search is pruned by the right factor's envelope: a homology of R
+    outside f(m-1) is skipped at the degree where it is chosen.  Write D_W
+    for the complexes with every homology in W.  Then V(n, m) lies in
+    D_f(m), so every member of the right factor V(n, m-1) has its
+    homology in f(m-1), and at m == n the envelope is T(n-1) itself:
+    - V^(m) lies in D_f(m), since t_f(m) lies in the gap, inside f(m);
+    - T(n-1) = D_f(n-1) lies in D_f(n);
+    - in a triangle L -> X -> R each homology of X is an extension of a
+      cokernel of a map into a homology of L by a kernel of a map out of a
+      homology of R; a wide W is closed under all three, so L and R in
+      D_W put X in D_W (D_W is thick: Bruning 2007, *Thick subcategories
+      of the derived category of a hereditary algebra*);
+    - by induction on m, f being nondecreasing, V(n, m) lies in D_f(m).
+    This reads only that f is wide and nondecreasing, which
+    ``validate_refined`` checks, and never the glue formula: the recursive
+    factor is still decided by a leaf call, and only choices that
+    provably fail it are skipped."""
     def in_t(y):  # zero homologies lie in every subcategory: no need to normalise
         return all(core.obj_in(r.f_at(n - 1), yk) for yk in y.values())
 
@@ -211,8 +229,14 @@ def star_oracle_membership(backend, r: RefinedTSeq, n: int, m: int, x: dict,
         def rmember(b):
             return star_oracle_membership(backend, r, n, m - 1, b, memo)
 
+    f_prev = r.f_at(m - 1)
+
+    def envelope(k, obj):
+        return core.obj_in(f_prev, obj)
+
     hi = max([m, r.hi] + list(x)) + 1
-    ans = derived.star_membership(backend, left, rmember, x, lo=min(n, r.lo), hi=hi)
+    ans = derived.star_membership(backend, left, rmember, x, lo=min(n, r.lo), hi=hi,
+                                  envelope=envelope)
     memo[key] = ans
     return ans
 

@@ -118,6 +118,18 @@ def test_star_membership_basics(a2, a2_ids):
     assert not star_membership(a2, zero_left, zero_left, {0: (S1,)}, 0, 1)
 
 
+def test_subcat_seq_right_factor_is_its_own_envelope(a2):
+    """A SubcatSeq right factor prunes by its own values; the same factor as
+    a plain membership callable, with no envelope, gives the same answers
+    (on the one-degree slices of criterion 6)."""
+    for seq in enumerate_narrow_sequences(a2, 0, 1):
+        left = restrict(a2, seq, 1, 1)
+        right = SubcatSeq(0, 0, (seq.at(0),), frozenset(), frozenset())
+        for x in window_objects(a2, 0, 1, size_bound=2):
+            assert star_membership(a2, left, right, x, 0, 2) == star_membership(
+                a2, left, lambda b: theta_membership(a2, right, b), x, 0, 2), (seq.key(), x)
+
+
 def test_enumerate_narrow_sequence_counts(a2, a3):
     assert len(enumerate_narrow_sequences(a2, 0, 2)) == 25
     seqs = enumerate_narrow_sequences(a2, 0, 1)

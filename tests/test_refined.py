@@ -2,9 +2,10 @@ import time
 
 import pytest
 
-from tstructkit import core
+from tstructkit import core, derived
 from tstructkit.derived import (SubcatSeq, aisle_from_torsion,
-                                enumerate_narrow_sequences, full_subcat)
+                                enumerate_narrow_sequences, full_subcat,
+                                theta_membership, window_objects)
 from tstructkit.quiver import BackendError, QuiverSpec, build_backend
 from tstructkit.refined import (RefinedTSeq, TStructRecord, enumerate_refined,
                                 enumerate_tstructures, gap, psi,
@@ -81,14 +82,49 @@ def test_enumerate_tstructures_records(a2):
     assert set(d) == {"backend", "window", "sequence", "refined", "checks"}
 
 
-def test_star_oracle_agrees_with_theta_on_small_window(a2):
-    from tstructkit.derived import theta_membership, window_objects
+def test_star_oracle_agrees_with_theta_on_small_window(a2, monkeypatch):
+    """The oracle's envelope pruning is exact: the unpruned search (the
+    envelope dropped) gives the same answers, and every member it finds of
+    an approximant V(n, m) has its homology in f(m), the lemma the pruning
+    rests on."""
+    objs = [x for x in window_objects(a2, 0, 1, size_bound=1) if x]
+    cases = [(r, x) for r in enumerate_refined(a2, 0, 1) for x in objs]
+    assert len(cases) == 84
+    pruned = [star_oracle_membership(a2, r, 0, 2, x) for r, x in cases]
+    assert pruned == [theta_membership(a2, psi(a2, r), x) for r, x in cases]
+
+    search = derived.star_membership
+    monkeypatch.setattr(derived, "star_membership",
+                        lambda *args, envelope=None, **kwargs: search(*args, **kwargs))
+    unpruned = []
     for r in enumerate_refined(a2, 0, 1):
-        u = psi(a2, r)
-        for x in window_objects(a2, 0, 1, size_bound=1):
-            want = theta_membership(a2, u, x)
-            got = star_oracle_membership(a2, r, 0, 2, x)
-            assert want == got, (r.key(), x)
+        memo = {}
+        unpruned.extend(star_oracle_membership(a2, r, 0, 2, x, memo=memo) for x in objs)
+        for (n, m, key), member in memo.items():
+            if member:
+                assert all(core.obj_in(r.f_at(m), xk) for _, xk in key), (r.key(), n, m, key)
+    assert unpruned == pruned
+
+
+@pytest.mark.parametrize("field, star_size_bound", [
+    (3, derived.STAR_SIZE_BOUND),      # the glue formula over a second field
+    (2, derived.STAR_SIZE_BOUND + 1),  # the star search's bound certified by bound + 1
+], ids=["a2-field-3", "a2-star-bound-plus-1"])
+def test_glue_formula_matches_star_oracle(field, star_size_bound, monkeypatch):
+    """Criterion 3's comparison on A2 over F3, and on A2 over F2 with left
+    factors of one more summand; the bound is read by a fresh backend's
+    memo, so the constant is patched before the backend is built."""
+    monkeypatch.setattr(derived, "STAR_SIZE_BOUND", star_size_bound)
+    b = build_backend(QuiverSpec(2, ((0, 1),), field))
+    asked = disagreements = 0
+    for r in enumerate_refined(b, 0, 1):
+        u = psi(b, r)
+        memo = {}
+        for x in window_objects(b, 0, 1, size_bound=2):
+            asked += 1
+            disagreements += (theta_membership(b, u, x)
+                              != star_oracle_membership(b, r, 0, 2, x, memo=memo))
+    assert (asked, disagreements) == (392, 0)
 
 
 A3_LINEAR = ((0, 1), (1, 2))
