@@ -68,14 +68,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_quiver(selector: str, field=None):
-    """The backend of a quiver file; a spec whose table ``dim_bound``
-    truncates is refused here, before the table is built, since its objects
-    can leave the table."""
+    """The backend of a quiver file (``QuiverBackend`` refuses a truncated
+    spec before it builds the table)."""
     path = selector.split(":", 1)[1]
     spec = QuiverSpec.from_json(path)
     if field is not None:
         spec = QuiverSpec(spec.vertices, spec.arrows, field, spec.dim_bound)
-    spec.refuse_truncated()
     return build_backend(spec)
 
 

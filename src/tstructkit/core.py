@@ -14,8 +14,8 @@ caller that varies one, by monkeypatching it, must use a fresh backend.
 The wide census (``wide_census``), the tilting torsion classes of a wide
 subcategory (``tilting_census``) and the torsion class a set generates in a
 wide subcategory (``generated_torsion``, which ``refined.psi`` glues with)
-are read off the Hom and Ext matrices of an untruncated table as perps, with
-no subset scan and no closure.  The scans and closures that decide the same
+are read off the Hom and Ext matrices of the table as perps, with no subset
+scan and no closure.  The scans and closures that decide the same
 sets from the closure predicates (``enumerate_subcats``, ``classify_subcat``,
 ``is_tilting_in``, ``closure``) stay as their oracles.
 
@@ -237,9 +237,9 @@ def wide_census(backend) -> list:
     W(S) = perp(perp(S, right), left) over the Hom-orthogonal sets S of
     indecomposables (both perps with Hom and Ext), sorted by members.
 
-    Proof.  An untruncated table belongs to a Dynkin quiver (see
-    ``QuiverSpec.truncated``), whose indecomposables are
-    exceptional: Ext^1(X, X) = 0 and End(X) = F_p.  So a Hom-orthogonal set
+    Proof.  A quiver table belongs to a Dynkin quiver (``QuiverBackend``
+    refuses a truncated spec), whose indecomposables are exceptional:
+    Ext^1(X, X) = 0 and End(X) = F_p.  So a Hom-orthogonal set
     of indecomposables is a semibrick, and S -> filt(S), the extension
     closure of S, is a bijection from semibricks onto wide subcategories;
     its inverse takes W to its simple objects (Ringel 1976, *Representations
@@ -251,7 +251,6 @@ def wide_census(backend) -> list:
     Together W(S) = filt(S): each wide subcategory is reached exactly once.
     The growth visits only Hom-orthogonal sets, one per wide subcategory.
     """
-    backend.refuse_truncated()
     cache = memo(backend)
     if "wide-census" not in cache:
         hom = backend.hom_matrix
@@ -284,7 +283,6 @@ def tilting_census(backend, W) -> list:
     R: ``generated_torsion(backend, R, W)``.
     """
     W = frozenset(W)
-    backend.refuse_truncated()
     cache = memo(backend)
     key = ("tilting-census", W)
     if key not in cache:

@@ -13,7 +13,6 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -267,7 +266,12 @@ def _memoized(method):
 
 
 class QuiverBackend:
-    """Finite hereditary backend built from an acyclic quiver.
+    """Finite hereditary backend built from a Dynkin quiver.
+
+    The constructor refuses a truncated spec (``QuiverSpec.truncated``:
+    some indecomposable lies outside the ``dim_bound`` box, so objects could
+    leave the table) with a ``BackendError`` naming ``dim_bound``, before
+    any representation work.
 
     After construction the instance is read-only: the indecomposable table
     and the Hom/Ext matrices are fixed, and the one memo dictionary
@@ -277,10 +281,10 @@ class QuiverBackend:
     """
 
     def __init__(self, spec: QuiverSpec):
+        spec.refuse_truncated()
         self._memo = {}
         self.spec = spec
         self.p = spec.field
-        self.truncated = spec.truncated
         self.indecs: list[Rep] = []
         self._build_table()
         dims = np.array([ind.dims for ind in self.indecs], dtype=np.int64).reshape(-1, spec.vertices)
@@ -288,23 +292,8 @@ class QuiverBackend:
         for s, t in spec.arrows:
             euler_matrix[s, t] -= 1
         euler = dims @ euler_matrix @ dims.T  # euler[i, j] = <dim X_i, dim X_j>
-        if not self.truncated:
-            self.hom_matrix, self.ext_matrix = _hom_ext_of_dynkin(euler)
-            self._hom_inv, self._hom_inv_int = None, _unitriangular_inverse(self.hom_matrix)
-            return
-        n = len(self.indecs)
-        self.hom_matrix = np.array([[self._rep_hom_dim(a, b) for b in self.indecs] for a in self.indecs],
-                                   dtype=np.int64).reshape(n, n)
-        self.ext_matrix = self.hom_matrix - euler
-        if (self.ext_matrix < 0).any():
-            raise BackendError("negative Ext dimension; backend table inconsistent")
-        self._hom_inv = _rational_inverse(self.hom_matrix)
-        # an integral inverse decomposes by one int64 mat-vec in place of
-        # Fraction arithmetic
-        self._hom_inv_int = None
-        if self._hom_inv is not None and all(x.denominator == 1 for row in self._hom_inv for x in row):
-            self._hom_inv_int = np.array([[int(x) for x in row] for row in self._hom_inv],
-                                         dtype=np.int64).reshape(n, n)
+        self.hom_matrix, self.ext_matrix = _hom_ext_of_dynkin(euler)
+        self._hom_inv = _unitriangular_inverse(self.hom_matrix)
 
     # ------------------------------------------------------------------
     # table construction
@@ -333,22 +322,17 @@ class QuiverBackend:
             quiver (a) and (b) keep exactly the positive roots (Gabriel 1972,
             *Unzerlegbare Darstellungen I*).
 
-        A skipped vector carries no indecomposable, so the full box scan
-        adds nothing there either.
+        A skipped vector carries no indecomposable, so a scan of every rep
+        of the box (keep a rep unless an entry splits off it or is
+        isomorphic to it) adds nothing there either.
 
-        On a truncated table every representation of a visited vector goes
-        through ``_is_new_indec``, which is exact: a decomposable rep has a
-        summand of smaller dimension vector in the box, already in the
-        table by the graded order, and an indecomposable is kept unless it
-        is isomorphic to an entry.
-
-        On an untruncated table the quiver is Dynkin, the visited vectors
+        The spec is untruncated, so the quiver is Dynkin, the visited vectors
         are ``QuiverSpec.positive_roots``, and each carries exactly one
         indecomposable, which is a brick: End = F_p (Gabriel 1972; Ringel
         1984, *Tame algebras and integral quadratic forms*, LNM 1099, 2.4).
         A brick is indecomposable, and a decomposable rep has End of
         dimension >= 2.  So the first rep in ``_all_reps`` order with a
-        one-dimensional End is the first indecomposable, the one entry the
+        one-dimensional End is the first indecomposable, the one entry that
         scan keeps for that vector: the table (entries and order) is the
         scan's.  A thin root (every entry <= 1) needs no search: a Dynkin
         graph is a tree, so a zero scalar on an arrow inside the support
@@ -360,27 +344,12 @@ class QuiverBackend:
         one, nested as ``rep_from_arrays`` nests them.
         """
         spec = self.spec
-        if not self.truncated:
-            for dv in spec.positive_roots:
-                if max(dv) <= 1:
-                    self.indecs.append(Rep(dv, tuple(((1,) * dv[s],) * dv[t] for s, t in spec.arrows)))
-                else:
-                    self.indecs.append(next(rep for rep in self._all_reps(dv)
-                                            if self._rep_hom_dim(rep, rep) == 1))
-            return
-        dimvecs = sorted(
-            (dv for dv in itertools.product(*(range(b + 1) for b in spec.dim_bound))
-             if spec._may_be_indecomposable(dv)),
-            key=lambda dv: (sum(dv), dv),
-        )
-        for dv in dimvecs:
-            for rep in self._all_reps(dv):
-                if self._is_new_indec(rep):
-                    self.indecs.append(rep)
-
-    def refuse_truncated(self):
-        """Raise a BackendError naming ``dim_bound`` if the table is truncated."""
-        self.spec.refuse_truncated()
+        for dv in spec.positive_roots:
+            if max(dv) <= 1:
+                self.indecs.append(Rep(dv, tuple(((1,) * dv[s],) * dv[t] for s, t in spec.arrows)))
+            else:
+                self.indecs.append(next(rep for rep in self._all_reps(dv)
+                                        if self._rep_hom_dim(rep, rep) == 1))
 
     def _all_reps(self, dv):
         spec = self.spec
@@ -399,66 +368,6 @@ class QuiverBackend:
                     x //= self.p
                 arrays.append(np.array(flat, dtype=np.int64).reshape(r, c))
             yield rep_from_arrays(spec, dv, arrays)
-
-    def _is_new_indec(self, rep):
-        # graded order: every proper summand is already in the table, so rep
-        # is decomposable iff some accepted indec splits off
-        for idx, cand in enumerate(self.indecs):
-            if all(cd <= rd for cd, rd in zip(cand.dims, rep.dims)) and cand.total_dim < rep.total_dim:
-                if self._is_split_summand(cand, rep):
-                    return False
-        for cand in self.indecs:
-            if cand.dims == rep.dims and self._reps_isomorphic(cand, rep):
-                return False
-        return True
-
-    def _is_split_summand(self, small, big):
-        fs = self._rep_hom_basis(small, big)
-        if not fs:
-            return False
-        gs = self._rep_hom_basis(big, small)
-        for f in fs:
-            for g in gs:
-                comp = [(_mm(g[v], f[v], self.p)) for v in range(self.spec.vertices)]
-                if all(m.shape[0] == m.shape[1] and la.rank(m, self.p) == m.shape[0] for m in comp):
-                    return True
-        return False
-
-    def _reps_isomorphic(self, a, b):
-        if a.dims != b.dims:
-            return False
-        basis = self._rep_hom_basis(a, b)
-        h = len(basis)
-        if h == 0:
-            return a.total_dim == 0
-        if h > MORPHISM_SPACE_LIMIT:
-            raise BackendError("Hom space too large for isomorphism search")
-        for coeffs in itertools.product(range(self.p), repeat=h):
-            if not any(coeffs):
-                continue
-            mats = _combine(basis, coeffs, self.p)
-            if all(m.shape[0] == m.shape[1] and la.rank(m, self.p) == m.shape[0] for m in mats):
-                return True
-        return False
-
-    def is_indecomposable(self, rep):
-        """Brute-force test: End(rep) contains no nontrivial idempotent."""
-        if rep.total_dim == 0:
-            return False
-        basis = self._rep_hom_basis(rep, rep)
-        h = len(basis)
-        if h > MORPHISM_SPACE_LIMIT:
-            raise BackendError("End algebra too large for idempotent search")
-        idy = [np.eye(d, dtype=np.int64) for d in rep.dims]
-        for coeffs in itertools.product(range(self.p), repeat=h):
-            if not any(coeffs):
-                continue
-            e = _combine(basis, coeffs, self.p)
-            if all(np.array_equal(m, i) for m, i in zip(e, idy)):
-                continue
-            if all(np.array_equal(_mm(m, m, self.p), m) for m in e):
-                return False
-        return True
 
     # ------------------------------------------------------------------
     # linear-algebra layer on representations
@@ -546,22 +455,17 @@ class QuiverBackend:
 
     def _ids_from_homs(self, homs, dims) -> Obj:
         """The multiset of ids of the rep M of dimension vector ``dims`` with
-        hom(indecs[i], M) = homs[i]: the table's Hom matrix is invertible
-        when the table holds every indecomposable."""
-        if self._hom_inv_int is not None:
-            mult = (self._hom_inv_int @ np.array(homs, dtype=np.int64)).tolist()
-        elif self._hom_inv is not None:
-            mult = _mat_vec(self._hom_inv, [Fraction(h) for h in homs])
-        else:
-            raise BackendError("cannot decompose: indecomposable table is incomplete (truncated backend)")
+        hom(indecs[i], M) = homs[i], through the inverse of the Hom matrix.
+        A negative multiplicity or a dimension vector other than ``dims``
+        means that the Hom vector or the table is wrong, and is refused."""
+        mult = (self._hom_inv @ np.array(homs, dtype=np.int64)).tolist()
         ids = []
         total = np.zeros(self.spec.vertices, dtype=np.int64)
         for i, m in enumerate(mult):
-            if m.denominator != 1 or m < 0:
+            if m < 0:
                 raise BackendError("object does not decompose over the table")
-            for _ in range(int(m)):
-                ids.append(i)
-                total += np.array(self.indecs[i].dims, dtype=np.int64)
+            ids.extend([i] * m)
+            total += m * np.array(self.indecs[i].dims, dtype=np.int64)
         if tuple(int(d) for d in total) != tuple(dims):
             raise BackendError("object does not decompose over the table")
         return tuple(sorted(ids))
@@ -864,26 +768,6 @@ def _combine(basis, coeffs, p):
     return mats
 
 
-def _rational_inverse(mat):
-    """Exact inverse of an integer matrix as Fractions, or None if singular."""
-    n = mat.shape[0]
-    if n == 0:
-        return []
-    a = [[Fraction(int(mat[i, j])) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
 def _hom_ext_of_dynkin(euler):
     """The Hom and Ext^1 matrices of a Dynkin table from its Euler matrix
     euler[i, j] = <dim X_i, dim X_j> = hom(X_i, X_j) - ext(X_i, X_j).
@@ -927,10 +811,6 @@ def _unitriangular_inverse(hom):
     for _ in range(n - 1):
         inverse = eye - nilpotent @ inverse
     return inverse
-
-
-def _mat_vec(mat, vec):
-    return [sum(m * v for m, v in zip(row, vec)) for row in mat]
 
 
 def build_backend(spec: QuiverSpec) -> QuiverBackend:

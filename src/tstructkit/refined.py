@@ -94,9 +94,7 @@ def psi(backend, r: RefinedTSeq) -> derived.SubcatSeq:
     That is the closure of t_f(k) and f(k-1) under quotients and extensions
     taken inside f(k), keeping only what lies in f(k): f(k) is wide, so the
     proof of ``generated_torsion`` applies.  The tests check it against that
-    bounded closure (``core._violations`` with f(k) as ambient).  A
-    truncated table is refused up front, as by the censuses."""
-    backend.refuse_truncated()
+    bounded closure (``core._violations`` with f(k) as ambient)."""
 
     def value(k):
         return core.generated_torsion(backend, r.tf_at(k) | r.f_at(k - 1), r.f_at(k))
@@ -152,7 +150,7 @@ def enumerate_refined(backend, lo, hi):
     """All refined t-sequences on the window (zero below, constant above),
     in deterministic order.  The wide subcategories and the tilting torsion
     classes of each gap come from ``core.wide_census`` and
-    ``core.tilting_census``, so a truncated table is refused up front."""
+    ``core.tilting_census``."""
     wides = core.wide_census(backend)
     results = []
 

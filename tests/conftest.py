@@ -42,11 +42,6 @@ def a3():
     return build_backend(QuiverSpec(3, ((0, 1), (1, 2)), 2))
 
 
-@pytest.fixture(scope="session")
-def kronecker():
-    return build_backend(QuiverSpec(2, ((0, 1), (0, 1)), 2, (1, 1)))
-
-
 def id_by_dims(backend, dims):
     """The table id of the unique indecomposable with the given dimension
     vector, for fixtures where that is unambiguous."""

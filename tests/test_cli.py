@@ -86,7 +86,8 @@ def test_truncated_quiver_refused_up_front(tmp_path):
 
 
 def test_truncated_spec_refused_before_the_table_is_built(tmp_path):
-    # building this Kronecker table takes minutes; the refusal reads the spec
+    # the refusal reads the spec alone: QuiverBackend refuses it before any
+    # representation is built
     path = tmp_path / "kronecker.json"
     path.write_text(json.dumps({"vertices": 2, "arrows": [[0, 1], [0, 1]], "dim_bound": [3, 3]}))
     proc = run_cli_process("enumerate", "--backend", f"quiver:{path}", "--window", "0:0", timeout=30)

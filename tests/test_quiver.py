@@ -1,21 +1,47 @@
 import itertools
 import json
+import re
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from tstructkit import core
 from tstructkit import fplinalg as la
-from tstructkit.quiver import (BackendError, QuiverBackend, QuiverSpec,
-                               _has_cycle, _rational_inverse, build_backend, rep_from_arrays)
-from conftest import id_by_dims
+from tstructkit.quiver import (MORPHISM_SPACE_LIMIT, BackendError, QuiverBackend, QuiverSpec,
+                               _combine, _has_cycle, _mm, build_backend)
 
 A3_LINEAR = ((0, 1), (1, 2))
 A4_LINEAR = ((0, 1), (1, 2), (2, 3))
 A5_LINEAR = ((0, 1), (1, 2), (2, 3), (3, 4))
 D4_INTO_CENTRE = ((0, 1), (2, 1), (3, 1))  # vertex 1 is the centre
 KRONECKER = ((0, 1), (0, 1))
+
+TABLE_SPECS = [
+    QuiverSpec(1, (), 2),
+    QuiverSpec(2, ((0, 1),), 2),
+    QuiverSpec(2, ((0, 1),), 3),
+    QuiverSpec(3, A3_LINEAR, 2),
+    QuiverSpec(3, ((0, 1), (2, 1)), 2),
+    QuiverSpec(3, A3_LINEAR, 3),
+    QuiverSpec(3, ((1, 0), (1, 2)), 3),
+    QuiverSpec(4, A4_LINEAR, 2, (1, 1, 1, 1)),
+    QuiverSpec(4, A4_LINEAR, 3, (1, 1, 1, 1)),
+    QuiverSpec(5, A5_LINEAR, 2, (1, 1, 1, 1, 1)),
+    QuiverSpec(4, D4_INTO_CENTRE, 2, (1, 2, 1, 1)),
+    QuiverSpec(4, D4_INTO_CENTRE, 2, (1, 1, 1, 2)),  # misses (1, 2, 1, 1)
+    QuiverSpec(2, KRONECKER, 2, (1, 1)),
+    QuiverSpec(2, KRONECKER, 2, (2, 1)),
+    QuiverSpec(2, KRONECKER, 2, (2, 2)),
+]
+
+UNTRUNCATED_SPECS = [spec for spec in TABLE_SPECS if not spec.truncated]
+TRUNCATED_SPECS = [spec for spec in TABLE_SPECS if spec.truncated]
+
+
+def spec_id(spec):
+    return f"{spec.arrows}-F{spec.field}-{spec.dim_bound}"
 
 
 def test_spec_validation():
@@ -61,9 +87,11 @@ def test_a2_indecomposable_table(a2):
     assert dims == [(0, 1), (1, 0), (1, 1)]
 
 
-def test_a3_and_kronecker_tables(a3, kronecker):
+def test_a3_and_kronecker_tables(a3):
     assert len(a3.indecs) == 6
-    # bounded Kronecker table: two simples plus the three (1,1) classes
+    # bounded Kronecker table, built by the oracle alone (the backend refuses
+    # it): two simples plus the three (1,1) classes
+    kronecker = FullScanBackend(QuiverSpec(2, KRONECKER, 2, (1, 1)))
     assert len(kronecker.indecs) == 5
     assert sorted(tuple(i.dims) for i in kronecker.indecs) == \
         [(0, 1), (1, 0), (1, 1), (1, 1), (1, 1)]
@@ -119,19 +147,32 @@ def test_decompose_rep_roundtrip(a2, a3):
                 assert backend.decompose_rep(backend.obj_rep(obj)) == obj
 
 
-def test_is_indecomposable_oracle_agrees_with_table(a2):
-    for i in a2.all_ids():
-        assert a2.is_indecomposable(a2.obj_rep((i,)))
-    split = a2.obj_rep(tuple(sorted((a2_s1(a2), a2_s2(a2)))))
-    assert not a2.is_indecomposable(split)
+def is_indecomposable(backend, rep):
+    """Reference oracle: End(rep) holds no idempotent besides 0 and 1,
+    searched over every F_p combination of its Hom basis."""
+    if rep.total_dim == 0:
+        return False
+    basis = backend._rep_hom_basis(rep, rep)
+    assert len(basis) <= MORPHISM_SPACE_LIMIT, "End algebra too large for idempotent search"
+    idy = [np.eye(d, dtype=np.int64) for d in rep.dims]
+    for coeffs in itertools.product(range(backend.p), repeat=len(basis)):
+        if not any(coeffs):
+            continue
+        e = _combine(basis, coeffs, backend.p)
+        if all(np.array_equal(m, i) for m, i in zip(e, idy)):
+            continue
+        if all(np.array_equal(_mm(m, m, backend.p), m) for m in e):
+            return False
+    return True
 
 
-def a2_s1(a2):
-    return id_by_dims(a2, (1, 0))
-
-
-def a2_s2(a2):
-    return id_by_dims(a2, (0, 1))
+def test_is_indecomposable_oracle_agrees_with_table():
+    for spec in UNTRUNCATED_SPECS:
+        backend = build_backend(spec)
+        for ind in backend.indecs:
+            assert is_indecomposable(backend, ind), (spec, ind.dims)
+        split = backend.obj_rep((0, len(backend.indecs) - 1))
+        assert not is_indecomposable(backend, split), spec
 
 
 def test_mono_epi_detection(a2, a2_ids):
@@ -151,21 +192,24 @@ def test_hom_basis_dimension_matches_hom_dim(a3):
             assert len(a3.hom_basis((i,), (j,))) == a3.hom_dim((i,), (j,))
 
 
-def test_decompose_rejects_reps_outside_bound(kronecker):
-    big = rep_from_arrays(kronecker.spec, (2, 2),
-                          [np.eye(2, dtype=np.int64),
-                           np.array([[0, 1], [0, 0]], dtype=np.int64)])
-    with pytest.raises(BackendError):
-        kronecker.decompose_rep(big)
-
-
-def test_middle_terms_refuse_extensions_outside_truncated_table(kronecker):
-    # Ext^1(S0, R) != 0 for each (1, 1) rep R; the nonsplit middle term has
-    # dimension vector (2, 1), outside the (1, 1) box
-    s0 = id_by_dims(kronecker, (1, 0))
-    r = next(i for i, ind in enumerate(kronecker.indecs) if ind.dims == (1, 1))
-    with pytest.raises(BackendError, match="does not decompose"):
-        kronecker.middle_terms((s0,), (r,))
+@pytest.mark.parametrize("spec", UNTRUNCATED_SPECS, ids=spec_id)
+def test_ids_from_homs_refuses_forged_hom_vectors(spec):
+    """The self-check of ``_ids_from_homs``: the Hom vector of X_x less that
+    of another X_y has multiplicity -1 at y (its dimension vector, dim X_x -
+    dim X_y, adds up), and the Hom vector of X_x with another dimension
+    vector does not add up."""
+    backend = build_backend(spec)
+    hom = backend.hom_matrix
+    for x in backend.all_ids():
+        dims = backend.indecs[x].dims
+        assert backend._ids_from_homs(hom[:, x].tolist(), dims) == (x,)
+        with pytest.raises(BackendError, match="does not decompose"):
+            backend._ids_from_homs(hom[:, x].tolist(), tuple(d + 1 for d in dims))
+        for y in backend.all_ids():
+            if y != x:
+                diff = tuple(a - b for a, b in zip(dims, backend.indecs[y].dims))
+                with pytest.raises(BackendError, match="does not decompose"):
+                    backend._ids_from_homs((hom[:, x] - hom[:, y]).tolist(), diff)
 
 
 def test_subsets_bitmask_order(a2):
@@ -176,73 +220,99 @@ def test_subsets_bitmask_order(a2):
     assert subsets[3] == frozenset({0, 1})
 
 
+def rational_inverse(mat):
+    """Exact inverse of an integer matrix as Fractions, or None if singular."""
+    n = mat.shape[0]
+    a = [[Fraction(int(mat[i, j])) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+         for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
 class FullScanBackend(QuiverBackend):
     """Reference oracle: the table built from every dimension vector of the
     box by the split-summand and isomorphism scan, with no pruning to
-    connected roots; its Hom matrix by linear algebra on each pair of
-    entries and its inverse in Fractions, whatever the table."""
+    connected roots and no refusal of a truncated spec; its Hom matrix by
+    linear algebra on each pair of entries and its inverse in Fractions,
+    whatever the table.  Only the table and these matrices are built."""
 
     def __init__(self, spec):
-        super().__init__(spec)
+        self._memo = {}
+        self.spec, self.p = spec, spec.field
+        self.indecs = []
+        box = itertools.product(*(range(b + 1) for b in spec.dim_bound))
+        for dv in sorted((d for d in box if any(d)), key=lambda d: (sum(d), d)):
+            for rep in self._all_reps(dv):
+                if self._is_new_indec(rep):
+                    self.indecs.append(rep)
         n = len(self.indecs)
         self.hom_matrix = np.array([[self._rep_hom_dim(a, b) for b in self.indecs] for a in self.indecs],
                                    dtype=np.int64).reshape(n, n)
         euler = np.array([[spec.euler_form(a.dims, b.dims) for b in self.indecs] for a in self.indecs],
                          dtype=np.int64).reshape(n, n)
         self.ext_matrix = self.hom_matrix - euler
-        self.hom_inverse = _rational_inverse(self.hom_matrix)
+        self.hom_inverse = rational_inverse(self.hom_matrix)
 
-    def _build_table(self):
-        box = itertools.product(*(range(b + 1) for b in self.spec.dim_bound))
-        for dv in sorted((d for d in box if any(d)), key=lambda d: (sum(d), d)):
-            for rep in self._all_reps(dv):
-                if self._is_new_indec(rep):
-                    self.indecs.append(rep)
+    def _is_new_indec(self, rep):
+        # graded order: every proper summand is already in the table, so rep
+        # is decomposable iff some accepted indec splits off
+        for cand in self.indecs:
+            if all(cd <= rd for cd, rd in zip(cand.dims, rep.dims)) and cand.total_dim < rep.total_dim:
+                if self._is_split_summand(cand, rep):
+                    return False
+        return not any(cand.dims == rep.dims and self._reps_isomorphic(cand, rep) for cand in self.indecs)
+
+    def _is_split_summand(self, small, big):
+        fs = self._rep_hom_basis(small, big)
+        gs = self._rep_hom_basis(big, small) if fs else []
+        for f in fs:
+            for g in gs:
+                comp = [_mm(g[v], f[v], self.p) for v in range(self.spec.vertices)]
+                if all(m.shape[0] == m.shape[1] and la.rank(m, self.p) == m.shape[0] for m in comp):
+                    return True
+        return False
+
+    def _reps_isomorphic(self, a, b):
+        basis = self._rep_hom_basis(a, b)
+        assert len(basis) <= MORPHISM_SPACE_LIMIT, "Hom space too large for isomorphism search"
+        for coeffs in itertools.product(range(self.p), repeat=len(basis)):
+            if not any(coeffs):
+                continue
+            mats = _combine(basis, coeffs, self.p)
+            if all(m.shape[0] == m.shape[1] and la.rank(m, self.p) == m.shape[0] for m in mats):
+                return True
+        return False
 
 
-TABLE_SPECS = [
-    QuiverSpec(1, (), 2),
-    QuiverSpec(2, ((0, 1),), 2),
-    QuiverSpec(2, ((0, 1),), 3),
-    QuiverSpec(3, A3_LINEAR, 2),
-    QuiverSpec(3, ((0, 1), (2, 1)), 2),
-    QuiverSpec(3, A3_LINEAR, 3),
-    QuiverSpec(3, ((1, 0), (1, 2)), 3),
-    QuiverSpec(4, A4_LINEAR, 2, (1, 1, 1, 1)),
-    QuiverSpec(4, A4_LINEAR, 3, (1, 1, 1, 1)),
-    QuiverSpec(5, A5_LINEAR, 2, (1, 1, 1, 1, 1)),
-    QuiverSpec(4, D4_INTO_CENTRE, 2, (1, 2, 1, 1)),
-    QuiverSpec(4, D4_INTO_CENTRE, 2, (1, 1, 1, 2)),  # misses (1, 2, 1, 1)
-    QuiverSpec(2, KRONECKER, 2, (1, 1)),
-    QuiverSpec(2, KRONECKER, 2, (2, 1)),
-    QuiverSpec(2, KRONECKER, 2, (2, 2)),
-]
-
-
-@pytest.mark.parametrize("spec", TABLE_SPECS, ids=lambda spec: f"{spec.arrows}-F{spec.field}-{spec.dim_bound}")
+@pytest.mark.parametrize("spec", UNTRUNCATED_SPECS, ids=spec_id)
 def test_root_pruned_table_equals_full_box_scan(spec):
     pruned, full = build_backend(spec), FullScanBackend(spec)
     assert pruned.indecs == full.indecs  # same order, same matrices
     assert np.array_equal(pruned.hom_matrix, full.hom_matrix)
     assert np.array_equal(pruned.ext_matrix, full.ext_matrix)
-    assert pruned.truncated == full.truncated
-    if not pruned.truncated:
-        assert pruned._hom_inv_int is not None
-    if pruned._hom_inv_int is not None:
-        assert pruned._hom_inv_int.tolist() == full.hom_inverse
+    assert (full.ext_matrix >= 0).all()
+    assert pruned._hom_inv.tolist() == full.hom_inverse
 
 
-@pytest.mark.parametrize("spec", TABLE_SPECS, ids=lambda spec: f"{spec.arrows}-F{spec.field}-{spec.dim_bound}")
-def test_only_truncated_tables_run_the_indecomposability_scan(spec, monkeypatch):
-    def scan(self, rep):
-        raise AssertionError("the split-summand and isomorphism scan ran")
+@pytest.mark.parametrize("spec", TRUNCATED_SPECS + [QuiverSpec(2, KRONECKER, 2, (3, 3))], ids=spec_id)
+def test_truncated_spec_refused_before_any_rep_work(spec, monkeypatch):
+    def rep_work(self, *args):
+        raise AssertionError("representation work ran before the refusal")
 
-    monkeypatch.setattr(QuiverBackend, "_is_new_indec", scan)
-    if spec.truncated:
-        with pytest.raises(AssertionError, match="scan ran"):
-            build_backend(spec)
-    else:
-        assert not build_backend(spec).truncated
+    monkeypatch.setattr(QuiverBackend, "_all_reps", rep_work)
+    monkeypatch.setattr(QuiverBackend, "_rep_hom_basis", rep_work)
+    with pytest.raises(BackendError, match=re.escape(f"dim_bound {list(spec.dim_bound)}")):
+        QuiverBackend(spec)
 
 
 @pytest.mark.parametrize("vertices, arrows, field, count", [
@@ -257,7 +327,7 @@ def test_gabriel_counts_of_positive_roots(vertices, arrows, field, count):
     dims = [ind.dims for ind in backend.indecs]
     assert len(dims) == count and len(set(dims)) == count
     assert all(backend.spec.euler_form(d, d) == 1 for d in dims)
-    assert not backend.truncated
+    assert not backend.spec.truncated
 
 
 @pytest.mark.parametrize("spec, truncated", [
@@ -268,7 +338,12 @@ def test_gabriel_counts_of_positive_roots(vertices, arrows, field, count):
     (QuiverSpec(2, KRONECKER, 2, (2, 2)), True),
 ])
 def test_truncated_iff_box_misses_an_indecomposable(spec, truncated):
-    assert build_backend(spec).truncated == truncated
+    assert spec.truncated == truncated
+    if truncated:
+        with pytest.raises(BackendError, match="dim_bound"):
+            build_backend(spec)
+    else:
+        build_backend(spec)
 
 
 def box_scan_truncated(spec):
@@ -355,9 +430,8 @@ def test_only_non_thin_roots_search_the_representations(monkeypatch):
         return all_reps(self, dv)
 
     monkeypatch.setattr(QuiverBackend, "_all_reps", guarded)
-    for spec in TABLE_SPECS:
-        if not spec.truncated:
-            build_backend(spec)
+    for spec in UNTRUNCATED_SPECS:
+        build_backend(spec)
     assert searched == [(QuiverSpec(4, D4_INTO_CENTRE, 2, (1, 2, 1, 1)), (1, 2, 1, 1))]
 
 
@@ -439,11 +513,12 @@ def test_middle_terms_equal_the_searched_ones(spec, bound):
     QuiverSpec(4, ((0, 1), (1, 2), (2, 3)), 2),
     QuiverSpec(4, D4_INTO_CENTRE, 2),
     QuiverSpec(2, KRONECKER, 2, (2, 2)),
-], ids=lambda spec: f"{spec.arrows}-F{spec.field}-{spec.dim_bound}")
+], ids=spec_id)
 def test_ringel_cokernel_has_the_euler_form_dimension(spec):
     """dim coker of Ringel's map = hom - <dim A, dim B> = ext_dim, on every
-    pair of indecomposables (the truncated Kronecker table included)."""
-    backend = build_backend(spec)
+    pair of indecomposables (the truncated Kronecker table included, built
+    by the oracle)."""
+    backend = FullScanBackend(spec) if spec.truncated else build_backend(spec)
     for i in backend.all_ids():
         for j in backend.all_ids():
             a, b = backend.indecs[i], backend.indecs[j]
@@ -451,7 +526,7 @@ def test_ringel_cokernel_has_the_euler_form_dimension(spec):
             ext = ringel.shape[0] - la.rank(ringel, backend.p)  # dim coker
             assert ext == backend.hom_dim((i,), (j,)) - backend.spec.euler_form(a.dims, b.dims)
             assert ext == backend.ext_dim((i,), (j,))
-            if backend.truncated:
+            if spec.truncated:
                 continue  # a middle term may lie outside the table
             mids = backend.middle_terms((i,), (j,))
             assert tuple(sorted((i, j))) in mids

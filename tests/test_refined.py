@@ -6,7 +6,7 @@ from tstructkit import core, derived
 from tstructkit.derived import (SubcatSeq, aisle_from_torsion,
                                 enumerate_narrow_sequences, full_subcat,
                                 theta_membership, window_objects)
-from tstructkit.quiver import BackendError, QuiverSpec, build_backend
+from tstructkit.quiver import QuiverSpec, build_backend
 from tstructkit.refined import (RefinedTSeq, TStructRecord, enumerate_refined,
                                 enumerate_tstructures, gap, psi,
                                 star_oracle_membership,
@@ -247,13 +247,3 @@ def test_glued_enumeration_beyond_the_scan(spec, lo, hi, count):
     assert time.perf_counter() - t0 < 5
     assert len({rec.sequence.key() for rec in recs}) == len(recs) == count
     assert wide_chain_count(b, lo, hi) == count
-
-
-def test_truncated_table_refused_up_front(kronecker):
-    with pytest.raises(BackendError, match=r"dim_bound \[1, 1\]"):
-        enumerate_refined(kronecker, 0, 0)
-    with pytest.raises(BackendError, match=r"dim_bound \[1, 1\]"):
-        core.tilting_census(kronecker, kronecker.all_ids())
-    zero = RefinedTSeq(0, 0, (frozenset(),), (frozenset(),))
-    with pytest.raises(BackendError, match=r"dim_bound \[1, 1\]"):
-        psi(kronecker, zero)
