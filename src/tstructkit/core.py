@@ -3,9 +3,10 @@
 Subcategories of a finite backend are additively-closed sets of
 indecomposable ids (frozensets).  Closures and the closure predicates are
 decided on direct sums of at most ``MULT_BOUND`` of the subcategory's
-indecomposables: morphisms and subobjects by exhaustive enumeration,
-extensions by the backend's ``middle_terms``, which builds one middle term
-per Ext^1 class.
+indecomposables: morphisms one per line through 0 (``c * f`` has the
+kernel, image and cokernel of ``f``, and is mono or epi with it), not
+exhaustively; subobjects by exhaustive enumeration; extensions by the
+backend's ``middle_terms``, which builds one middle term per Ext^1 class.
 
 The search depths (``MULT_BOUND``, ``COPY_BOUND``, ``MAX_SCAN_INDECS``)
 are module constants, not parameters.  Memo keys do not carry them, so a
@@ -390,23 +391,25 @@ def split_injective_test(backend, S, I) -> bool:
         for f in backend.morphisms((I,), m):
             if not backend.is_mono(f):
                 continue
-            if not any(_composes_to_identity(backend, f, g)
+            if not any(_retracts_up_to_scalar(backend, f, g)
                        for g in backend.morphisms(m, (I,))):
                 return False
     return True
 
 
-def _composes_to_identity(backend, f, g):
+def _retracts_up_to_scalar(backend, f, g):
+    """Whether g o f is c times the identity for one c != 0, so that g / c
+    is a retraction of f (``morphisms`` yields g only up to a scalar)."""
     import numpy as np
 
-    sd = backend.obj_dims(f.source)
-    for v in range(backend.spec.vertices):
-        fm = f.mat(v)
-        gm = g.mat(v)
-        comp = (gm @ fm) % backend.p if fm.size and gm.size else np.zeros((sd[v], sd[v]), dtype=np.int64)
-        if not np.array_equal(comp, np.eye(sd[v], dtype=np.int64)):
-            return False
-    return True
+    scalars = set()
+    for v, d in enumerate(backend.obj_dims(f.source)):
+        if d:
+            comp = (g.mat(v) @ f.mat(v)) % backend.p
+            scalars.add(int(comp[0, 0]))
+            if not np.array_equal(comp, comp[0, 0] * np.eye(d, dtype=np.int64)):
+                return False
+    return len(scalars) == 1 and 0 not in scalars
 
 
 def kernel_realizations(backend, S, target_id):

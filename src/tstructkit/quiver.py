@@ -276,8 +276,10 @@ class QuiverBackend:
     After construction the instance is read-only: the indecomposable table
     and the Hom/Ext matrices are fixed, and the one memo dictionary
     ``_memo`` (filled by the ``_memoized`` methods) only accretes values of
-    pure functions of their arguments.  Closure-layer results that depend
-    on injected faults live in ``core.memo`` instead.
+    pure functions of their arguments.  Hom bases are memoised between
+    indecomposables only (``_indec_homs``); those between objects are
+    assembled from them.  Closure-layer results that depend on injected
+    faults live in ``core.memo`` instead.
     """
 
     def __init__(self, spec: QuiverSpec):
@@ -474,18 +476,48 @@ class QuiverBackend:
     # morphisms between objects
 
     @_memoized
+    def _indec_homs(self, i, j):
+        """Basis of Hom(X_i, X_j) between two table entries; the only Hom
+        bases memoised, so at most n^2 entries for n indecomposables."""
+        return self._rep_hom_basis(self.indecs[i], self.indecs[j])
+
+    def _summand_starts(self, obj: Obj):
+        """Per summand of obj, its first row at each vertex in ``obj_rep``."""
+        dims = np.array([self.indecs[i].dims for i in obj], dtype=np.int64).reshape(-1, self.spec.vertices)
+        return (np.cumsum(dims, axis=0) - dims).tolist()
+
     def hom_basis(self, x: Obj, y: Obj):
-        return self._rep_hom_basis(self.obj_rep(x), self.obj_rep(y))
+        """Basis of Hom(x, y) as lists of per-vertex matrices, in the layout
+        of ``obj_rep``, which is block diagonal in summand order.
+
+        Hom is additive, Hom((+)_a X_a, (+)_b Y_b) = (+)_{a,b} Hom(X_a, Y_b),
+        so each ``_indec_homs`` basis element of Hom(X_a, Y_b) is placed in
+        the rows of Y_b and the columns of X_a.  Nothing is memoised here."""
+        xd, yd = self.obj_dims(x), self.obj_dims(y)
+        y_starts = self._summand_starts(y)
+        basis = []
+        for i, cols in zip(x, self._summand_starts(x)):
+            for j, rows in zip(y, y_starts):
+                if not self.hom_matrix[i, j]:
+                    continue
+                for g in self._indec_homs(i, j):
+                    mats = [np.zeros((yd[v], xd[v]), dtype=np.int64) for v in range(self.spec.vertices)]
+                    for m, block, r, c in zip(mats, g, rows, cols):
+                        m[r:r + block.shape[0], c:c + block.shape[1]] = block
+                    basis.append(mats)
+        return basis
 
     def morphisms(self, x: Obj, y: Obj):
-        """All nonzero morphisms x -> y (F_p combinations of the Hom basis)."""
+        """One nonzero morphism x -> y per line through 0 of Hom(x, y): the
+        F_p combinations of ``hom_basis`` whose first nonzero coefficient is
+        1.  For c in F_p^x, c * f has the kernel, image and cokernel of f,
+        and is mono or epi with it; so over F_p there are (p^h - 1)/(p - 1)
+        of them, not p^h - 1."""
         basis = self.hom_basis(x, y)
-        h = len(basis)
-        if h > MORPHISM_SPACE_LIMIT:
+        if len(basis) > MORPHISM_SPACE_LIMIT:
             raise BackendError("Hom space too large to enumerate")
-        for coeffs in itertools.product(range(self.p), repeat=h):
-            if any(coeffs):
-                yield Morphism(x, y, tuple(_combine(basis, coeffs, self.p)))
+        for coeffs in _lines(len(basis), self.p):
+            yield Morphism(x, y, tuple(_combine(basis, coeffs, self.p)))
 
     def morphism_parts(self, f: Morphism):
         """(kernel, image, cokernel) of f, each as an Obj up to isomorphism."""
@@ -494,8 +526,8 @@ class QuiverBackend:
 
     @_memoized
     def part_sets(self, x: Obj, y: Obj):
-        """Distinct (kernel, image, cokernel) triples over all nonzero
-        morphisms x -> y."""
+        """Distinct (kernel, image, cokernel) triples over the nonzero
+        morphisms x -> y, one per line (``morphisms``)."""
         return sorted({self.morphism_parts(f) for f in self.morphisms(x, y)})
 
     def morphism_part_reps(self, f: Morphism):
@@ -630,9 +662,9 @@ class QuiverBackend:
         complement of the image (``_ringel_map``) meets each class once, so
         its vectors give every middle term.  Conjugating by
         diag(c * 1_B, 1_A) sends M_eps to M_{c eps} for c != 0, so one eps
-        per line through 0 (first nonzero coordinate 1) suffices, besides
-        eps = 0, which gives B (+) A; when ``ext_dim(quot, sub)`` is 0 that
-        is the only one.
+        per line through 0 (``_lines``: first nonzero coordinate 1)
+        suffices, besides eps = 0, which gives B (+) A; when
+        ``ext_dim(quot, sub)`` is 0 that is the only one.
 
         M_eps is decomposed through its Hom vector.  A morphism I -> M_eps
         is a pair (g, f) with f in Hom(I, A) and g_v: I_v -> B_v such that
@@ -658,17 +690,16 @@ class QuiverBackend:
         e = basis.shape[1]
         if e > MORPHISM_SPACE_LIMIT:
             raise BackendError("Ext space too large to enumerate")
-        deltas = [(i, self._connecting_maps(self.indecs[i], a, b, basis)) for i in self.all_ids()
+        deltas = [(i, self._connecting_maps(i, quot, b, basis)) for i in self.all_ids()
                   if self.hom_dim((i,), quot) and self.ext_dim((i,), sub)]
         split_homs = [self.hom_dim((i,), split) for i in self.all_ids()]
         hom_vectors = set()
-        for k in range(e):
-            for tail in itertools.product(range(p), repeat=e - k - 1):
-                coeffs = np.array((0,) * k + (1,) + tail, dtype=np.int64)
-                homs = list(split_homs)
-                for i, maps in deltas:
-                    homs[i] -= la.rank(np.tensordot(coeffs, maps, 1) % p, p)
-                hom_vectors.add(tuple(homs))
+        for coeffs in _lines(e, p):
+            eps = np.array(coeffs, dtype=np.int64)
+            homs = list(split_homs)
+            for i, maps in deltas:
+                homs[i] -= la.rank(np.tensordot(eps, maps, 1) % p, p)
+            hom_vectors.add(tuple(homs))
         dims = self.obj_dims(split)
         return sorted({split} | {self._ids_from_homs(h, dims) for h in hom_vectors})
 
@@ -691,14 +722,16 @@ class QuiverBackend:
             blocks.append(np.hstack(row))
         return np.vstack(blocks) % self.p
 
-    def _connecting_maps(self, c, a, b, basis):
-        """Array of shape (len eps, ext(c, b), hom(c, a)): for each column
-        eps of ``basis`` (laid out as the rows of ``_ringel_map(a, b)``), the
-        matrix of f -> class of (eps_a f_s)_a, from Hom(c, a) on the
-        ``_rep_hom_basis`` basis to the complement coordinates of
-        Ext^1(c, b) (rows laid out as in ``_ringel_map(c, b)``)."""
+    def _connecting_maps(self, i, quot, b, basis):
+        """Array of shape (len eps, ext(c, b), hom(c, a)) for c = X_i and
+        a = ``obj_rep(quot)``: for each column eps of ``basis`` (laid out as
+        the rows of ``_ringel_map(a, b)``), the matrix of f -> class of
+        (eps_a f_s)_a, from Hom(c, a) on the ``hom_basis`` basis to the
+        complement coordinates of Ext^1(c, b) (rows laid out as in
+        ``_ringel_map(c, b)``)."""
         spec, p = self.spec, self.p
-        homs = self._rep_hom_basis(c, a)
+        c, a = self.indecs[i], self.obj_rep(quot)
+        homs = self.hom_basis((i,), quot)
         pulled = []
         for eps in basis.T:
             blocks, off = [], 0
@@ -758,6 +791,14 @@ def _mm(a, b, p):
     if a.size == 0 or b.size == 0:
         return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     return (a @ b) % p
+
+
+def _lines(n, p):
+    """One coefficient vector per line through 0 of F_p^n, the one whose
+    first nonzero entry is 1; (p^n - 1)/(p - 1) of them."""
+    for k in range(n):
+        for tail in itertools.product(range(p), repeat=n - k - 1):
+            yield (0,) * k + (1,) + tail
 
 
 def _combine(basis, coeffs, p):

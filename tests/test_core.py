@@ -1,3 +1,6 @@
+import itertools
+
+import numpy as np
 import pytest
 
 from tstructkit import core
@@ -5,7 +8,7 @@ from tstructkit.core import (classify_subcat, closure, enumerate_subcats,
                              ext_injectives, is_closed, is_tilting_in,
                              kernel_realizations, perp, split_injective_test,
                              tilting_census, torsion_decompose, wide_census)
-from tstructkit.quiver import BackendError, QuiverSpec, build_backend
+from tstructkit.quiver import BackendError, Morphism, QuiverSpec, _combine, build_backend
 
 
 def all_ids(backend):
@@ -114,6 +117,35 @@ def test_split_injective(a2, a2_ids):
     S1, S2, P1 = a2_ids["S1"], a2_ids["S2"], a2_ids["P1"]
     assert split_injective_test(a2, all_ids(a2), S1)
     assert not split_injective_test(a2, all_ids(a2), S2)  # S2 -> P1 does not split
+
+
+def every_morphism(backend, x, y):
+    basis = backend.hom_basis(x, y)
+    for coeffs in itertools.product(range(backend.p), repeat=len(basis)):
+        if any(coeffs):
+            yield Morphism(x, y, tuple(_combine(basis, coeffs, backend.p)))
+
+
+def splits_by_search(backend, S, I):
+    """Reference oracle for ``split_injective_test``: some morphism back,
+    among all of them (not one per line), composes to the identity."""
+    dims = backend.obj_dims((I,))
+    for m in core.candidates(S):
+        for f in every_morphism(backend, (I,), m):
+            if backend.is_mono(f) and not any(
+                    all(np.array_equal(g.mat(v) @ f.mat(v) % backend.p, np.eye(d, dtype=np.int64))
+                        for v, d in enumerate(dims))
+                    for g in every_morphism(backend, m, (I,))):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("spec", [QuiverSpec(2, ((0, 1),), 5), QuiverSpec(3, ((0, 1), (1, 2)), 3)])
+def test_split_injective_over_lines_equals_the_search(spec):
+    b = build_backend(spec)
+    for S in b.subsets():
+        for i in S:
+            assert split_injective_test(b, S, i) == splits_by_search(b, S, i), (S, i)
 
 
 def test_tilting(a2, a2_ids):

@@ -9,8 +9,8 @@ import pytest
 
 from tstructkit import core
 from tstructkit import fplinalg as la
-from tstructkit.quiver import (MORPHISM_SPACE_LIMIT, BackendError, QuiverBackend, QuiverSpec,
-                               _combine, _has_cycle, _mm, build_backend)
+from tstructkit.quiver import (MORPHISM_SPACE_LIMIT, BackendError, Morphism, QuiverBackend,
+                               QuiverSpec, _combine, _has_cycle, _mm, build_backend)
 
 A3_LINEAR = ((0, 1), (1, 2))
 A4_LINEAR = ((0, 1), (1, 2), (2, 3))
@@ -539,4 +539,68 @@ def test_middle_terms_store_nothing_but_their_results_and_operands():
     for quot in cands:
         for sub in cands:
             backend.middle_terms(quot, sub)
-    assert {key[0] for key in backend._memo} == {"middle_terms", "obj_rep"}
+    names = [key[0] for key in backend._memo]
+    assert set(names) == {"middle_terms", "obj_rep", "_indec_homs"}
+    assert names.count("_indec_homs") <= len(backend.indecs) ** 2
+
+
+@pytest.mark.parametrize("spec", [
+    QuiverSpec(2, ((0, 1),), 3),
+    QuiverSpec(3, ((0, 1), (2, 1)), 3),
+    QuiverSpec(4, D4_INTO_CENTRE, 2),
+], ids=spec_id)
+def test_block_hom_basis_spans_the_direct_one(spec):
+    """``hom_basis`` (assembled from the blocks between indecomposables) is
+    a basis of the Hom space that ``_rep_hom_basis`` solves for directly on
+    the object reps: hom_dim elements, each commuting with every arrow,
+    spanning the direct basis."""
+    backend = build_backend(spec)
+    p, cands = backend.p, core.candidates(backend.all_ids())
+    for x in cands:
+        a = backend.obj_rep(x)
+        for y in cands:
+            b = backend.obj_rep(y)
+            basis = backend.hom_basis(x, y)
+            assert len(basis) == backend.hom_dim(x, y), (x, y)
+            for f in basis:
+                for i, (s, t) in enumerate(spec.arrows):
+                    assert np.array_equal(_mm(b.arrow_matrix(i, spec), f[s], p),
+                                          _mm(f[t], a.arrow_matrix(i, spec), p)), (x, y)
+            if basis:
+                flat = np.stack([np.concatenate([m.reshape(-1) for m in f]) for f in basis])
+                direct = np.stack([np.concatenate([m.reshape(-1) for m in f])
+                                   for f in backend._rep_hom_basis(a, b)])
+                assert la.rank(flat, p) == la.rank(np.vstack([flat, direct]), p) == len(basis), (x, y)
+
+
+def all_morphism_part_sets(backend, x, y):
+    """Reference oracle: the (kernel, image, cokernel) triples over every
+    nonzero F_p combination of the Hom basis solved directly on the object
+    reps, with no block assembly and no line reduction."""
+    p = backend.p
+    basis = backend._rep_hom_basis(backend.obj_rep(x), backend.obj_rep(y))
+    return sorted({backend.morphism_parts(Morphism(x, y, tuple(_combine(basis, coeffs, p))))
+                   for coeffs in itertools.product(range(p), repeat=len(basis)) if any(coeffs)})
+
+
+@pytest.mark.parametrize("spec", [
+    QuiverSpec(2, ((0, 1),), 2),
+    QuiverSpec(2, ((0, 1),), 3),
+    QuiverSpec(3, A3_LINEAR, 2),
+    QuiverSpec(3, A3_LINEAR, 3),
+], ids=spec_id)
+def test_part_sets_over_lines_equal_all_morphisms(spec):
+    backend = build_backend(spec)
+    cands = core.candidates(backend.all_ids())
+    for x in cands:
+        for y in cands:
+            assert backend.part_sets(x, y) == all_morphism_part_sets(backend, x, y), (x, y)
+
+
+def test_census_memoises_hom_bases_between_indecomposables_only():
+    backend = build_backend(QuiverSpec(3, A3_LINEAR, 3))
+    for S in backend.subsets():
+        core.classify_subcat(backend, S)
+    names = [key[0] for key in backend._memo]
+    assert "hom_basis" not in names
+    assert 0 < names.count("_indec_homs") <= len(backend.indecs) ** 2
