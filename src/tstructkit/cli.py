@@ -147,14 +147,14 @@ def _quiver_checks(backend, lo, hi):
     yield ("constant-non-wide-sequences-rejected", not bad,
            sorted(map(sorted, bad)) or None)
     ids = backend.all_ids()
-    hom_ok = all(derived.derived_hom_dim(backend, {0: (i,)}, {0: (j,)}) == backend.hom_matrix[i, j]
-                 and derived.derived_hom_dim(backend, {0: (i,)}, {1: (j,)}) == backend.ext_matrix[i, j]
+    hom_ok = all(derived.derived_hom_dim(backend, {0: (i,)}, {0: (j,)}) == backend.hom_matrix[i][j]
+                 and derived.derived_hom_dim(backend, {0: (i,)}, {1: (j,)}) == backend.ext_matrix[i][j]
                  for i in ids for j in ids)
     yield ("derived-hom-counts-hom-and-ext", hom_ok, None)
     perp_ok = True
     for s in narrows:
         direct = frozenset(i for i in ids
-                           if all(backend.hom_matrix[i, t] == 0 and backend.ext_matrix[i, t] == 0
+                           if all(backend.hom_matrix[i][t] == 0 and backend.ext_matrix[i][t] == 0
                                   for t in s))
         if core.perp(backend, s, "left", "all") != direct:
             perp_ok = False

@@ -34,7 +34,8 @@ import itertools
 from dataclasses import dataclass
 
 from . import faults
-from .quiver import BackendError, Obj
+from . import fplinalg as la
+from .quiver import BackendError, Obj, _mm
 
 Subcat = frozenset
 
@@ -180,11 +181,11 @@ def perp(backend, S, side, degrees="all", universe=None) -> Subcat:
         good = True
         for s in S:
             if side == "left":
-                h = backend.hom_matrix[i, s]
-                e = backend.ext_matrix[i, s]
+                h = backend.hom_matrix[i][s]
+                e = backend.ext_matrix[i][s]
             else:
-                h = backend.hom_matrix[s, i]
-                e = backend.ext_matrix[s, i]
+                h = backend.hom_matrix[s][i]
+                e = backend.ext_matrix[s][i]
             if h or (degrees == "all" and e):
                 good = False
                 break
@@ -256,7 +257,7 @@ def wide_census(backend) -> list:
     if "wide-census" not in cache:
         hom = backend.hom_matrix
         found = []
-        _grow_cliques(backend.all_ids(), lambda i, j: hom[i, j] == 0 and hom[j, i] == 0,
+        _grow_cliques(backend.all_ids(), lambda i, j: hom[i][j] == 0 and hom[j][i] == 0,
                       lambda S: found.append(perp(backend, perp(backend, S, "right", "all"),
                                                   "left", "all")))
         cache["wide-census"] = _by_members(set(found))
@@ -288,15 +289,15 @@ def tilting_census(backend, W) -> list:
     key = ("tilting-census", W)
     if key not in cache:
         ext = backend.ext_matrix
-        rank = sum(1 for p in W if not any(ext[p, x] for x in W))
+        rank = sum(1 for p in W if not any(ext[p][x] for x in W))
         found = []
 
         def visit(R):
             if len(R) == rank:
                 found.append(generated_torsion(backend, R, W))
 
-        _grow_cliques(sorted(i for i in W if ext[i, i] == 0),
-                      lambda i, j: ext[i, j] == 0 and ext[j, i] == 0, visit)
+        _grow_cliques(sorted(i for i in W if ext[i][i] == 0),
+                      lambda i, j: ext[i][j] == 0 and ext[j][i] == 0, visit)
         cache[key] = _by_members(set(found))
     return cache[key]
 
@@ -312,23 +313,13 @@ def torsion_decompose(backend, obj: Obj, T) -> tuple:
         raise BackendError("subcategory is not a torsion class")
     if not obj:
         return (), ()
-    import numpy as np
-    from . import fplinalg as la
-
     rep = backend.obj_rep(obj)
     cols = [[] for _ in range(backend.spec.vertices)]
     for t in sorted(T):
         for f in backend.hom_basis((t,), obj):
-            for v in range(backend.spec.vertices):
-                for j in range(f[v].shape[1]):
-                    cols[v].append(f[v][:, j])
-    bases = []
-    for v in range(backend.spec.vertices):
-        if cols[v]:
-            mat = np.column_stack(cols[v])
-            bases.append(la.column_space(mat, backend.p))
-        else:
-            bases.append(np.zeros((rep.dims[v], 0), dtype=np.int64))
+            for v, m in enumerate(f):
+                cols[v].extend(zip(*m))
+    bases = [la.rref(c, backend.p)[0] for c in cols]  # a basis of each span
     torsion = backend.decompose_rep(backend._sub_rep(rep, bases))
     free = backend.decompose_rep(backend._quot_rep(rep, bases))
     return torsion, free
@@ -339,7 +330,7 @@ def ext_injectives(backend, C) -> Subcat:
     C = frozenset(C)
     if not classify_subcat(backend, C).is_narrow:
         raise BackendError("ext_injectives requires a narrow subcategory")
-    return frozenset(i for i in C if all(backend.ext_matrix[x, i] == 0 for x in C))
+    return frozenset(i for i in C if all(backend.ext_matrix[x][i] == 0 for x in C))
 
 
 def is_tilting_in(backend, N, W) -> bool:
@@ -364,7 +355,7 @@ def _tilting_search(backend, N, W) -> bool:
             continue
         wd = backend.indecs[w].dims
         found = False
-        usable = [n for n in sorted(N) if backend.hom_matrix[w, n] > 0]
+        usable = [n for n in sorted(N) if backend.hom_matrix[w][n] > 0]
         for r in range(1, COPY_BOUND + 1):
             for combo in itertools.combinations_with_replacement(usable, r):
                 tgt = tuple(combo)
@@ -400,14 +391,13 @@ def split_injective_test(backend, S, I) -> bool:
 def _retracts_up_to_scalar(backend, f, g):
     """Whether g o f is c times the identity for one c != 0, so that g / c
     is a retraction of f (``morphisms`` yields g only up to a scalar)."""
-    import numpy as np
-
     scalars = set()
     for v, d in enumerate(backend.obj_dims(f.source)):
         if d:
-            comp = (g.mat(v) @ f.mat(v)) % backend.p
-            scalars.add(int(comp[0, 0]))
-            if not np.array_equal(comp, comp[0, 0] * np.eye(d, dtype=np.int64)):
+            comp = _mm(g.mat(v), f.mat(v), d, backend.p)
+            c = comp[0][0]
+            scalars.add(c)
+            if comp != tuple(tuple(c * (r == k) for k in range(d)) for r in range(d)):
                 return False
     return len(scalars) == 1 and 0 not in scalars
 

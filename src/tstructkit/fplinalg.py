@@ -1,121 +1,107 @@
-"""Exact linear algebra over a prime field F_p.
+"""Exact linear algebra over a prime field F_p, on Python ints.
 
-Matrices are numpy integer arrays with entries reduced mod p.  Everything
-here is small and exact; no floating point is ever involved.
+A matrix is a sequence of rows, each a sequence of ints; a vector is a
+tuple of ints; a subspace is a list of vectors spanning it.  Results have
+entries reduced mod p, and matrices come back as tuples of row tuples.  A
+matrix with no rows carries no column count, so functions whose answer
+depends on the number of columns take it as an argument.  The matrices of
+this package are at most about a dozen rows and columns, where plain int
+arithmetic costs less than an array library's per-call overhead; nothing
+here is floating point.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 
 def modinv(a: int, p: int) -> int:
     return pow(int(a) % p, p - 2, p)
 
 
-def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p.  Returns (rref matrix, pivot columns)."""
-    m = np.array(mat, dtype=np.int64) % p
-    rows, cols = m.shape
+def rref(mat, p: int) -> tuple[list[tuple], list[int]]:
+    """(rows, pivots): the nonzero rows of the reduced row echelon form of
+    mat mod p, top to bottom, and the pivot column of each."""
+    m = [[x % p for x in row] for row in mat]
+    nrows = len(m)
     pivots: list[int] = []
     r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        pr = None
-        for i in range(r, rows):
-            if m[i, c] % p != 0:
-                pr = i
-                break
+    for c in range(len(m[0]) if m else 0):
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
         if pr is None:
             continue
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        m[r] = (m[r] * modinv(m[r, c], p)) % p
-        for i in range(rows):
-            if i != r and m[i, c] % p != 0:
-                m[i] = (m[i] - m[i, c] * m[r]) % p
+        m[r], m[pr] = m[pr], m[r]
+        row = m[r]
+        if row[c] != 1:
+            inv = pow(row[c], p - 2, p)
+            row = m[r] = [x * inv % p for x in row]
+        for i in range(nrows):
+            f = m[i][c]
+            if f and i != r:
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], row)]
         pivots.append(c)
         r += 1
-    return m % p, pivots
+        if r == nrows:
+            break
+    return [tuple(row) for row in m[:r]], pivots
 
 
-def rank(mat: np.ndarray, p: int) -> int:
-    if mat.size == 0:
-        return 0
-    _, piv = rref(mat, p)
-    return len(piv)
+def rank(mat, p: int) -> int:
+    return len(rref(mat, p)[1])
 
 
-def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
-    """Basis of the right nullspace, as columns of the returned matrix."""
-    mat = np.asarray(mat, dtype=np.int64)
-    rows, cols = mat.shape
-    if cols == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    if rows == 0:
-        return np.eye(cols, dtype=np.int64)
+def nullspace(mat, ncols: int, p: int) -> list[tuple]:
+    """A basis of the right nullspace of mat, an (any) x ncols matrix."""
     red, piv = rref(mat, p)
-    free = [c for c in range(cols) if c not in piv]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for j, fc in enumerate(free):
-        basis[fc, j] = 1
-        for i, pc in enumerate(piv):
-            basis[pc, j] = (-red[i, fc]) % p
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(piv)):
+        vec = [0] * ncols
+        vec[fc] = 1
+        for row, pc in zip(red, piv):
+            vec[pc] = -row[fc] % p
+        basis.append(tuple(vec))
     return basis
 
 
-def column_space(mat: np.ndarray, p: int) -> np.ndarray:
-    """A basis of the column space, as columns."""
-    mat = np.asarray(mat, dtype=np.int64)
-    if mat.size == 0:
-        return np.zeros((mat.shape[0], 0), dtype=np.int64)
+def column_space(mat, p: int) -> list[tuple]:
+    """A basis of the column space of mat: its pivot columns."""
     _, piv = rref(mat, p)
-    return mat[:, piv] % p
+    return [tuple(row[c] % p for row in mat) for c in piv]
 
 
-def solve(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
-    """One solution x of mat @ x = rhs mod p, or None if inconsistent."""
-    mat = np.asarray(mat, dtype=np.int64)
-    rhs = np.asarray(rhs, dtype=np.int64).reshape(-1)
-    rows, cols = mat.shape
-    aug = np.concatenate([mat, rhs.reshape(-1, 1)], axis=1)
-    red, piv = rref(aug, p)
-    if cols in piv:
+def solve(mat, rhs, ncols: int, p: int) -> tuple | None:
+    """One solution x of mat @ x = rhs mod p, for an (any) x ncols matrix,
+    or None if the system is inconsistent."""
+    red, piv = rref([tuple(row) + (b,) for row, b in zip(mat, rhs)], p)
+    if ncols in piv:
         return None
-    x = np.zeros(cols, dtype=np.int64)
-    for i, pc in enumerate(piv):
-        x[pc] = red[i, cols]
-    return x % p
+    x = [0] * ncols
+    for row, pc in zip(red, piv):
+        x[pc] = row[ncols]
+    return tuple(x)
 
 
-def complement_basis(sub: np.ndarray, dim: int, p: int) -> np.ndarray:
-    """Columns spanning a complement of the column space of `sub` in F_p^dim.
+def complement_basis(sub, dim: int, p: int) -> list[tuple]:
+    """Unit vectors of F_p^dim spanning a complement of the span of the
+    vectors ``sub``.
 
-    The standard basis vectors at the non-pivot coordinates of the row
-    space of sub^T complement that space, whether or not the columns of sub
-    are independent; with independent columns they extend them to a basis."""
-    if sub.size == 0:
-        return np.eye(dim, dtype=np.int64)
-    _, piv = rref(sub.T, p)
-    free = [j for j in range(dim) if j not in piv]
-    out = np.zeros((dim, len(free)), dtype=np.int64)
-    for c, j in enumerate(free):
-        out[j, c] = 1
-    return out
+    The unit vectors at the non-pivot coordinates of the reduced row echelon
+    form of ``sub`` (as rows) complement its span, whether or not the vectors
+    are independent; with independent vectors they extend them to a basis."""
+    _, piv = rref(sub, p)
+    return [tuple(int(i == j) for i in range(dim)) for j in sorted(set(range(dim)) - set(piv))]
 
 
-def coords_in_basis(basis: np.ndarray, vecs: np.ndarray, p: int) -> np.ndarray:
-    """Coordinates of each column of vecs in the given (independent) basis."""
-    cols = basis.shape[1]
-    nvec = vecs.shape[1]
-    if nvec == 0:
-        return np.zeros((cols, 0), dtype=np.int64)
-    aug = np.concatenate([basis, vecs], axis=1)
+def coords_in_basis(basis, vecs, p: int) -> tuple[tuple, ...]:
+    """The len(basis) x len(vecs) matrix whose column k holds the
+    coordinates of vecs[k] in the independent vectors ``basis``; a vector
+    outside their span raises ValueError."""
+    nb = len(basis)
+    if not vecs:
+        return ((),) * nb
+    aug = [tuple(b[i] for b in basis) + tuple(v[i] for v in vecs) for i in range(len(vecs[0]))]
     red, piv = rref(aug, p)
-    out = np.zeros((cols, nvec), dtype=np.int64)
-    for i, pc in enumerate(piv):
-        if pc >= cols:
+    out = [(0,) * len(vecs)] * nb
+    for row, pc in zip(red, piv):
+        if pc >= nb:
             raise ValueError("vector not in span of basis")
-        out[pc, :] = red[i, cols:]
-    return out
+        out[pc] = row[nb:]
+    return tuple(out)

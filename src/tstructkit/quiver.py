@@ -12,9 +12,8 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import fplinalg as la
 
@@ -92,10 +91,7 @@ class QuiverSpec:
     def euler_form(self, d, e):
         """<d, e> = sum_v d_v e_v - sum_{s->t} d_s e_t, which is
         hom(M, N) - ext(M, N) for representations of dimension vectors d, e."""
-        total = sum(dv * ev for dv, ev in zip(d, e))
-        for (s, t) in self.arrows:
-            total -= d[s] * e[t]
-        return total
+        return sum(map(operator.mul, d, e)) - sum(d[s] * e[t] for s, t in self.arrows)
 
     def _may_be_indecomposable(self, dv):
         """Connected support and Tits form at most 1 (see
@@ -215,12 +211,7 @@ class Rep:
     """
 
     dims: tuple
-    mats: tuple  # tuple of bytes-hashable immutable matrices stored as nested tuples
-
-    def arrow_matrix(self, i, spec):
-        s, t = spec.arrows[i]
-        m = np.array(self.mats[i], dtype=np.int64) if self.mats[i] else np.zeros((0, 0), dtype=np.int64)
-        return m.reshape(self.dims[t], self.dims[s])
+    mats: tuple  # per arrow (s, t): dims[t] row tuples of dims[s] ints in 0..p-1
 
     @property
     def total_dim(self):
@@ -228,12 +219,10 @@ class Rep:
 
 
 def rep_from_arrays(spec, dims, arrays):
-    dims = tuple(int(d) for d in dims)
-    mats = []
-    for i, (s, t) in enumerate(spec.arrows):
-        a = np.asarray(arrays[i], dtype=np.int64).reshape(dims[t], dims[s]) % spec.field
-        mats.append(tuple(tuple(int(x) for x in row) for row in a))
-    return Rep(dims, tuple(mats))
+    """The Rep with the given arrow matrices (rows of ints, laid out as in
+    ``Rep.mats``), entries reduced mod p."""
+    p = spec.field
+    return Rep(tuple(dims), tuple(tuple(tuple(x % p for x in row) for row in a) for a in arrays))
 
 
 @dataclass(frozen=True)
@@ -242,7 +231,7 @@ class Morphism:
 
     source: Obj
     target: Obj
-    mats: tuple  # per-vertex numpy matrices (shape tgt_dim x src_dim)
+    mats: tuple  # per vertex v: target dims[v] row tuples of source dims[v] ints
 
     def mat(self, v):
         return self.mats[v]
@@ -289,13 +278,12 @@ class QuiverBackend:
         self.p = spec.field
         self.indecs: list[Rep] = []
         self._build_table()
-        dims = np.array([ind.dims for ind in self.indecs], dtype=np.int64).reshape(-1, spec.vertices)
-        euler_matrix = np.eye(spec.vertices, dtype=np.int64)
-        for s, t in spec.arrows:
-            euler_matrix[s, t] -= 1
-        euler = dims @ euler_matrix @ dims.T  # euler[i, j] = <dim X_i, dim X_j>
+        euler = [[spec.euler_form(a.dims, b.dims) for b in self.indecs] for a in self.indecs]
         self.hom_matrix, self.ext_matrix = _hom_ext_of_dynkin(euler)
-        self._hom_inv = _unitriangular_inverse(self.hom_matrix)
+        # back substitution steps of _ids_from_homs: each id, latest in the
+        # path order first, with the later ids it has maps to
+        self._hom_steps = [(i, [(j, h) for j, h in enumerate(self.hom_matrix[i]) if h and j != i])
+                           for i in reversed(_path_order(self.hom_matrix))]
 
     # ------------------------------------------------------------------
     # table construction
@@ -368,85 +356,72 @@ class QuiverBackend:
                 for _ in range(r * c):
                     flat.append(x % self.p)
                     x //= self.p
-                arrays.append(np.array(flat, dtype=np.int64).reshape(r, c))
+                arrays.append([flat[k * c:(k + 1) * c] for k in range(r)])
             yield rep_from_arrays(spec, dv, arrays)
 
     # ------------------------------------------------------------------
     # linear-algebra layer on representations
 
-    def _rep_hom_basis(self, a, b):
-        """Basis of Hom(a, b) as lists of per-vertex matrices."""
-        spec = self.spec
-        nvar = sum(b.dims[v] * a.dims[v] for v in range(spec.vertices))
-        if nvar == 0:
-            return []
-        offsets = []
-        off = 0
-        for v in range(spec.vertices):
-            offsets.append(off)
-            off += b.dims[v] * a.dims[v]
+    def _ringel_map(self, a, b):
+        """The matrix of Ringel's map (+)_v Hom(a_v, b_v) -> (+)_{a: s->t}
+        Hom(a_s, b_t), phi -> (b_a phi_s - phi_t a_a)_a, whose kernel is
+        Hom(a, b) and whose cokernel is Ext^1(a, b), as a list of rows.
+
+        Columns run over the per-vertex blocks phi_v (b_v x a_v, row-major)
+        from ``_vertex_starts(a, b)``; rows run over the arrows, the
+        (b_t x a_s) block of each in row-major order.  Entry (r, c) of
+        b_a phi_s - phi_t a_a is sum_q b_a[r][q] phi_s[q][c] -
+        sum_q phi_t[r][q] a_a[q][c]."""
+        p = self.p
+        starts = _vertex_starts(a, b)
         rows = []
-        for i, (s, t) in enumerate(spec.arrows):
-            am = a.arrow_matrix(i, spec)
-            bm = b.arrow_matrix(i, spec)
-            # condition: bm @ X_s - X_t @ am = 0, entries (r, c): r < b.dims[t], c < a.dims[s]
+        for i, (s, t) in enumerate(self.spec.arrows):
+            am, bm = a.mats[i], b.mats[i]
             for r in range(b.dims[t]):
                 for c in range(a.dims[s]):
-                    row = np.zeros(nvar, dtype=np.int64)
+                    row = [0] * starts[-1]
                     for q in range(b.dims[s]):
-                        row[offsets[s] + q * a.dims[s] + c] += bm[r, q]
+                        row[starts[s] + q * a.dims[s] + c] = bm[r][q]
                     for q in range(a.dims[t]):
-                        row[offsets[t] + r * a.dims[t] + q] -= am[q, c]
-                    rows.append(row % self.p)
-        if rows:
-            mat = np.vstack(rows)
-            null = la.nullspace(mat, self.p)
-        else:
-            null = np.eye(nvar, dtype=np.int64)
-        basis = []
-        for j in range(null.shape[1]):
-            vec = null[:, j]
-            mats = []
-            for v in range(spec.vertices):
-                block = vec[offsets[v]:offsets[v] + b.dims[v] * a.dims[v]]
-                mats.append(block.reshape(b.dims[v], a.dims[v]) % self.p)
-            basis.append(mats)
-        return basis
+                        row[starts[t] + r * a.dims[t] + q] = -am[q][c] % p
+                    rows.append(row)
+        return rows
+
+    def _rep_hom_basis(self, a, b):
+        """Basis of Hom(a, b) as tuples of per-vertex matrices: the
+        nullspace of ``_ringel_map(a, b)``, cut into its vertex blocks."""
+        starts = _vertex_starts(a, b)
+        return [tuple(tuple(vec[o + r * ad:o + (r + 1) * ad] for r in range(bd))
+                      for o, ad, bd in zip(starts, a.dims, b.dims))
+                for vec in la.nullspace(self._ringel_map(a, b), starts[-1], self.p)]
 
     def _rep_hom_dim(self, a, b):
-        return len(self._rep_hom_basis(a, b))
+        return _vertex_starts(a, b)[-1] - la.rank(self._ringel_map(a, b), self.p)
 
     # ------------------------------------------------------------------
     # objects (multisets of indecomposable ids)
 
     def obj_dims(self, obj: Obj):
-        dims = np.zeros(self.spec.vertices, dtype=np.int64)
+        dims = (0,) * self.spec.vertices
         for i in obj:
-            dims += np.array(self.indecs[i].dims, dtype=np.int64)
-        return tuple(int(d) for d in dims)
+            dims = tuple(d + e for d, e in zip(dims, self.indecs[i].dims))
+        return dims
 
     @_memoized
     def obj_rep(self, obj: Obj) -> Rep:
-        spec = self.spec
-        parts = [self.indecs[i] for i in obj]
-        dims = self.obj_dims(obj)
-        arrays = []
-        for ai, (s, t) in enumerate(spec.arrows):
-            blocks = [p.arrow_matrix(ai, spec) for p in parts]
-            m = np.zeros((dims[t], dims[s]), dtype=np.int64)
-            ro = co = 0
-            for p_, b in zip(parts, blocks):
-                m[ro:ro + p_.dims[t], co:co + p_.dims[s]] = b
-                ro += p_.dims[t]
-                co += p_.dims[s]
-            arrays.append(m)
-        return rep_from_arrays(spec, dims, arrays)
+        """The direct sum of the entries of obj, block diagonal in summand
+        order: each arrow matrix stacks the strips of its summands."""
+        dims, starts = self.obj_dims(obj), self._summand_starts(obj)
+        arrays = [sum((_embed(self.indecs[k].mats[ai], 0, at[s], self.indecs[k].dims[t], dims[s])
+                       for k, at in zip(obj, starts)), ())
+                  for ai, (s, t) in enumerate(self.spec.arrows)]
+        return rep_from_arrays(self.spec, dims, arrays)
 
     def hom_dim(self, x: Obj, y: Obj) -> int:
-        return int(sum(self.hom_matrix[i, j] for i in x for j in y))
+        return sum(self.hom_matrix[i][j] for i in x for j in y)
 
     def ext_dim(self, x: Obj, y: Obj) -> int:
-        return int(sum(self.ext_matrix[i, j] for i in x for j in y))
+        return sum(self.ext_matrix[i][j] for i in x for j in y)
 
     @_memoized
     def decompose_rep(self, rep) -> Obj:
@@ -457,20 +432,22 @@ class QuiverBackend:
 
     def _ids_from_homs(self, homs, dims) -> Obj:
         """The multiset of ids of the rep M of dimension vector ``dims`` with
-        hom(indecs[i], M) = homs[i], through the inverse of the Hom matrix.
-        A negative multiplicity or a dimension vector other than ``dims``
-        means that the Hom vector or the table is wrong, and is refused."""
-        mult = (self._hom_inv @ np.array(homs, dtype=np.int64)).tolist()
-        ids = []
-        total = np.zeros(self.spec.vertices, dtype=np.int64)
-        for i, m in enumerate(mult):
+        hom(indecs[i], M) = homs[i].  With multiplicities m_j,
+        homs[i] = sum_j hom_matrix[i][j] m_j, and the Hom matrix is
+        unitriangular in ``_path_order``, so the m_j follow by back
+        substitution, the latest id first.  A negative multiplicity or a
+        dimension vector other than ``dims`` means that the Hom vector or
+        the table is wrong, and is refused."""
+        mult = [0] * len(self.indecs)
+        total = (0,) * self.spec.vertices
+        for i, later in self._hom_steps:
+            m = mult[i] = homs[i] - sum(h * mult[j] for j, h in later)
             if m < 0:
                 raise BackendError("object does not decompose over the table")
-            ids.extend([i] * m)
-            total += m * np.array(self.indecs[i].dims, dtype=np.int64)
-        if tuple(int(d) for d in total) != tuple(dims):
+            total = tuple(t + m * d for t, d in zip(total, self.indecs[i].dims))
+        if total != tuple(dims):
             raise BackendError("object does not decompose over the table")
-        return tuple(sorted(ids))
+        return tuple(i for i, m in enumerate(mult) for _ in range(m))
 
     # ------------------------------------------------------------------
     # morphisms between objects
@@ -483,11 +460,14 @@ class QuiverBackend:
 
     def _summand_starts(self, obj: Obj):
         """Per summand of obj, its first row at each vertex in ``obj_rep``."""
-        dims = np.array([self.indecs[i].dims for i in obj], dtype=np.int64).reshape(-1, self.spec.vertices)
-        return (np.cumsum(dims, axis=0) - dims).tolist()
+        starts, at = [], (0,) * self.spec.vertices
+        for i in obj:
+            starts.append(at)
+            at = tuple(a + d for a, d in zip(at, self.indecs[i].dims))
+        return starts
 
     def hom_basis(self, x: Obj, y: Obj):
-        """Basis of Hom(x, y) as lists of per-vertex matrices, in the layout
+        """Basis of Hom(x, y) as tuples of per-vertex matrices, in the layout
         of ``obj_rep``, which is block diagonal in summand order.
 
         Hom is additive, Hom((+)_a X_a, (+)_b Y_b) = (+)_{a,b} Hom(X_a, Y_b),
@@ -498,13 +478,10 @@ class QuiverBackend:
         basis = []
         for i, cols in zip(x, self._summand_starts(x)):
             for j, rows in zip(y, y_starts):
-                if not self.hom_matrix[i, j]:
+                if not self.hom_matrix[i][j]:
                     continue
                 for g in self._indec_homs(i, j):
-                    mats = [np.zeros((yd[v], xd[v]), dtype=np.int64) for v in range(self.spec.vertices)]
-                    for m, block, r, c in zip(mats, g, rows, cols):
-                        m[r:r + block.shape[0], c:c + block.shape[1]] = block
-                    basis.append(mats)
+                    basis.append(tuple(map(_embed, g, rows, cols, yd, xd)))
         return basis
 
     def morphisms(self, x: Obj, y: Obj):
@@ -517,7 +494,7 @@ class QuiverBackend:
         if len(basis) > MORPHISM_SPACE_LIMIT:
             raise BackendError("Hom space too large to enumerate")
         for coeffs in _lines(len(basis), self.p):
-            yield Morphism(x, y, tuple(_combine(basis, coeffs, self.p)))
+            yield Morphism(x, y, _combine(basis, coeffs, self.p))
 
     def morphism_parts(self, f: Morphism):
         """(kernel, image, cokernel) of f, each as an Obj up to isomorphism."""
@@ -531,93 +508,66 @@ class QuiverBackend:
         return sorted({self.morphism_parts(f) for f in self.morphisms(x, y)})
 
     def morphism_part_reps(self, f: Morphism):
-        spec = self.spec
         src = self.obj_rep(f.source)
         tgt = self.obj_rep(f.target)
-        fmats = [f.mat(v) for v in range(spec.vertices)]
         # kernel: nullspace at each vertex, arrows restrict
-        kbases = [la.nullspace(fmats[v], self.p) for v in range(spec.vertices)]
+        kbases = [la.nullspace(m, d, self.p) for m, d in zip(f.mats, src.dims)]
         ker = self._sub_rep(src, kbases)
         # image: column spaces, arrows restrict from the target rep
-        ibases = [la.column_space(fmats[v], self.p) for v in range(spec.vertices)]
+        ibases = [la.column_space(m, self.p) for m in f.mats]
         img = self._sub_rep(tgt, ibases)
         cok = self._quot_rep(tgt, ibases)
         return ker, img, cok
 
     def _sub_rep(self, ambient, bases):
-        """The subrepresentation spanned by per-vertex bases (assumed invariant)."""
+        """The subrepresentation spanned by per-vertex bases (lists of
+        independent vectors, assumed arrow-invariant)."""
         spec = self.spec
-        dims = tuple(b.shape[1] for b in bases)
+        dims = tuple(map(len, bases))
         arrays = []
         for i, (s, t) in enumerate(spec.arrows):
-            am = ambient.arrow_matrix(i, spec)
-            mapped = _mm(am, bases[s], self.p)
+            mapped = _apply(ambient.mats[i], bases[s], self.p)
             if dims[t] == 0:
-                if mapped.size and la.rank(mapped, self.p) > 0:
+                if any(map(any, mapped)):
                     raise BackendError("subspace tuple is not arrow-invariant")
-                arrays.append(np.zeros((0, dims[s]), dtype=np.int64))
+                arrays.append(())
                 continue
-            coords = la.coords_in_basis(bases[t], mapped, self.p) if dims[s] else np.zeros((dims[t], 0), dtype=np.int64)
-            arrays.append(coords)
+            arrays.append(la.coords_in_basis(bases[t], mapped, self.p))
         return rep_from_arrays(spec, dims, arrays)
 
     def _quot_rep(self, ambient, bases):
-        """Quotient of ambient by the subrepresentation spanned by bases."""
+        """Quotient of ambient by the subrepresentation spanned by bases:
+        each arrow acts on the unit-vector complements of ``complement_basis``,
+        and the complement coordinates of the images are kept."""
         spec = self.spec
-        comps = [la.complement_basis(bases[v], ambient.dims[v], self.p) for v in range(spec.vertices)]
-        dims = tuple(c.shape[1] for c in comps)
+        comps = [la.complement_basis(b, d, self.p) for b, d in zip(bases, ambient.dims)]
         arrays = []
         for i, (s, t) in enumerate(spec.arrows):
-            am = ambient.arrow_matrix(i, spec)
-            if dims[t] == 0 or dims[s] == 0:
-                arrays.append(np.zeros((dims[t], dims[s]), dtype=np.int64))
-                continue
-            full = np.concatenate([bases[t], comps[t]], axis=1)
-            mapped = _mm(am, comps[s], self.p)
-            coords = la.coords_in_basis(full, mapped, self.p)
-            arrays.append(coords[bases[t].shape[1]:, :])
-        return rep_from_arrays(spec, dims, arrays)
+            coords = la.coords_in_basis(list(bases[t]) + comps[t],
+                                        _apply(ambient.mats[i], comps[s], self.p), self.p)
+            arrays.append(coords[len(bases[t]):])
+        return rep_from_arrays(spec, tuple(map(len, comps)), arrays)
 
     def is_mono(self, f: Morphism) -> bool:
         src = self.obj_rep(f.source)
-        return all(
-            la.rank(f.mat(v), self.p) == src.dims[v]
-            for v in range(self.spec.vertices)
-        )
+        return all(la.rank(m, self.p) == d for m, d in zip(f.mats, src.dims))
 
     def is_epi(self, f: Morphism) -> bool:
         tgt = self.obj_rep(f.target)
-        return all(
-            la.rank(f.mat(v), self.p) == tgt.dims[v]
-            for v in range(self.spec.vertices)
-        )
+        return all(la.rank(m, self.p) == d for m, d in zip(f.mats, tgt.dims))
 
     # ------------------------------------------------------------------
     # subobject enumeration
 
     @_memoized
     def subrep_bases(self, obj: Obj):
-        """All arrow-invariant subspace tuples of obj, as per-vertex bases."""
-        spec = self.spec
-        rep = self.obj_rep(obj)
-        per_vertex = [all_subspaces(rep.dims[v], self.p) for v in range(spec.vertices)]
-        out = []
-        for combo in itertools.product(*per_vertex):
-            ok = True
-            for i, (s, t) in enumerate(spec.arrows):
-                am = rep.arrow_matrix(i, spec)
-                ws = combo[s]
-                wt = combo[t]
-                if ws.shape[1] == 0:
-                    continue
-                mapped = _mm(am, ws, self.p)
-                stacked = np.concatenate([wt, mapped], axis=1)
-                if la.rank(stacked, self.p) != la.rank(wt, self.p):
-                    ok = False
-                    break
-            if ok:
-                out.append(combo)
-        return out
+        """All arrow-invariant subspace tuples of obj, as per-vertex bases:
+        those where each arrow maps the basis at its source into the span of
+        the (independent) basis at its target."""
+        rep, p = self.obj_rep(obj), self.p
+        return [combo for combo in itertools.product(*(all_subspaces(d, p) for d in rep.dims))
+                if all(la.rank(combo[t] + tuple(_apply(m, combo[s], p)), p) == len(combo[t])
+                       for m, (s, t) in zip(rep.mats, self.spec.arrows) if combo[s])]
 
     def subobjects(self, obj: Obj):
         """All subobjects of obj up to isomorphism, as Objs."""
@@ -659,8 +609,8 @@ class QuiverBackend:
 
         (Ringel 1976, *Representations of K-species and bimodules*;
         Crawley-Boevey, *Lectures on representations of quivers*).  A
-        complement of the image (``_ringel_map``) meets each class once, so
-        its vectors give every middle term.  Conjugating by
+        complement of the image (the column span of ``_ringel_map``) meets
+        each class once, so its vectors give every middle term.  Conjugating by
         diag(c * 1_B, 1_A) sends M_eps to M_{c eps} for c != 0, so one eps
         per line through 0 (``_lines``: first nonzero coordinate 1)
         suffices, besides eps = 0, which gives B (+) A; when
@@ -686,8 +636,8 @@ class QuiverBackend:
             return [split]
         a, b, p = self.obj_rep(quot), self.obj_rep(sub), self.p
         ringel = self._ringel_map(a, b)
-        basis = la.complement_basis(ringel, ringel.shape[0], p)
-        e = basis.shape[1]
+        basis = la.complement_basis(list(zip(*ringel)), len(ringel), p)
+        e = len(basis)
         if e > MORPHISM_SPACE_LIMIT:
             raise BackendError("Ext space too large to enumerate")
         deltas = [(i, self._connecting_maps(i, quot, b, basis)) for i in self.all_ids()
@@ -695,57 +645,37 @@ class QuiverBackend:
         split_homs = [self.hom_dim((i,), split) for i in self.all_ids()]
         hom_vectors = set()
         for coeffs in _lines(e, p):
-            eps = np.array(coeffs, dtype=np.int64)
             homs = list(split_homs)
             for i, maps in deltas:
-                homs[i] -= la.rank(np.tensordot(eps, maps, 1) % p, p)
+                homs[i] -= la.rank(_lincomb(maps, coeffs, p), p)
             hom_vectors.add(tuple(homs))
         dims = self.obj_dims(split)
         return sorted({split} | {self._ids_from_homs(h, dims) for h in hom_vectors})
 
-    def _ringel_map(self, a, b):
-        """The matrix of Ringel's map (+)_v Hom(a_v, b_v) -> (+)_{a: s->t}
-        Hom(a_s, b_t), phi -> (b_a phi_s - phi_t a_a)_a, whose kernel is
-        Hom(a, b) and whose cokernel is Ext^1(a, b).
-
-        Columns run over the per-vertex blocks in the row-major layout of
-        ``_rep_hom_basis``; rows run over the arrows, the (b_t x a_s) block
-        of each in row-major order.  Row-major vec(L X R) is
-        kron(L, R^T) vec(X)."""
-        spec = self.spec
-        ncols = [b.dims[v] * a.dims[v] for v in range(spec.vertices)]
-        blocks = [np.zeros((0, sum(ncols)), dtype=np.int64)]
-        for i, (s, t) in enumerate(spec.arrows):
-            row = [np.zeros((b.dims[t] * a.dims[s], n), dtype=np.int64) for n in ncols]
-            row[s] = np.kron(b.arrow_matrix(i, spec), np.eye(a.dims[s], dtype=np.int64))
-            row[t] = -np.kron(np.eye(b.dims[t], dtype=np.int64), a.arrow_matrix(i, spec).T)
-            blocks.append(np.hstack(row))
-        return np.vstack(blocks) % self.p
-
     def _connecting_maps(self, i, quot, b, basis):
-        """Array of shape (len eps, ext(c, b), hom(c, a)) for c = X_i and
-        a = ``obj_rep(quot)``: for each column eps of ``basis`` (laid out as
-        the rows of ``_ringel_map(a, b)``), the matrix of f -> class of
-        (eps_a f_s)_a, from Hom(c, a) on the ``hom_basis`` basis to the
-        complement coordinates of Ext^1(c, b) (rows laid out as in
-        ``_ringel_map(c, b)``)."""
+        """For c = X_i and a = ``obj_rep(quot)``: per vector eps of
+        ``basis`` (laid out as the rows of ``_ringel_map(a, b)``), the
+        ext(c, b) x hom(c, a) matrix of f -> class of (eps_a f_s)_a, from
+        Hom(c, a) on the ``hom_basis`` basis to the complement coordinates
+        of Ext^1(c, b) (laid out as the rows of ``_ringel_map(c, b)``)."""
         spec, p = self.spec, self.p
         c, a = self.indecs[i], self.obj_rep(quot)
         homs = self.hom_basis((i,), quot)
         pulled = []
-        for eps in basis.T:
+        for eps in basis:
             blocks, off = [], 0
             for s, t in spec.arrows:
-                blocks.append(eps[off:off + b.dims[t] * a.dims[s]].reshape(b.dims[t], a.dims[s]))
-                off += b.dims[t] * a.dims[s]
+                n = a.dims[s]
+                blocks.append([eps[off + r * n:off + (r + 1) * n] for r in range(b.dims[t])])
+                off += b.dims[t] * n
             for f in homs:
-                pulled.append(np.concatenate([_mm(blk, f[s], p).reshape(-1)
-                                              for blk, (s, t) in zip(blocks, spec.arrows)]))
+                pulled.append(tuple(x for blk, (s, t) in zip(blocks, spec.arrows)
+                                    for row in _mm(blk, f[s], c.dims[s], p) for x in row))
         ringel = self._ringel_map(c, b)
         image = la.column_space(ringel, p)
-        full = np.concatenate([image, la.complement_basis(image, ringel.shape[0], p)], axis=1)
-        coords = la.coords_in_basis(full, np.stack(pulled, axis=1), p)[image.shape[1]:]
-        return coords.reshape(-1, basis.shape[1], len(homs)).transpose(1, 0, 2)
+        coords = la.coords_in_basis(image + la.complement_basis(image, len(ringel), p), pulled, p)
+        h = len(homs)
+        return [[row[k * h:(k + 1) * h] for row in coords[len(image):]] for k in range(len(basis))]
 
     # ------------------------------------------------------------------
     # enumeration interface
@@ -762,35 +692,38 @@ class QuiverBackend:
 
 @functools.cache
 def all_subspaces(dim, p):
-    """All subspaces of F_p^dim, each as a matrix whose columns are a basis."""
-    if dim == 0:
-        return [np.zeros((0, 0), dtype=np.int64)]
-    vectors = []
-    for code in range(1, p**dim):
-        v = []
-        x = code
-        for _ in range(dim):
-            v.append(x % p)
-            x //= p
-        vectors.append(np.array(v, dtype=np.int64))
-    seen = {}
-    # spans of all tuples of up to dim vectors; canonicalize by rref
-    for r in range(0, dim + 1):
-        for combo in itertools.combinations(vectors, r):
-            mat = np.column_stack(combo) if combo else np.zeros((dim, 0), dtype=np.int64)
-            red, piv = la.rref(mat.T, p) if combo else (np.zeros((0, dim), dtype=np.int64), [])
-            basis_rows = red[:len(piv), :] if combo else red
-            keyb = basis_rows.tobytes() if combo else b""
-            keyb = (len(piv) if combo else 0, keyb)
-            if keyb not in seen:
-                seen[keyb] = basis_rows.T.copy() if combo else np.zeros((dim, 0), dtype=np.int64)
-    return sorted(seen.values(), key=lambda m: (m.shape[1], m.tobytes()))
+    """All subspaces of F_p^dim, each as the tuple of rows of its reduced
+    row echelon form (a basis), by dimension and then by those rows read
+    column by column."""
+    vectors = list(itertools.product(range(p), repeat=dim))[1:]  # nonzero ones
+    spans = {tuple(la.rref(combo, p)[0])
+             for r in range(dim + 1) for combo in itertools.combinations(vectors, r)}
+    return sorted(spans, key=lambda basis: (len(basis), tuple(zip(*basis))))
 
 
-def _mm(a, b, p):
-    if a.size == 0 or b.size == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    return (a @ b) % p
+def _vertex_starts(a, b):
+    """Where each per-vertex block phi_v (b_v x a_v, row-major) of the
+    columns of ``_ringel_map(a, b)`` starts, then their total."""
+    return list(itertools.accumulate((ad * bd for ad, bd in zip(a.dims, b.dims)), initial=0))
+
+
+def _embed(block, r, c, nrows, ncols):
+    """The nrows x ncols matrix holding ``block`` from row r and column c,
+    zero elsewhere."""
+    zero, width = (0,) * ncols, len(block[0]) if block else 0
+    left, right = (0,) * c, (0,) * (ncols - c - width)
+    return (zero,) * r + tuple(left + row + right for row in block) + (zero,) * (nrows - r - len(block))
+
+
+def _mm(a, b, ncols, p):
+    """a @ b mod p, for a matrix b with ncols columns (b may have no rows)."""
+    cols = list(zip(*b)) if b else [()] * ncols
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % p for col in cols) for row in a)
+
+
+def _apply(m, vecs, p):
+    """The images m @ v mod p of the vectors vecs."""
+    return [tuple(sum(x * y for x, y in zip(row, v)) % p for row in m) for v in vecs]
 
 
 def _lines(n, p):
@@ -801,17 +734,21 @@ def _lines(n, p):
             yield (0,) * k + (1,) + tail
 
 
+def _lincomb(mats, coeffs, p):
+    """sum_k coeffs[k] * mats[k] mod p, for matrices of one shape."""
+    return tuple(tuple(sum(c * x for c, x in zip(coeffs, entries)) % p for entries in zip(*rows))
+                 for rows in zip(*mats))
+
+
 def _combine(basis, coeffs, p):
-    mats = [np.zeros_like(m) for m in basis[0]]
-    for c, b in zip(coeffs, basis):
-        if c:
-            mats = [(m + c * bm) % p for m, bm in zip(mats, b)]
-    return mats
+    """sum_k coeffs[k] * basis[k] mod p, vertex by vertex, for tuples of
+    per-vertex matrices."""
+    return tuple(_lincomb(mats, coeffs, p) for mats in zip(*basis))
 
 
 def _hom_ext_of_dynkin(euler):
     """The Hom and Ext^1 matrices of a Dynkin table from its Euler matrix
-    euler[i, j] = <dim X_i, dim X_j> = hom(X_i, X_j) - ext(X_i, X_j).
+    euler[i][j] = <dim X_i, dim X_j> = hom(X_i, X_j) - ext(X_i, X_j).
 
     For indecomposables X, Y of a Dynkin quiver, Hom(X, Y) and Ext^1(X, Y)
     are never both nonzero, so each is the positive or negative part of
@@ -826,32 +763,33 @@ def _hom_ext_of_dynkin(euler):
     representation-directed (Ringel 1984, *Tame algebras and integral
     quadratic forms*, LNM 1099, 2.4).
     """
-    return np.maximum(euler, 0), np.maximum(-euler, 0)
+    return (tuple(tuple(e if e > 0 else 0 for e in row) for row in euler),
+            tuple(tuple(-e if e < 0 else 0 for e in row) for row in euler))
 
 
-def _unitriangular_inverse(hom):
-    """The inverse of the Hom matrix H of a Dynkin table, in int64.
+def _path_order(hom):
+    """The ids of a Dynkin table in an order refining the path order of its
+    AR quiver, so that the Hom matrix H is upper unitriangular in it.
 
-    H has ones on the diagonal (every entry is a brick), and N = H - I is
-    nilpotent: N[i, j] != 0 means a nonzero map X_i -> X_j between
-    distinct indecomposables, a path from X_i to X_j in the acyclic AR
-    quiver, so N is strictly triangular in any order refining the AR
-    quiver's path order (see ``_hom_ext_of_dynkin``).  Hence N^n = 0 and
-    H^-1 = sum_{k<n} (-N)^k, summed by Horner's rule.  int64 matmuls wrap
-    around, but the arithmetic is exact modulo 2^64, and the true inverse
-    has small entries: H^-1 @ hom-vector gives multiplicities, and its row
-    for X_i is the defect formula of the almost split sequence starting
-    at X_i (or of X_i -> X_i / soc X_i when X_i is injective), with
-    entries among 0, 1 and minus the multiplicities in its middle term.
-    So the int64 result is the exact inverse.
-    """
-    n = hom.shape[0]
-    eye = np.eye(n, dtype=np.int64)
-    nilpotent = hom - eye
-    inverse = eye
-    for _ in range(n - 1):
-        inverse = eye - nilpotent @ inverse
-    return inverse
+    H has ones on the diagonal (every entry is a brick), and H[i][j] != 0
+    for i != j means a nonzero map X_i -> X_j between distinct
+    indecomposables, a path from X_i to X_j in the AR quiver, which is
+    acyclic (see ``_hom_ext_of_dynkin``).  So the relation H[i][j] != 0 has
+    no cycle, and any topological order of it is such an order: here the
+    reverse postorder of a depth-first search."""
+    n, postorder, seen = len(hom), [], set()
+
+    def visit(i):
+        seen.add(i)
+        for j in range(n):
+            if hom[i][j] and j not in seen:
+                visit(j)
+        postorder.append(i)
+
+    for i in range(n):
+        if i not in seen:
+            visit(i)
+    return postorder[::-1]
 
 
 def build_backend(spec: QuiverSpec) -> QuiverBackend:

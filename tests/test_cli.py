@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from conftest import run_cli_process
+from conftest import run_cli_process, run_python_process
 
 from tstructkit import cli
 from tstructkit.faults import FAULT_NAMES
@@ -225,3 +225,34 @@ def test_quiver_stdout_is_pinned(command, quiver, arg, tmp_path):
     code, out, err = run_cli(command, "--backend", f"quiver:demos/quivers/{quiver}.json", *tail)
     assert code == 0 and err == "", err
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command, quiver, arg]
+
+
+# Runs ``cli.main`` on its arguments with numpy made unimportable, after
+# checking that importing tstructkit loads only standard-library modules.
+NO_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+before = set(sys.modules)
+import tstructkit
+from tstructkit import cli
+third_party = sorted(name for name in set(sys.modules) - before
+                     if name.partition(".")[0] not in sys.stdlib_module_names | {"tstructkit"})
+assert not third_party, third_party
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv, pin", [
+    (("enumerate", "--backend", "quiver:demos/quivers/a3.json", "--window", "0:1"),
+     STDOUT_SHA256["enumerate", "a3", "0:1"]),
+    (("verify", "--backend", "dedekind"), None),
+], ids=["enumerate-a3", "verify-dedekind"])
+def test_cli_runs_without_numpy(argv, pin):
+    proc = run_python_process("-c", NO_NUMPY, *argv, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    if pin:
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == pin
+    else:
+        lines = proc.stdout.strip().splitlines()
+        assert lines[-1].startswith("OK")
+        assert lines[:-1] and all(line.startswith("PASS ") for line in lines[:-1])

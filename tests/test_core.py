@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import numpy_fplinalg as nla
 from tstructkit import core
 from tstructkit.core import (classify_subcat, closure, enumerate_subcats,
                              ext_injectives, is_closed, is_tilting_in,
@@ -123,18 +124,20 @@ def every_morphism(backend, x, y):
     basis = backend.hom_basis(x, y)
     for coeffs in itertools.product(range(backend.p), repeat=len(basis)):
         if any(coeffs):
-            yield Morphism(x, y, tuple(_combine(basis, coeffs, backend.p)))
+            yield Morphism(x, y, _combine(basis, coeffs, backend.p))
 
 
 def splits_by_search(backend, S, I):
     """Reference oracle for ``split_injective_test``: some morphism back,
     among all of them (not one per line), composes to the identity."""
-    dims = backend.obj_dims((I,))
+    dims, p = backend.obj_dims((I,)), backend.p
     for m in core.candidates(S):
+        mdims = backend.obj_dims(m)
         for f in every_morphism(backend, (I,), m):
             if backend.is_mono(f) and not any(
-                    all(np.array_equal(g.mat(v) @ f.mat(v) % backend.p, np.eye(d, dtype=np.int64))
-                        for v, d in enumerate(dims))
+                    all(np.array_equal(nla.mm(nla.array(g.mat(v), d, e), nla.array(f.mat(v), e, d), p),
+                                       np.eye(d, dtype=np.int64))
+                        for v, (d, e) in enumerate(zip(dims, mdims)))
                     for g in every_morphism(backend, m, (I,))):
                 return False
     return True

@@ -7,10 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import numpy_fplinalg as nla
 from tstructkit import core
-from tstructkit import fplinalg as la
 from tstructkit.quiver import (MORPHISM_SPACE_LIMIT, BackendError, Morphism, QuiverBackend,
-                               QuiverSpec, _combine, _has_cycle, _mm, build_backend)
+                               QuiverSpec, _combine, _has_cycle, build_backend)
 
 A3_LINEAR = ((0, 1), (1, 2))
 A4_LINEAR = ((0, 1), (1, 2), (2, 3))
@@ -147,21 +147,56 @@ def test_decompose_rep_roundtrip(a2, a3):
                 assert backend.decompose_rep(backend.obj_rep(obj)) == obj
 
 
+def ringel_oracle(spec, a, b):
+    """Reference oracle for ``QuiverBackend._ringel_map``, built with
+    np.kron: row-major vec(L X R) is kron(L, R^T) vec(X), so the arrow
+    s -> t contributes kron(b_a, 1) at phi_s and -kron(1, a_a^T) at phi_t."""
+    ncols = [b.dims[v] * a.dims[v] for v in range(spec.vertices)]
+    blocks = [np.zeros((0, sum(ncols)), dtype=np.int64)]
+    for i, (s, t) in enumerate(spec.arrows):
+        row = [np.zeros((b.dims[t] * a.dims[s], n), dtype=np.int64) for n in ncols]
+        row[s] = np.kron(nla.array(b.mats[i], b.dims[t], b.dims[s]), np.eye(a.dims[s], dtype=np.int64))
+        row[t] = -np.kron(np.eye(b.dims[t], dtype=np.int64), nla.array(a.mats[i], a.dims[t], a.dims[s]).T)
+        blocks.append(np.hstack(row))
+    return np.vstack(blocks) % spec.field
+
+
+def hom_basis_oracle(spec, a, b):
+    """Reference oracle for ``QuiverBackend._rep_hom_basis``: a basis of
+    Hom(a, b) as lists of per-vertex int64 arrays, the numpy nullspace of
+    ``ringel_oracle`` cut into its vertex blocks."""
+    null = nla.nullspace(ringel_oracle(spec, a, b), spec.field)
+    basis = []
+    for vec in null.T:
+        mats, off = [], 0
+        for ad, bd in zip(a.dims, b.dims):
+            mats.append(vec[off:off + ad * bd].reshape(bd, ad))
+            off += ad * bd
+        basis.append(mats)
+    return basis
+
+
+def arrays_of(mats, nrows, ncols):
+    """Per-vertex int64 arrays of a tuple of matrices (``Morphism.mats`` or a
+    ``hom_basis`` element) from the target and source dimension vectors."""
+    return [nla.array(m, r, c) for m, r, c in zip(mats, nrows, ncols)]
+
+
 def is_indecomposable(backend, rep):
     """Reference oracle: End(rep) holds no idempotent besides 0 and 1,
     searched over every F_p combination of its Hom basis."""
     if rep.total_dim == 0:
         return False
-    basis = backend._rep_hom_basis(rep, rep)
+    basis = hom_basis_oracle(backend.spec, rep, rep)
     assert len(basis) <= MORPHISM_SPACE_LIMIT, "End algebra too large for idempotent search"
     idy = [np.eye(d, dtype=np.int64) for d in rep.dims]
     for coeffs in itertools.product(range(backend.p), repeat=len(basis)):
         if not any(coeffs):
             continue
-        e = _combine(basis, coeffs, backend.p)
+        e = nla.combine(basis, coeffs, backend.p)
         if all(np.array_equal(m, i) for m, i in zip(e, idy)):
             continue
-        if all(np.array_equal(_mm(m, m, backend.p), m) for m in e):
+        if all(np.array_equal(nla.mm(m, m, backend.p), m) for m in e):
             return False
     return True
 
@@ -202,14 +237,15 @@ def test_ids_from_homs_refuses_forged_hom_vectors(spec):
     hom = backend.hom_matrix
     for x in backend.all_ids():
         dims = backend.indecs[x].dims
-        assert backend._ids_from_homs(hom[:, x].tolist(), dims) == (x,)
+        column = [row[x] for row in hom]
+        assert backend._ids_from_homs(column, dims) == (x,)
         with pytest.raises(BackendError, match="does not decompose"):
-            backend._ids_from_homs(hom[:, x].tolist(), tuple(d + 1 for d in dims))
+            backend._ids_from_homs(column, tuple(d + 1 for d in dims))
         for y in backend.all_ids():
             if y != x:
                 diff = tuple(a - b for a, b in zip(dims, backend.indecs[y].dims))
                 with pytest.raises(BackendError, match="does not decompose"):
-                    backend._ids_from_homs((hom[:, x] - hom[:, y]).tolist(), diff)
+                    backend._ids_from_homs([row[x] - row[y] for row in hom], diff)
 
 
 def test_subsets_bitmask_order(a2):
@@ -221,9 +257,10 @@ def test_subsets_bitmask_order(a2):
 
 
 def rational_inverse(mat):
-    """Exact inverse of an integer matrix as Fractions, or None if singular."""
-    n = mat.shape[0]
-    a = [[Fraction(int(mat[i, j])) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+    """Exact inverse of an integer matrix (a sequence of rows) as Fractions,
+    or None if singular."""
+    n = len(mat)
+    a = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
          for i in range(n)]
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
@@ -243,8 +280,9 @@ class FullScanBackend(QuiverBackend):
     """Reference oracle: the table built from every dimension vector of the
     box by the split-summand and isomorphism scan, with no pruning to
     connected roots and no refusal of a truncated spec; its Hom matrix by
-    linear algebra on each pair of entries and its inverse in Fractions,
-    whatever the table.  Only the table and these matrices are built."""
+    numpy linear algebra on each pair of entries (``hom_basis_oracle``) and
+    its inverse in Fractions, whatever the table.  Only the table and these
+    matrices are built."""
 
     def __init__(self, spec):
         self._memo = {}
@@ -255,13 +293,16 @@ class FullScanBackend(QuiverBackend):
             for rep in self._all_reps(dv):
                 if self._is_new_indec(rep):
                     self.indecs.append(rep)
-        n = len(self.indecs)
-        self.hom_matrix = np.array([[self._rep_hom_dim(a, b) for b in self.indecs] for a in self.indecs],
-                                   dtype=np.int64).reshape(n, n)
-        euler = np.array([[spec.euler_form(a.dims, b.dims) for b in self.indecs] for a in self.indecs],
-                         dtype=np.int64).reshape(n, n)
-        self.ext_matrix = self.hom_matrix - euler
+        self.hom_matrix = tuple(tuple(self._rep_hom_dim(a, b) for b in self.indecs) for a in self.indecs)
+        self.ext_matrix = tuple(tuple(h - spec.euler_form(a.dims, b.dims) for b, h in zip(self.indecs, row))
+                                for a, row in zip(self.indecs, self.hom_matrix))
         self.hom_inverse = rational_inverse(self.hom_matrix)
+
+    def _rep_hom_basis(self, a, b):
+        return hom_basis_oracle(self.spec, a, b)
+
+    def _rep_hom_dim(self, a, b):
+        return len(self._rep_hom_basis(a, b))
 
     def _is_new_indec(self, rep):
         # graded order: every proper summand is already in the table, so rep
@@ -277,8 +318,8 @@ class FullScanBackend(QuiverBackend):
         gs = self._rep_hom_basis(big, small) if fs else []
         for f in fs:
             for g in gs:
-                comp = [_mm(g[v], f[v], self.p) for v in range(self.spec.vertices)]
-                if all(m.shape[0] == m.shape[1] and la.rank(m, self.p) == m.shape[0] for m in comp):
+                comp = [nla.mm(g[v], f[v], self.p) for v in range(self.spec.vertices)]
+                if all(m.shape[0] == m.shape[1] and nla.rank(m, self.p) == m.shape[0] for m in comp):
                     return True
         return False
 
@@ -288,20 +329,32 @@ class FullScanBackend(QuiverBackend):
         for coeffs in itertools.product(range(self.p), repeat=len(basis)):
             if not any(coeffs):
                 continue
-            mats = _combine(basis, coeffs, self.p)
-            if all(m.shape[0] == m.shape[1] and la.rank(m, self.p) == m.shape[0] for m in mats):
+            mats = nla.combine(basis, coeffs, self.p)
+            if all(m.shape[0] == m.shape[1] and nla.rank(m, self.p) == m.shape[0] for m in mats):
                 return True
         return False
 
 
 @pytest.mark.parametrize("spec", UNTRUNCATED_SPECS, ids=spec_id)
 def test_root_pruned_table_equals_full_box_scan(spec):
+    """Same table and matrices as the scan; and ``_ids_from_homs`` (back
+    substitution) inverts the scan's Hom matrix: on every column of H and
+    every sum of two columns it gives the multiset of ids that the
+    scan's Fraction inverse gives, times that vector."""
     pruned, full = build_backend(spec), FullScanBackend(spec)
     assert pruned.indecs == full.indecs  # same order, same matrices
-    assert np.array_equal(pruned.hom_matrix, full.hom_matrix)
-    assert np.array_equal(pruned.ext_matrix, full.ext_matrix)
-    assert (full.ext_matrix >= 0).all()
-    assert pruned._hom_inv.tolist() == full.hom_inverse
+    assert pruned.hom_matrix == full.hom_matrix
+    assert pruned.ext_matrix == full.ext_matrix
+    assert all(e >= 0 for row in full.ext_matrix for e in row)
+    hom, ids = full.hom_matrix, pruned.all_ids()
+    for x, y in itertools.combinations_with_replacement((None,) + ids, 2):
+        if x is None and y is None:
+            continue
+        vec = [sum(row[k] for k in (x, y) if k is not None) for row in hom]
+        mult = [sum(f * v for f, v in zip(inv_row, vec)) for inv_row in full.hom_inverse]
+        assert all(m.denominator == 1 and m >= 0 for m in mult), (x, y)
+        want = tuple(i for i, m in enumerate(mult) for _ in range(int(m)))
+        assert pruned._ids_from_homs(vec, pruned.obj_dims(want)) == want, (x, y)
 
 
 @pytest.mark.parametrize("spec", TRUNCATED_SPECS + [QuiverSpec(2, KRONECKER, 2, (3, 3))], ids=spec_id)
@@ -470,13 +523,13 @@ def searched_middle_terms(backend, quot, sub):
         # f and c * f have one image, so one morphism per line is tried:
         # the Hom(sub, mid) coordinates with first nonzero entry 1
         p, tgt, sub_dims = backend.p, backend.obj_rep(mid), backend.obj_dims(sub)
-        basis = backend.hom_basis(sub, mid)
+        basis = [arrays_of(g, tgt.dims, sub_dims) for g in backend.hom_basis(sub, mid)]
         for coeffs in itertools.product(range(p), repeat=len(basis)):
             if next((c for c in coeffs if c), 0) != 1:
                 continue
-            f = [sum(c * g[v] for c, g in zip(coeffs, basis)) % p for v in range(len(sub_dims))]
-            if all(la.rank(m, p) == d for m, d in zip(f, sub_dims)):
-                ibases = [la.column_space(m, p) for m in f]
+            f = nla.combine(basis, coeffs, p)
+            if all(nla.rank(m, p) == d for m, d in zip(f, sub_dims)):
+                ibases = [list(nla.as_rows(nla.column_space(m, p).T)) for m in f]
                 if backend.decompose_rep(backend._quot_rep(tgt, ibases)) == quot:
                     return True
         return False
@@ -523,7 +576,9 @@ def test_ringel_cokernel_has_the_euler_form_dimension(spec):
         for j in backend.all_ids():
             a, b = backend.indecs[i], backend.indecs[j]
             ringel = backend._ringel_map(a, b)
-            ext = ringel.shape[0] - la.rank(ringel, backend.p)  # dim coker
+            nrows = sum(b.dims[t] * a.dims[s] for s, t in spec.arrows)
+            ncols = sum(ad * bd for ad, bd in zip(a.dims, b.dims))
+            ext = nrows - nla.rank(nla.array(ringel, nrows, ncols), backend.p)  # dim coker
             assert ext == backend.hom_dim((i,), (j,)) - backend.spec.euler_form(a.dims, b.dims)
             assert ext == backend.ext_dim((i,), (j,))
             if spec.truncated:
@@ -531,6 +586,26 @@ def test_ringel_cokernel_has_the_euler_form_dimension(spec):
             mids = backend.middle_terms((i,), (j,))
             assert tuple(sorted((i, j))) in mids
             assert (len(mids) == 1) == (ext == 0)
+
+
+@pytest.mark.parametrize("spec", UNTRUNCATED_SPECS, ids=spec_id)
+def test_ringel_matrix_has_nullity_hom_and_corank_ext(spec):
+    """On every pair of table entries, the one Ringel matrix (which
+    ``_rep_hom_basis``, ``_rep_hom_dim`` and ``middle_terms`` share) has
+    nullity hom_matrix[i][j] and corank ext_matrix[i][j], the Euler-form
+    closed forms, with ranks by the numpy oracle; it is the np.kron-built
+    matrix entry for entry, and ``_rep_hom_dim`` reads the same nullity."""
+    backend, p = build_backend(spec), spec.field
+    for i, a in enumerate(backend.indecs):
+        for j, b in enumerate(backend.indecs):
+            nrows = sum(b.dims[t] * a.dims[s] for s, t in spec.arrows)
+            ncols = sum(ad * bd for ad, bd in zip(a.dims, b.dims))
+            ringel = nla.array(backend._ringel_map(a, b), nrows, ncols)
+            rank = nla.rank(ringel, p)
+            assert ncols - rank == backend.hom_matrix[i][j], (i, j)
+            assert nrows - rank == backend.ext_matrix[i][j], (i, j)
+            assert np.array_equal(ringel, ringel_oracle(spec, a, b)), (i, j)
+            assert backend._rep_hom_dim(a, b) == backend.hom_matrix[i][j], (i, j)
 
 
 def test_middle_terms_store_nothing_but_their_results_and_operands():
@@ -560,17 +635,17 @@ def test_block_hom_basis_spans_the_direct_one(spec):
         a = backend.obj_rep(x)
         for y in cands:
             b = backend.obj_rep(y)
-            basis = backend.hom_basis(x, y)
+            basis = [arrays_of(f, b.dims, a.dims) for f in backend.hom_basis(x, y)]
             assert len(basis) == backend.hom_dim(x, y), (x, y)
             for f in basis:
                 for i, (s, t) in enumerate(spec.arrows):
-                    assert np.array_equal(_mm(b.arrow_matrix(i, spec), f[s], p),
-                                          _mm(f[t], a.arrow_matrix(i, spec), p)), (x, y)
+                    assert np.array_equal(nla.mm(nla.array(b.mats[i], b.dims[t], b.dims[s]), f[s], p),
+                                          nla.mm(f[t], nla.array(a.mats[i], a.dims[t], a.dims[s]), p)), (x, y)
             if basis:
                 flat = np.stack([np.concatenate([m.reshape(-1) for m in f]) for f in basis])
                 direct = np.stack([np.concatenate([m.reshape(-1) for m in f])
-                                   for f in backend._rep_hom_basis(a, b)])
-                assert la.rank(flat, p) == la.rank(np.vstack([flat, direct]), p) == len(basis), (x, y)
+                                   for f in hom_basis_oracle(spec, a, b)])
+                assert nla.rank(flat, p) == nla.rank(np.vstack([flat, direct]), p) == len(basis), (x, y)
 
 
 def all_morphism_part_sets(backend, x, y):
@@ -579,7 +654,7 @@ def all_morphism_part_sets(backend, x, y):
     reps, with no block assembly and no line reduction."""
     p = backend.p
     basis = backend._rep_hom_basis(backend.obj_rep(x), backend.obj_rep(y))
-    return sorted({backend.morphism_parts(Morphism(x, y, tuple(_combine(basis, coeffs, p))))
+    return sorted({backend.morphism_parts(Morphism(x, y, _combine(basis, coeffs, p)))
                    for coeffs in itertools.product(range(p), repeat=len(basis)) if any(coeffs)})
 
 
