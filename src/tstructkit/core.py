@@ -5,20 +5,21 @@ indecomposable ids (frozensets).  Closures and the closure predicates are
 decided on direct sums of at most ``MULT_BOUND`` of the subcategory's
 indecomposables: morphisms one per line through 0 (``c * f`` has the
 kernel, image and cokernel of ``f``, and is mono or epi with it), not
-exhaustively; subobjects by exhaustive enumeration; extensions by the
+exhaustively; quotients by exhaustive enumeration; extensions by the
 backend's ``middle_terms``, which builds one middle term per Ext^1 class.
 
-The search depths (``MULT_BOUND``, ``COPY_BOUND``, ``MAX_SCAN_INDECS``)
-are module constants, not parameters.  Memo keys do not carry them, so a
-caller that varies one, by monkeypatching it, must use a fresh backend.
+The search depths (``MULT_BOUND``, ``MAX_SCAN_INDECS``) are module
+constants, not parameters.  Memo keys do not carry them, so a caller that
+varies one, by monkeypatching it, must use a fresh backend.
 
 The wide census (``wide_census``), the tilting torsion classes of a wide
-subcategory (``tilting_census``) and the torsion class a set generates in a
-wide subcategory (``generated_torsion``, which ``refined.psi`` glues with)
-are read off the Hom and Ext matrices of the table as perps, with no subset
-scan and no closure.  The scans and closures that decide the same
-sets from the closure predicates (``enumerate_subcats``, ``classify_subcat``,
-``is_tilting_in``, ``closure``) stay as their oracles.
+subcategory (``tilting_census``), the torsion class a set generates in a
+wide subcategory (``generated_torsion``, which ``refined.psi`` glues with,
+and which decides the torsion flag of ``classify_subcat``) and the tilting
+test (``is_tilting_in``) are read off the Hom and Ext matrices of the
+table, with no subset scan and no closure.  The scans and closures that
+decide sets from the closure predicates (``enumerate_subcats``,
+``closure``, ``is_closed``) stay as their oracles.
 
 Memo rule for this layer and the two built on it (derived, refined): every
 result that depends on the closure predicates or on ``perp`` is stored in
@@ -39,12 +40,11 @@ from .quiver import BackendError, Obj, _mm
 
 Subcat = frozenset
 
-RULES = ("cokernels", "kernels", "quotients", "subobjects", "extensions", "images")
+RULES = ("cokernels", "kernels", "quotients", "extensions", "images")
 
 WIDE_RULES = ("kernels", "cokernels", "extensions")
 
 MULT_BOUND = 2  # summands of each object the closure scans try
-COPY_BOUND = 4  # summands of a target in the monomorphism search of is_tilting_in
 MAX_SCAN_INDECS = 14  # largest table enumerate_subcats scans (2^n subsets)
 
 
@@ -91,13 +91,11 @@ def _violations(backend, S, rules, ambient):
                     for rule, part in (("kernels", ker), ("cokernels", cok), ("images", img)):
                         if rule in mor_rules and in_ambient(part) and not ok(part):
                             yield rule, part
-    if "quotients" in rules or "subobjects" in rules:
+    if "quotients" in rules:
         for a in cands:
-            for sub, quot in backend.sub_quot_pairs(a):
-                if "quotients" in rules and in_ambient(quot) and not ok(quot):
+            for _, quot in backend.sub_quot_pairs(a):
+                if in_ambient(quot) and not ok(quot):
                     yield "quotients", quot
-                if "subobjects" in rules and in_ambient(sub) and not ok(sub):
-                    yield "subobjects", sub
     if "extensions" in rules:
         for sub in cands:
             for quot in cands:
@@ -149,7 +147,9 @@ class SubcatFlags:
 
 
 def classify_subcat(backend, S) -> SubcatFlags:
-    """Closure flags of an additively-closed subset, by one-step scans.
+    """Closure flags of an additively-closed subset: narrow and wide by
+    one-step scans, torsion by ``generated_torsion`` over the whole table
+    (S is a torsion class iff it is the torsion class it generates).
 
     On a finite-length backend every nullity class is coreflective, so the
     torsion-class flag coincides with the nullity flag.
@@ -160,7 +160,7 @@ def classify_subcat(backend, S) -> SubcatFlags:
     if key not in cache:
         narrow = is_closed(backend, S, ("extensions", "cokernels"))
         wide = narrow and is_closed(backend, S, ("kernels",))
-        nullity = is_closed(backend, S, ("quotients", "extensions"))
+        nullity = generated_torsion(backend, S, backend.all_ids()) == S
         cache[key] = SubcatFlags(narrow, wide, nullity, nullity)
     return cache[key]
 
@@ -334,45 +334,27 @@ def ext_injectives(backend, C) -> Subcat:
 
 
 def is_tilting_in(backend, N, W) -> bool:
-    """True iff every indecomposable of W embeds into a finite sum of
-    objects of N (monomorphism search bounded by COPY_BOUND summands)."""
+    """True iff every object of the wide subcategory W embeds into a finite
+    sum of objects of N: iff N holds every Ext-injective of W, an i in W
+    with Ext(x, i) = 0 for every x in W.
+
+    Proof.  W is wide, so it is an abelian length category whose short
+    exact sequences are the ambient ones with all three terms in W, and it
+    is equivalent to the representations of an acyclic quiver
+    (Ingalls-Thomas 2009); its injectives are the Ext-injectives above and
+    every object of W embeds into a sum of them.  So if N holds them, every
+    object of W embeds into a sum of objects of N.  Conversely, a
+    monomorphism from an Ext-injective I into a sum of objects of N has its
+    cokernel in W, so it splits, and I, indecomposable, is a summand of one
+    of them (Krull-Schmidt): I lies in N.  Ext vanishes summand by summand,
+    so the test reads ``ext_matrix`` over the indecomposables of W.
+    """
     N = frozenset(N)
     W = frozenset(W)
     if not N <= W:
         raise BackendError("N must be contained in W")
-    key = ("tilting", N, W)
-    cache = memo(backend)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    cache[key] = _tilting_search(backend, N, W)
-    return cache[key]
-
-
-def _tilting_search(backend, N, W) -> bool:
-    for w in sorted(W):
-        if w in N:
-            continue
-        wd = backend.indecs[w].dims
-        found = False
-        usable = [n for n in sorted(N) if backend.hom_matrix[w][n] > 0]
-        for r in range(1, COPY_BOUND + 1):
-            for combo in itertools.combinations_with_replacement(usable, r):
-                tgt = tuple(combo)
-                td = backend.obj_dims(tgt)
-                if any(t < d for t, d in zip(td, wd)):
-                    continue
-                for f in backend.morphisms((w,), tgt):
-                    if backend.is_mono(f):
-                        found = True
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if not found:
-            return False
-    return True
+    ext = backend.ext_matrix
+    return all(i in N for i in W if not any(ext[x][i] for x in W))
 
 
 def split_injective_test(backend, S, I) -> bool:

@@ -354,10 +354,10 @@ def _all_multisets(backend):
 
 def enumerate_narrow_sequences(backend, lo: int, hi: int):
     """All narrow sequences on the window with zero below-tail and constant
-    (hence wide) above-tail, in deterministic order."""
-    subsets = [frozenset(s) for s in backend.subsets()]
-    subsets.sort(key=lambda s: tuple(sorted(s)))
-    narrow_subsets = [s for s in subsets if core.classify_subcat(backend, s).is_narrow]
+    (hence wide) above-tail, in deterministic order; the narrow
+    subcategories come from ``core.enumerate_subcats``, which refuses a
+    table beyond ``core.MAX_SCAN_INDECS``."""
+    narrow_subsets = core._by_members(core.enumerate_subcats(backend, ("is_narrow",)))
     results = []
 
     def rec(chain):

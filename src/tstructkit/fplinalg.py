@@ -13,10 +13,6 @@ here is floating point.
 from __future__ import annotations
 
 
-def modinv(a: int, p: int) -> int:
-    return pow(int(a) % p, p - 2, p)
-
-
 def rref(mat, p: int) -> tuple[list[tuple], list[int]]:
     """(rows, pivots): the nonzero rows of the reduced row echelon form of
     mat mod p, top to bottom, and the pivot column of each."""
@@ -65,18 +61,6 @@ def column_space(mat, p: int) -> list[tuple]:
     """A basis of the column space of mat: its pivot columns."""
     _, piv = rref(mat, p)
     return [tuple(row[c] % p for row in mat) for c in piv]
-
-
-def solve(mat, rhs, ncols: int, p: int) -> tuple | None:
-    """One solution x of mat @ x = rhs mod p, for an (any) x ncols matrix,
-    or None if the system is inconsistent."""
-    red, piv = rref([tuple(row) + (b,) for row, b in zip(mat, rhs)], p)
-    if ncols in piv:
-        return None
-    x = [0] * ncols
-    for row, pc in zip(red, piv):
-        x[pc] = row[ncols]
-    return tuple(x)
 
 
 def complement_basis(sub, dim: int, p: int) -> list[tuple]:

@@ -92,21 +92,6 @@ def column_space(mat: np.ndarray, p: int) -> np.ndarray:
     return mat[:, piv] % p
 
 
-def solve(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
-    """One solution x of mat @ x = rhs mod p, or None if inconsistent."""
-    mat = np.asarray(mat, dtype=np.int64)
-    rhs = np.asarray(rhs, dtype=np.int64).reshape(-1)
-    rows, cols = mat.shape
-    aug = np.concatenate([mat, rhs.reshape(-1, 1)], axis=1)
-    red, piv = rref(aug, p)
-    if cols in piv:
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    for i, pc in enumerate(piv):
-        x[pc] = red[i, cols]
-    return x % p
-
-
 def complement_basis(sub: np.ndarray, dim: int, p: int) -> np.ndarray:
     """Columns spanning a complement of the column space of `sub` in F_p^dim.
 

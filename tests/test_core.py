@@ -1,14 +1,18 @@
 import itertools
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import numpy_fplinalg as nla
-from tstructkit import core
+from tstructkit import core, derived
+from tstructkit.derived import enumerate_narrow_sequences
 from tstructkit.core import (classify_subcat, closure, enumerate_subcats,
-                             ext_injectives, is_closed, is_tilting_in,
-                             kernel_realizations, perp, split_injective_test,
-                             tilting_census, torsion_decompose, wide_census)
+                             ext_injectives, generated_torsion, is_closed,
+                             is_tilting_in, kernel_realizations, perp,
+                             split_injective_test, tilting_census,
+                             torsion_decompose, wide_census)
 from tstructkit.quiver import BackendError, Morphism, QuiverSpec, _combine, build_backend
 
 
@@ -114,6 +118,19 @@ def test_search_bounds_are_read_at_call_time(monkeypatch):
         enumerate_subcats(b)
 
 
+def test_readme_lists_every_search_bound():
+    """The README's "Search bounds" bullets name exactly the ``*_BOUND``
+    and ``MAX_SCAN_INDECS`` constants of ``core`` and ``derived``, each
+    with its value."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Search bounds\n", 1)[1].split("\n## ", 1)[0]
+    listed = dict(re.findall(r"^- `(\w+\.\w+) = (\d+)`", section, re.M))
+    constants = {f"{mod.__name__.rsplit('.', 1)[1]}.{name}": str(value)
+                 for mod in (core, derived) for name, value in vars(mod).items()
+                 if name.endswith("_BOUND") or name == "MAX_SCAN_INDECS"}
+    assert listed == constants
+
+
 def test_split_injective(a2, a2_ids):
     S1, S2, P1 = a2_ids["S1"], a2_ids["S2"], a2_ids["P1"]
     assert split_injective_test(a2, all_ids(a2), S1)
@@ -156,6 +173,65 @@ def test_tilting(a2, a2_ids):
     W = all_ids(a2)
     assert is_tilting_in(a2, frozenset({P1, S1}), W)
     assert not is_tilting_in(a2, frozenset({S1}), W)  # S2 has no mono into S1-sums
+    with pytest.raises(BackendError, match="contained"):
+        is_tilting_in(a2, W, frozenset({S1}))
+
+
+def tilting_by_search(backend, N, W, copies, found):
+    """Reference oracle for ``is_tilting_in``: every indecomposable of W
+    outside N has a monomorphism (one per line) into a sum of at most
+    ``copies`` indecomposables of N.  found memoises, per indecomposable,
+    the searches over the members of N it maps to."""
+    for w in sorted(W - N):
+        usable = tuple(n for n in sorted(N) if backend.hom_matrix[w][n] > 0)
+        key = (w, usable, copies)
+        if key not in found:
+            wd = backend.indecs[w].dims
+            found[key] = any(
+                backend.is_mono(f)
+                for r in range(1, copies + 1)
+                for tgt in itertools.combinations_with_replacement(usable, r)
+                if all(t >= d for t, d in zip(backend.obj_dims(tgt), wd))
+                for f in backend.morphisms((w,), tgt))
+        if not found[key]:
+            return False
+    return True
+
+
+def subsets_of(W):
+    ids = sorted(W)
+    return [frozenset(c) for r in range(len(ids) + 1) for c in itertools.combinations(ids, r)]
+
+
+A3_LINEAR = ((0, 1), (1, 2))
+A3_INTO_MIDDLE = ((0, 1), (2, 1))
+A4 = QuiverSpec(4, ((0, 1), (1, 2), (2, 3)), 2)
+
+
+@pytest.mark.parametrize("spec", [
+    QuiverSpec(2, ((0, 1),), 2),
+    QuiverSpec(3, A3_LINEAR, 2),
+    QuiverSpec(3, A3_INTO_MIDDLE, 2),
+    QuiverSpec(3, A3_LINEAR, 3),
+    A4,
+], ids=["A2", "A3", "A3-into-middle", "A3-F3", "A4"])
+def test_torsion_and_tilting_formulas_equal_the_searches(spec):
+    """The matrix predicates against the searches they replaced: the torsion
+    flag against the quotient and extension scan on every subset, the
+    torsion test in a wide W against the same scan inside W, and the tilting
+    test against the monomorphism search into sums of 4 and of 5 copies, on
+    every subset of every wide W."""
+    b = build_backend(spec)
+    for S in b.subsets():
+        assert classify_subcat(b, S).is_nullity == is_closed(b, S, ("quotients", "extensions")), S
+    found = {}
+    for W in wide_census(b):
+        for t in subsets_of(W):
+            assert (generated_torsion(b, t, W) == t) == \
+                is_closed(b, t, ("quotients", "extensions"), ambient=W), (t, W)
+            tilting = is_tilting_in(b, t, W)
+            assert tilting == tilting_by_search(b, t, W, 4, found) == \
+                tilting_by_search(b, t, W, 5, found), (t, W)
 
 
 def test_kernel_realizations(a2, a2_ids):
@@ -167,7 +243,6 @@ def test_kernel_realizations(a2, a2_ids):
     assert not list(kernel_realizations(a2, frozenset({S1}), S2))
 
 
-A4 = QuiverSpec(4, ((0, 1), (1, 2), (2, 3)), 2)
 D4 = QuiverSpec(4, ((0, 3), (1, 3), (2, 3)), 2, (1, 1, 1, 2))  # vertex 3 is the centre
 A5 = QuiverSpec(5, ((0, 1), (1, 2), (2, 3), (3, 4)), 2, (1,) * 5)
 
@@ -193,4 +268,6 @@ def test_a5_is_beyond_the_subset_scan():
     assert len(b.indecs) == 15
     with pytest.raises(BackendError, match="too large"):
         enumerate_subcats(b, ("is_wide",))
+    with pytest.raises(BackendError, match="too large"):
+        enumerate_narrow_sequences(b, 0, 1)
 
