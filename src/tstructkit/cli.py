@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 
 from . import core, dedekind, derived, faults, projline, refined
@@ -138,8 +139,11 @@ def cmd_enumerate(args, out=sys.stdout) -> int:
 
 def _quiver_checks(backend, lo, hi):
     narrows = [frozenset(s) for s in core.enumerate_subcats(backend, ("is_narrow",))]
-    yield ("narrow-flags-match-direct-extension-scan",
-           all(_direct_extension_closed(backend, s) for s in narrows), None)
+    flags = operator.attrgetter("is_narrow", "is_wide")
+    mismatch = [s for s in backend.subsets()
+                if _scan_flags(backend, s) != flags(core.classify_subcat(backend, s))]
+    yield ("narrow-flags-match-direct-extension-scan", not mismatch,
+           sorted(mismatch[0]) if mismatch else None)
     bad = [s for s in narrows
            if not core.classify_subcat(backend, s).is_wide
            and derived.is_narrow_sequence(
@@ -173,13 +177,11 @@ def _quiver_checks(backend, lo, hi):
            report["failures"][:1] or None)
 
 
-def _direct_extension_closed(backend, s) -> bool:
-    for sub in core.candidates(s):
-        for quot in core.candidates(s):
-            for mid in backend.middle_terms(quot, sub):
-                if not core.obj_in(s, mid):
-                    return False
-    return True
+def _scan_flags(backend, s) -> tuple:
+    """(narrow, wide) by the bounded closure scans that the matrix flags of
+    ``classify_subcat`` replace."""
+    narrow = core.is_closed(backend, s, ("extensions", "cokernels"))
+    return narrow, narrow and core.is_closed(backend, s, ("kernels",))
 
 
 def _p1_checks(points, lo, hi, dlo, dhi):

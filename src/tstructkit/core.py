@@ -1,8 +1,8 @@
 """Subcategory calculus over a finite hereditary backend.
 
 Subcategories of a finite backend are additively-closed sets of
-indecomposable ids (frozensets).  Closures and the closure predicates are
-decided on direct sums of at most ``MULT_BOUND`` of the subcategory's
+indecomposable ids (frozensets).  The closure scans (``closure``,
+``is_closed``) try direct sums of at most ``MULT_BOUND`` of the subcategory's
 indecomposables: morphisms one per line through 0 (``c * f`` has the
 kernel, image and cokernel of ``f``, and is mono or epi with it), not
 exhaustively; quotients by exhaustive enumeration; extensions by the
@@ -12,14 +12,15 @@ The search depths (``MULT_BOUND``, ``MAX_SCAN_INDECS``) are module
 constants, not parameters.  Memo keys do not carry them, so a caller that
 varies one, by monkeypatching it, must use a fresh backend.
 
-The wide census (``wide_census``), the tilting torsion classes of a wide
-subcategory (``tilting_census``), the torsion class a set generates in a
-wide subcategory (``generated_torsion``, which ``refined.psi`` glues with,
-and which decides the torsion flag of ``classify_subcat``) and the tilting
-test (``is_tilting_in``) are read off the Hom and Ext matrices of the
-table, with no subset scan and no closure.  The scans and closures that
-decide sets from the closure predicates (``enumerate_subcats``,
-``closure``, ``is_closed``) stay as their oracles.
+The narrow, wide and torsion flags of ``classify_subcat``, the wide census
+(``wide_census``), the tilting torsion classes of a wide subcategory
+(``tilting_census``), the torsion class a set generates in a wide
+subcategory (``generated_torsion``, which ``refined.psi`` glues with) and
+the tilting test (``is_tilting_in``) are read off the Hom and Ext matrices
+of the table, with no closure and no representation; ``enumerate_subcats``
+filters every subset by those flags.  The closure scans (``is_closed``,
+``closure``) serve ``derived`` and ``refined.xi``, and stay as the oracles
+that ``verify`` compares the flags with.
 
 Memo rule for this layer and the two built on it (derived, refined): every
 result that depends on the closure predicates or on ``perp`` is stored in
@@ -147,22 +148,58 @@ class SubcatFlags:
 
 
 def classify_subcat(backend, S) -> SubcatFlags:
-    """Closure flags of an additively-closed subset: narrow and wide by
-    one-step scans, torsion by ``generated_torsion`` over the whole table
-    (S is a torsion class iff it is the torsion class it generates).
+    """Closure flags of an additively-closed subset, from the Hom and Ext
+    matrices: S is wide iff S = perp(perp(S, right), left), narrow iff
+    S = generated_torsion(P, perp(perp(P, right), left)) for P the
+    Ext-projectives of S (the p in S with Ext(p, x) = 0 for every x in S),
+    and a torsion class iff it is the torsion class it generates in the
+    whole table.  All perps but those of ``generated_torsion`` take Hom and
+    Ext.
+
+    Proof.  Both sides of each test are sets of indecomposables, and every
+    category here is closed under summands.  Wide: for any Y, perp(Y, left)
+    is closed under kernels, cokernels and extensions, since Ext^2 vanishes
+    (Geigle-Lenzing 1991, *Perpendicular categories*), so a fixed point is
+    wide; a wide S of a Dynkin category is perp(S^perp) (see the proof of
+    ``wide_census``).  Narrow means closed under extensions and cokernels;
+    such an S is closed under images too.  Let f: A -> B be a map in S with
+    image I and kernel K; its cokernel Q lies in S, and Ext^2(Q, K) = 0
+    makes Ext^1(B, K) -> Ext^1(I, K) onto, so 0 -> K -> A -> I -> 0 is the
+    pullback along I -> B of some 0 -> K -> F -> B -> 0; then F is an
+    extension of Q by A, so F lies in S, the pullback square gives
+    0 -> A -> I + F -> B -> 0, so I + F lies in S, and I is a summand.  So
+    S is ICE-closed, and an ICE-closed S of a hereditary category is the
+    torsion class that its Ext-projectives P generate in their wide closure
+    W(P) (Enomoto 2022, *Rigid modules and ICE-closed subcategories in
+    quiver representations*, arXiv:2005.05536), W(P) = perp(perp(P, right),
+    left) as above.  Conversely that torsion class T is narrow: the
+    cokernel of a map in T lies in the wide W(P) and is a quotient there of
+    an object of T, and an extension of objects of T lies in W(P), hence in
+    T (``generated_torsion`` proves T the least torsion class of W(P)
+    holding P).  Torsion: see ``generated_torsion`` (Dickson 1966).
 
     On a finite-length backend every nullity class is coreflective, so the
-    torsion-class flag coincides with the nullity flag.
+    torsion-class flag coincides with the nullity flag.  The closure scans
+    (``is_closed`` with ("extensions", "cokernels"), then ("kernels",))
+    decide the narrow and wide flags by search; ``verify`` compares them.
     """
     S = frozenset(S)
     key = ("classify", S)
     cache = memo(backend)
     if key not in cache:
-        narrow = is_closed(backend, S, ("extensions", "cokernels"))
-        wide = narrow and is_closed(backend, S, ("kernels",))
+        ext = backend.ext_matrix
+        ext_proj = [p for p in S if not any(ext[p][x] for x in S)]
+        narrow = generated_torsion(backend, ext_proj, _wide_closure(backend, ext_proj)) == S
+        wide = narrow and _wide_closure(backend, S) == S
         nullity = generated_torsion(backend, S, backend.all_ids()) == S
         cache[key] = SubcatFlags(narrow, wide, nullity, nullity)
     return cache[key]
+
+
+def _wide_closure(backend, S) -> Subcat:
+    """perp(perp(S, right), left), both with Hom and Ext: the least wide
+    subcategory holding S (see ``classify_subcat``)."""
+    return perp(backend, perp(backend, S, "right", "all"), "left", "all")
 
 
 def perp(backend, S, side, degrees="all", universe=None) -> Subcat:
@@ -258,8 +295,7 @@ def wide_census(backend) -> list:
         hom = backend.hom_matrix
         found = []
         _grow_cliques(backend.all_ids(), lambda i, j: hom[i][j] == 0 and hom[j][i] == 0,
-                      lambda S: found.append(perp(backend, perp(backend, S, "right", "all"),
-                                                  "left", "all")))
+                      lambda S: found.append(_wide_closure(backend, S)))
         cache["wide-census"] = _by_members(set(found))
     return cache["wide-census"]
 

@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from tstructkit import core
 from tstructkit.quiver import QuiverSpec, build_backend
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -25,6 +27,24 @@ def run_python_process(*argv, text=True, timeout=None):
 def run_cli_process(*argv, text=True, timeout=None):
     """Run ``python -m tstructkit.cli`` with ``run_python_process``."""
     return run_python_process("-m", "tstructkit.cli", *argv, text=text, timeout=timeout)
+
+
+def scan_flags(backend, S):
+    """(narrow, wide) by the bounded closure scans: S is narrow if it is
+    closed under extensions and cokernels, and wide if it is narrow and
+    closed under kernels too.  The oracle of ``classify_subcat``'s matrix
+    flags."""
+    narrow = core.is_closed(backend, S, ("extensions", "cokernels"))
+    return narrow, narrow and core.is_closed(backend, S, ("kernels",))
+
+
+@functools.cache
+def scan_census(spec):
+    """``scan_flags`` of every subset, in bitmask order, on a fresh backend
+    of spec, computed once per session: the D4 scan takes several seconds
+    and more than one test compares against it."""
+    b = build_backend(spec)
+    return {S: scan_flags(b, S) for S in b.subsets()}
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ the suite is readable both as a checklist and as a test run.
 
 import time
 
-from conftest import run_cli_process
+from conftest import run_cli_process, scan_flags
 
 from tstructkit import core, dedekind as dd, derived, projline as pl, refined
 from tstructkit.core import candidates, closure, enumerate_subcats, obj_in, perp
@@ -32,8 +32,10 @@ def test_criterion_1_quiver_census_and_aisles(a2, capfd):
     start = time.perf_counter()
     ok = len(a2.indecs) == 3
     ok &= len(enumerate_subcats(a2, ("is_torsion_class",))) == 5
-    ok &= len(enumerate_subcats(a2, ("is_wide",))) == 5
-    ok &= len(enumerate_subcats(a2, ("is_narrow",))) == 6
+    narrow_scan = [S for S in a2.subsets() if scan_flags(a2, S)[0]]
+    wide_scan = [S for S in a2.subsets() if scan_flags(a2, S)[1]]
+    ok &= len(narrow_scan) == 6 and enumerate_subcats(a2, ("is_narrow",)) == narrow_scan
+    ok &= len(wide_scan) == 5 and enumerate_subcats(a2, ("is_wide",)) == wide_scan
     seqs = enumerate_narrow_sequences(a2, 0, 2)
     ok &= len(seqs) == 25
     for seq in seqs:

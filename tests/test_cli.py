@@ -44,11 +44,11 @@ def test_verify_p1_and_dedekind_pass():
 
 # SHA-256 of `verify --mutate FAULT` stdout on a2, window 0:1
 MUTATE_STDOUT_SHA256 = {
-    "drop-extension-closure": "909722b5a0a95fb67316b470e7df2c1d4ebfaedf97b0b5d778cf62acdb6e3e90",
+    "drop-extension-closure": "6baa79a6b2d9700fa8ab8f3c9bdaa43808a2399b8fcb5bdf9178f1a1cec19524",
     "skip-kernel-condition": "2f2e5a7354a30431418a43d7ab47d68011ab84588344108658d5a744b7d3788f",
     "swap-ext-direction": "fab09bc82d256df97317354b2268100b868292eaa105fd02d4af6850e92d1839",
-    "perp-ignores-ext": "8e402e6eb7a84eed07dee33dba32df15b4ecbb67a853d820a71a9edc62aa56c3",
-    "wide-closure-skips-kernels": "1126f579fbc507f8b0ff45a1db480a778482d35deccf7d24e5b955a8a717da08",
+    "perp-ignores-ext": "93b740eb3b9d11e25f82d5bea7cd312e9deb99a4c9d55d295b2d790aba94ae67",
+    "wide-closure-skips-kernels": "ad478733a809ee948591b1157debb9dfbe502bc044b861ad5a1dc4d0250f1501",
 }
 
 

@@ -1,11 +1,13 @@
 import itertools
 import re
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import numpy_fplinalg as nla
+from conftest import id_by_dims, scan_census
 from tstructkit import core, derived
 from tstructkit.derived import enumerate_narrow_sequences
 from tstructkit.core import (classify_subcat, closure, enumerate_subcats,
@@ -234,6 +236,71 @@ def test_torsion_and_tilting_formulas_equal_the_searches(spec):
                 tilting_by_search(b, t, W, 5, found), (t, W)
 
 
+A3_OUT_OF_MIDDLE = ((1, 0), (1, 2))
+A4_ALTERNATING = QuiverSpec(4, ((0, 1), (2, 1), (2, 3)), 2)
+D4 = QuiverSpec(4, ((0, 3), (1, 3), (2, 3)), 2, (1, 1, 1, 2))  # vertex 3 is the centre
+D4_CENTRE_SOURCE = QuiverSpec(4, ((1, 0), (1, 2), (1, 3)), 2, (1, 2, 1, 1))
+A5 = QuiverSpec(5, ((0, 1), (1, 2), (2, 3), (3, 4)), 2, (1,) * 5)
+
+
+@pytest.mark.parametrize("spec", [
+    QuiverSpec(2, ((0, 1),), 2),
+    QuiverSpec(3, A3_LINEAR, 2),
+    QuiverSpec(3, A3_LINEAR, 3),
+    QuiverSpec(3, A3_INTO_MIDDLE, 3),
+    QuiverSpec(3, A3_OUT_OF_MIDDLE, 2),
+    A4,
+    A4_ALTERNATING,
+    D4,
+], ids=["A2", "A3", "A3-F3", "A3-into-middle-F3", "A3-out-of-middle", "A4",
+        "A4-alternating", "D4"])
+def test_narrow_and_wide_flags_equal_the_scans(spec):
+    """``classify_subcat``'s narrow and wide flags, read off the Hom and Ext
+    matrices, against the closure scans (``scan_flags``) on every subset."""
+    b = build_backend(spec)
+    for S, flags in scan_census(spec).items():
+        got = classify_subcat(b, S)
+        assert (got.is_narrow, got.is_wide) == flags, S
+
+
+def test_narrow_flag_where_the_bound_2_scan_misses_a_cokernel():
+    """On D4 with its centre as source, the map from the indecomposable of
+    dimension (1, 2, 1, 1) into the sum of the three of dimension
+    (0, 1, 0, 1), (0, 1, 1, 0) and (1, 1, 0, 0) is injective with the simple
+    at the centre as cokernel.  Its target has three summands, so the scan
+    at ``MULT_BOUND = 2`` misses it and calls the four closed under
+    extensions and cokernels; the sums of three that a bound of 3 tries hold
+    it.  The matrix flag says not narrow."""
+    b = build_backend(D4_CENTRE_SOURCE)
+    top = id_by_dims(b, (1, 2, 1, 1))
+    target = tuple(sorted(id_by_dims(b, d) for d in ((0, 1, 0, 1), (0, 1, 1, 0), (1, 1, 0, 0))))
+    S = frozenset(target + (top,))
+    assert not classify_subcat(b, S).is_narrow
+    assert core.MULT_BOUND == 2 and is_closed(b, S, ("extensions", "cokernels"))
+    assert target in core.candidates(S, 3)
+    centre = id_by_dims(b, (0, 1, 0, 0))
+    assert ((), (top,), (centre,)) in b.part_sets((top,), target)
+
+
+def test_census_counts_from_the_literature():
+    """Counts of every subset's flags: narrow subcategories are the large
+    Schroeder numbers on A_n (Enomoto 2022) and 120 on D4; wide
+    subcategories and torsion classes are the Coxeter-Catalan numbers Cat(W)
+    (Ingalls-Thomas 2009).  A5's 15 indecomposables are beyond
+    ``enumerate_subcats``, so every count runs over ``backend.subsets()``."""
+    start = time.perf_counter()
+    cases = [(QuiverSpec(1, (), 2), 2, 2), (QuiverSpec(2, ((0, 1),), 2), 6, 5),
+             (QuiverSpec(3, A3_LINEAR, 2), 22, 14), (A4, 90, 42), (A5, 394, 132),
+             (D4, 120, 50), (D4_CENTRE_SOURCE, 120, 50)]
+    for spec, narrow, wide in cases:
+        b = build_backend(spec)
+        flags = [classify_subcat(b, S) for S in b.subsets()]
+        assert sum(f.is_narrow for f in flags) == narrow, spec
+        assert sum(f.is_wide for f in flags) == wide, spec
+        assert sum(f.is_torsion_class for f in flags) == wide, spec
+    assert time.perf_counter() - start < 5.0
+
+
 def test_kernel_realizations(a2, a2_ids):
     S1, S2, P1 = a2_ids["S1"], a2_ids["S2"], a2_ids["P1"]
     hits = list(kernel_realizations(a2, frozenset({P1, S1}), S2))
@@ -241,10 +308,6 @@ def test_kernel_realizations(a2, a2_ids):
     for src, tgt in hits:
         assert set(src) <= {P1, S1} and set(tgt) <= {P1, S1}
     assert not list(kernel_realizations(a2, frozenset({S1}), S2))
-
-
-D4 = QuiverSpec(4, ((0, 3), (1, 3), (2, 3)), 2, (1, 1, 1, 2))  # vertex 3 is the centre
-A5 = QuiverSpec(5, ((0, 1), (1, 2), (2, 3), (3, 4)), 2, (1,) * 5)
 
 
 @pytest.mark.parametrize("spec, wides, tilting, narrow", [

@@ -2,7 +2,7 @@
 
 ``demos/integers_tour.py`` is left out: it takes about 12 s, most of it in
 the Dedekind validator, which is slow until its tables are memoised
-(ROADMAP item 6).
+(ROADMAP item "Dedekind validator: memoise `middle_term_types`").
 """
 
 import hashlib

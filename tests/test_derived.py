@@ -2,7 +2,7 @@ import contextlib
 
 import pytest
 
-from tstructkit import faults, refined
+from tstructkit import core, faults, refined
 from tstructkit.derived import (SubcatSeq, aisle_from_torsion,
                                 derived_hom_dim, dobj,
                                 enumerate_narrow_sequences, full_subcat,
@@ -149,15 +149,18 @@ def test_results_do_not_depend_on_fault_history():
     def answers(b):
         return (len(enumerate_narrow_sequences(b, 0, 1)),
                 refined.tilting_torsion_classes(b, full_subcat(b)),
-                [r.key() for r in refined.enumerate_refined(b, 0, 1)])
+                [r.key() for r in refined.enumerate_refined(b, 0, 1)],
+                sum(core.is_closed(b, S, ("extensions", "cokernels")) for S in b.subsets()))
 
-    # (fault, narrow sequences, refined t-sequences) on the window 0:1
-    steps = [(None, 14, 14), ("drop-extension-closure", 19, 14),
-             ("perp-ignores-ext", 14, 15), ("wide-closure-skips-kernels", 12, 14),
-             (None, 14, 14)]
-    for fault, count, refined_count in steps:
+    # (fault, narrow sequences and refined t-sequences on the window 0:1,
+    # subsets the scan finds closed under extensions and cokernels)
+    steps = [(None, 14, 14, 6), ("drop-extension-closure", 14, 14, 7),
+             ("perp-ignores-ext", 11, 15, 6), ("wide-closure-skips-kernels", 12, 14, 6),
+             (None, 14, 14, 6)]
+    for fault, count, refined_count, scan_count in steps:
         with faults.injected(fault) if fault else contextlib.nullcontext():
             got, cold = answers(warm), answers(build_backend(spec))
         assert got[0] == cold[0] == count, fault
         assert got[1] == cold[1], fault
         assert got[2] == cold[2] and len(got[2]) == refined_count, fault
+        assert got[3] == cold[3] == scan_count, fault

@@ -672,10 +672,19 @@ def test_part_sets_over_lines_equal_all_morphisms(spec):
             assert backend.part_sets(x, y) == all_morphism_part_sets(backend, x, y), (x, y)
 
 
-def test_census_memoises_hom_bases_between_indecomposables_only():
+def test_closure_scans_memoise_hom_bases_between_indecomposables_only():
     backend = build_backend(QuiverSpec(3, A3_LINEAR, 3))
     for S in backend.subsets():
-        core.classify_subcat(backend, S)
+        core.is_closed(backend, S, ("extensions", "cokernels", "kernels"))
     names = [key[0] for key in backend._memo]
     assert "hom_basis" not in names
     assert 0 < names.count("_indec_homs") <= len(backend.indecs) ** 2
+
+
+def test_census_builds_no_representation():
+    """``classify_subcat`` reads the Hom and Ext matrices alone: flagging
+    every subset leaves the backend's representation memo empty."""
+    backend = build_backend(QuiverSpec(3, A3_LINEAR, 3))
+    for S in backend.subsets():
+        core.classify_subcat(backend, S)
+    assert backend._memo == {}

@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from conftest import scan_census
 from tstructkit import core, derived
 from tstructkit.derived import (SubcatSeq, aisle_from_torsion,
                                 enumerate_narrow_sequences, full_subcat,
@@ -135,6 +136,11 @@ def by_members(sets):
     return sorted(sets, key=lambda s: tuple(sorted(s)))
 
 
+def scan_wides(spec):
+    """The wide subcategories by the closure scans, sorted by members."""
+    return by_members(S for S, (_, wide) in scan_census(spec).items() if wide)
+
+
 A4 = QuiverSpec(4, ((0, 1), (1, 2), (2, 3)), 2)
 D4 = QuiverSpec(4, ((0, 3), (1, 3), (2, 3)), 2, (1, 1, 1, 2))  # vertex 3 is the centre
 
@@ -148,12 +154,13 @@ D4 = QuiverSpec(4, ((0, 3), (1, 3), (2, 3)), 2, (1, 1, 1, 2))  # vertex 3 is the
     D4,
 ])
 def test_census_equals_the_scans(spec):
-    """The wide and tilting censuses equal the subset scans: the wide flag
-    over every subset, and the torsion and tilting tests over every subset
-    of each wide subcategory (``tilting_torsion_classes``)."""
+    """The wide and tilting censuses equal the subset scans: the closure
+    scans over every subset (``scan_flags``), and the torsion and tilting
+    tests over every subset of each wide subcategory
+    (``tilting_torsion_classes``)."""
     b = build_backend(spec)
     wides = core.wide_census(b)
-    assert wides == by_members(core.enumerate_subcats(b, ("is_wide",)))
+    assert wides == scan_wides(spec)
     for w in wides:
         assert core.tilting_census(b, w) == tilting_torsion_classes(b, w)
 
@@ -166,8 +173,7 @@ def test_census_equals_the_scans(spec):
 def test_enumerate_refined_equals_the_scan(spec, lo, hi, count, monkeypatch):
     got = [r.key() for r in enumerate_refined(build_backend(spec), lo, hi)]
     # the same chain assembly, fed by the subset scans
-    monkeypatch.setattr(core, "wide_census",
-                        lambda b: by_members(core.enumerate_subcats(b, ("is_wide",))))
+    monkeypatch.setattr(core, "wide_census", lambda b: scan_wides(b.spec))
     monkeypatch.setattr(core, "tilting_census", tilting_torsion_classes)
     want = [r.key() for r in enumerate_refined(build_backend(spec), lo, hi)]
     assert got == want and len(got) == count
