@@ -12,14 +12,13 @@ roundtrips and star-product oracles.
 from .quiver import QuiverSpec, Rep, Morphism, QuiverBackend, BackendError, build_backend
 from .core import (Subcat, SubcatFlags, classify_subcat, closure, is_closed, perp,
                    torsion_decompose, ext_injectives, is_tilting_in,
-                   enumerate_subcats, kernel_realizations, split_injective_test,
-                   wide_census, tilting_census, generated_torsion)
-from .derived import (SubcatSeq, dobj, shift, truncate, derived_hom_dim,
+                   enumerate_subcats, wide_census, tilting_census, generated_torsion)
+from .derived import (SubcatSeq, dobj, shift, derived_hom_dim,
                       aisle_from_torsion, is_narrow_sequence, theta_membership,
                       mu, restrict, star_membership, window_objects,
                       enumerate_narrow_sequences)
 from .refined import (RefinedTSeq, TStructRecord, xi, psi, gap, validate_refined,
-                      tilting_torsion_classes, enumerate_refined,
+                      enumerate_refined,
                       star_oracle_membership, enumerate_tstructures,
                       verify_roundtrips)
 from .projline import (SheafObj, P1Narrow, P1Wide, P1SeqForm, P1Invalid,

@@ -188,26 +188,27 @@ def _p1_checks(points, lo, hi, dlo, dhi):
     narrows = projline.enumerate_p1_narrow(points, dlo, dhi)
     yield ("narrowness-audit", all(projline.p1_narrowness_audit(s, dlo, dhi, points)
                                    for s in narrows), None)
-    forms = projline.p1_enumerate_sequences(points, lo, hi, dlo, dhi)
-    rt = []
-    for form in forms:
+    sheaves = projline.p1_test_sheaves(points, deg_bound=max(abs(dlo), abs(dhi)))
+    members = {}  # narrow value -> bitmask of the test sheaves in it
+
+    def held(value):
+        if value not in members:
+            members[value] = sum(1 << i for i, x in enumerate(sheaves)
+                                 if projline.p1_membership(x, value))
+        return members[value]
+
+    rt, cond, mono = [], True, True
+    for form in projline.p1_enumerate_sequences(points, lo, hi, dlo, dhi):
         entries, below, above = projline.p1_sequence_window(form, lo, hi)
         got = projline.classify_p1_sequence(entries, below, above)
         if not isinstance(got, projline.P1SeqForm) or got.key() != form.key():
             rt.append(form.key())
+        # only form I with a torsion zone wider than one degree is rejected
+        cond &= projline.p1_is_aisle(form) == (form.form != "I" or form.l2 == form.l1 + 1)
+        mono &= all(not held(form.value_at(k)) & ~held(form.value_at(k + 1))
+                    for k in range(lo - 1, hi + 1))
     yield ("sequence-form-roundtrip", not rt, rt[:1] or None)
-    rej = [f for f in forms if not projline.p1_is_aisle(f)]
-    cond = all(f.form == "I" and not f.l2 == f.l1 + 1 for f in rej) and \
-        all(f.l2 == f.l1 + 1 for f in forms if f.form == "I" and projline.p1_is_aisle(f))
     yield ("aisle-rejection-is-wide-torsion-zone", cond, None)
-    sheaves = projline.p1_test_sheaves(points, deg_bound=max(abs(dlo), abs(dhi)))
-
-    def nondecreasing_at(form, k):
-        lower, upper = form.value_at(k), form.value_at(k + 1)
-        return all(projline.p1_membership(x, upper)
-                   for x in sheaves if projline.p1_membership(x, lower))
-
-    mono = all(nondecreasing_at(form, k) for form in forms for k in range(lo - 1, hi + 1))
     yield ("sequences-nondecreasing-on-test-sheaves", mono, None)
     yield ("euler-form-spot-values",
            projline.euler_form((1, 0), (1, 1)) == 2

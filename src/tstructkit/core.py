@@ -4,8 +4,7 @@ Subcategories of a finite backend are additively-closed sets of
 indecomposable ids (frozensets).  The closure scans (``closure``,
 ``is_closed``) try direct sums of at most ``MULT_BOUND`` of the subcategory's
 indecomposables: morphisms one per line through 0 (``c * f`` has the
-kernel, image and cokernel of ``f``, and is mono or epi with it), not
-exhaustively; quotients by exhaustive enumeration; extensions by the
+kernel, image and cokernel of ``f``), not exhaustively; extensions by the
 backend's ``middle_terms``, which builds one middle term per Ext^1 class.
 
 The search depths (``MULT_BOUND``, ``MAX_SCAN_INDECS``) are module
@@ -37,11 +36,11 @@ from dataclasses import dataclass
 
 from . import faults
 from . import fplinalg as la
-from .quiver import BackendError, Obj, _mm
+from .quiver import BackendError, Obj
 
 Subcat = frozenset
 
-RULES = ("cokernels", "kernels", "quotients", "extensions", "images")
+RULES = ("cokernels", "kernels", "extensions", "images")
 
 WIDE_RULES = ("kernels", "cokernels", "extensions")
 
@@ -92,11 +91,6 @@ def _violations(backend, S, rules, ambient):
                     for rule, part in (("kernels", ker), ("cokernels", cok), ("images", img)):
                         if rule in mor_rules and in_ambient(part) and not ok(part):
                             yield rule, part
-    if "quotients" in rules:
-        for a in cands:
-            for _, quot in backend.sub_quot_pairs(a):
-                if in_ambient(quot) and not ok(quot):
-                    yield "quotients", quot
     if "extensions" in rules:
         for sub in cands:
             for quot in cands:
@@ -391,47 +385,6 @@ def is_tilting_in(backend, N, W) -> bool:
         raise BackendError("N must be contained in W")
     ext = backend.ext_matrix
     return all(i in N for i in W if not any(ext[x][i] for x in W))
-
-
-def split_injective_test(backend, S, I) -> bool:
-    """True iff every monomorphism I -> M with M in S splits."""
-    S = frozenset(S)
-    for m in candidates(S):
-        for f in backend.morphisms((I,), m):
-            if not backend.is_mono(f):
-                continue
-            if not any(_retracts_up_to_scalar(backend, f, g)
-                       for g in backend.morphisms(m, (I,))):
-                return False
-    return True
-
-
-def _retracts_up_to_scalar(backend, f, g):
-    """Whether g o f is c times the identity for one c != 0, so that g / c
-    is a retraction of f (``morphisms`` yields g only up to a scalar)."""
-    scalars = set()
-    for v, d in enumerate(backend.obj_dims(f.source)):
-        if d:
-            comp = _mm(g.mat(v), f.mat(v), d, backend.p)
-            c = comp[0][0]
-            scalars.add(c)
-            if comp != tuple(tuple(c * (r == k) for k in range(d)) for r in range(d)):
-                return False
-    return len(scalars) == 1 and 0 not in scalars
-
-
-def kernel_realizations(backend, S, target_id):
-    """Epimorphisms between bounded sums of S whose kernel is the given
-    indecomposable; yields (source, target) witnesses."""
-    S = frozenset(S)
-    for a in candidates(S):
-        for b in candidates(S):
-            for f in backend.morphisms(a, b):
-                if not backend.is_epi(f):
-                    continue
-                ker, _, _ = backend.morphism_parts(f)
-                if ker == (target_id,):
-                    yield a, b
 
 
 def enumerate_subcats(backend, flags=()):

@@ -21,13 +21,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .quiver import BackendError
+from .quiver import BackendError, _is_prime
 
 DEFAULT_PRIMES = frozenset({2, 3})
-
-
-def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
 
 
 def check_prime_set(primes) -> frozenset:
@@ -219,27 +215,6 @@ def middle_term_types(a: FGGroup, b: FGGroup):
     return uniq
 
 
-def subquotient_pairs(x: FGGroup, candidates):
-    """Pairs (sub, quot) with 0 -> sub -> x -> quot -> 0 exact, both drawn
-    from the candidate pool."""
-    out = []
-    for sub in candidates:
-        if not is_subgroup(sub, x):
-            continue
-        for quot in candidates:
-            if quot.rank != x.rank - sub.rank:
-                continue
-            if x in middle_term_types(sub, quot):
-                out.append((sub, quot))
-    return out
-
-
-def quotient_types(x: FGGroup, candidates):
-    """Quotient types of x within the candidate pool."""
-    return sorted({q for _, q in subquotient_pairs(x, candidates)},
-                  key=lambda g: (g.rank, g.torsion))
-
-
 # ---------------------------------------------------------------------------
 # torsionfree classes
 
@@ -348,11 +323,6 @@ def ded_test_family(primes=DEFAULT_PRIMES, max_rank: int = 2, max_torsion: int =
 def right_perp_zero(objs, family):
     """Family members with vanishing Hom out of every listed object."""
     return frozenset(x for x in family if not any(hom_nonzero(g, x) for g in objs))
-
-
-def left_perp_zero(objs, family):
-    """Family members with vanishing Hom into every listed object."""
-    return frozenset(x for x in family if not any(hom_nonzero(x, g) for g in objs))
 
 
 def class_members(c: TorsionFreeClass, family, primes=DEFAULT_PRIMES) -> frozenset:
@@ -476,13 +446,24 @@ def ded_co_narrow_validate(seq: dict, below=MOD, above=ZERO,
     test family: entries nonincreasing, each closed under extensions and
     subobjects (hence kernels), kernels of maps into the next-lower level
     staying put, cokernels of maps from the next-higher level staying put.
-    Returns (ok, report)."""
+    Returns (ok, report).
+
+    Every test reads one table, built once per call: ``mids[a][b]``, the
+    bitmask of the family members that are middle terms of an extension of
+    b by a (``middle_term_types(a, b)``).  A short exact sequence
+    0 -> sub -> x -> quot -> 0 within the family is a bit x of
+    ``mids[sub][quot]``: a middle term holds its sub (rank adds, and per
+    prime the Littlewood-Richardson rule keeps mu inside lam), so no
+    separate subgroup test is needed."""
     ks = sorted(seq)
     if not ks or ks != list(range(ks[0], ks[-1] + 1)):
         raise BackendError("sequence window must be a contiguous degree range")
     lo, hi = ks[0], ks[-1]
     if family is None:
         family = ded_test_family(primes)
+    family = list(dict.fromkeys(family))
+    index = {x: i for i, x in enumerate(family)}
+    ids = range(len(family))
 
     def value(k):
         if k < lo:
@@ -491,62 +472,49 @@ def ded_co_narrow_validate(seq: dict, below=MOD, above=ZERO,
             return above
         return seq[k]
 
-    def members(k):
-        return frozenset(x for x in family if entry_membership(value(k), x, primes))
+    members = {k: sum(1 << i for i in ids if entry_membership(value(k), family[i], primes))
+               for k in range(lo - 3, hi + 4)}
+    mids = [[sum(1 << index[m] for m in middle_term_types(a, b) if m in index)
+             for b in family] for a in family]
+    pairs = [[] for _ in ids]  # x -> the (sub, quot) pairs of x within the family
+    for s in ids:
+        for q in ids:
+            for x in _bits(mids[s][q]):
+                pairs[x].append((s, q))
+    # subs[x]: the subs of x; quotient_of[q]: the members with a quotient q;
+    # embeds[q]: the members that q embeds into
+    subs, quotient_of = [0] * len(family), [0] * len(family)
+    for x in ids:
+        for s, q in pairs[x]:
+            subs[x] |= 1 << s
+            quotient_of[q] |= 1 << x
+    embeds = [sum(1 << e for e in ids if is_subgroup(family[q], family[e])) for q in ids]
 
     report = []
-    degrees = range(lo - 2, hi + 3)
-    for k in degrees:
-        if not members(k + 1) <= members(k):
+    for k in range(lo - 2, hi + 3):
+        cur, up, dn = members[k], members[k + 1], members[k - 1]
+        inside = _bits(cur)
+        if up & ~cur:
             report.append(f"sequence is increasing at degree {k}")
-    for k in degrees:
-        cur, up, dn = members(k), members(k + 1), members(k - 1)
-        for a in cur:
-            for b in cur:
-                for mid in middle_term_types(a, b):
-                    if mid in family and mid not in cur:
-                        report.append(f"level {k} is not closed under extensions")
-                        break
-                else:
-                    continue
-                break
-            else:
-                continue
-            break
-        for x in cur:
-            for sub, _ in subquotient_pairs(x, family):
-                if sub not in cur:
-                    report.append(f"level {k} is not closed under subobjects")
-                    break
-            else:
-                continue
-            break
+        if any(mids[a][b] & ~cur for a in inside for b in inside):
+            report.append(f"level {k} is not closed under extensions")
+        if any(subs[x] & ~cur for x in inside):
+            report.append(f"level {k} is not closed under subobjects")
         # kernels of maps from level k into level k-1 stay at level k
-        bad = False
-        for d in cur:
-            for sub, quot in subquotient_pairs(d, family):
-                if sub in cur:
-                    continue
-                if any(is_subgroup(quot, e) for e in dn):
-                    report.append(f"kernel condition fails at degree {k}")
-                    bad = True
-                    break
-            if bad:
-                break
+        if any(not cur >> sub & 1 and embeds[quot] & dn
+               for d in inside for sub, quot in pairs[d]):
+            report.append(f"kernel condition fails at degree {k}")
         # cokernels of maps from level k+1 into level k stay at level k
-        bad = False
-        for b in cur:
-            for img, cok in subquotient_pairs(b, family):
-                if cok in cur:
-                    continue
-                if any(img in quotient_types(a, family) for a in up):
-                    report.append(f"cokernel condition fails at degree {k}")
-                    bad = True
-                    break
-            if bad:
-                break
-    report = sorted(set(report))
+        if any(not cur >> cok & 1 and quotient_of[img] & up
+               for b in inside for img, cok in pairs[b]):
+            report.append(f"cokernel condition fails at degree {k}")
+    report = sorted(report)
     return (not report), report
+
+
+def _bits(mask: int) -> list:
+    """The positions of the set bits of mask, in increasing order."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def ded_enumerate_tstructures(primes=DEFAULT_PRIMES, lo: int = 0, hi: int = 0):

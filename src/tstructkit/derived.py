@@ -4,7 +4,7 @@ A derived object is a finitely supported map degree -> Obj (its homology);
 heredity makes this model complete.  Preaisles that are determined by their
 homologies are stored as windowed sequences of subcategories (SubcatSeq);
 this module validates the narrow-sequence axioms, converts between the two
-presentations, computes restrictions and truncations, and answers star
+presentations, computes restrictions, and answers star
 product membership by exhaustive triangle search.
 
 The exactness conditions search sums of at most ``core.MULT_BOUND``
@@ -46,16 +46,6 @@ def derived_hom_dim(backend, x: dict, y: dict) -> int:
         total += backend.hom_dim(xk, y.get(k, ()))
         total += backend.ext_dim(xk, y.get(k + ext_shift, ()))
     return total
-
-
-def truncate(x: dict, n: int, side: str) -> dict:
-    """Keep homologies in degrees >= n ('above') or <= n ('below')."""
-    x = dobj(x)
-    if side == "above":
-        return {k: v for k, v in x.items() if k >= n}
-    if side == "below":
-        return {k: v for k, v in x.items() if k <= n}
-    raise BackendError("side must be 'above' or 'below'")
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +162,9 @@ def theta_membership(backend, seq: SubcatSeq, x: dict) -> bool:
 def window_objects(backend, lo: int, hi: int, size_bound: int = 2, ids=None):
     """All derived objects supported in [lo, hi] with at most size_bound
     indecomposable summands in total, zero object included, in a
-    deterministic order."""
-    pool = sorted(ids) if ids is not None else list(backend.all_ids())
+    deterministic order.  Each multiset of distinct (degree, id) slots is a
+    different object, so none repeats."""
+    pool = sorted(set(ids)) if ids is not None else list(backend.all_ids())
     slots = [(k, i) for k in range(lo, hi + 1) for i in pool]
     out = []
     for r in range(0, size_bound + 1):
@@ -182,14 +173,7 @@ def window_objects(backend, lo: int, hi: int, size_bound: int = 2, ids=None):
             for k, i in combo:
                 parts.setdefault(k, []).append(i)
             out.append(dobj(parts))
-    seen = set()
-    uniq = []
-    for x in out:
-        key = dobj_key(x)
-        if key not in seen:
-            seen.add(key)
-            uniq.append(x)
-    return uniq
+    return out
 
 
 def mu(backend, seq_or_member, lo=None, hi=None):

@@ -164,27 +164,6 @@ def p1_membership(x: SheafObj, s: P1Narrow) -> bool:
     return all(d >= s.n for d in x.line)
 
 
-def is_quotient_of_twists(x: SheafObj, n: int) -> bool:
-    """Section-counting oracle for Gen(O(n)) membership: a line bundle O(m)
-    is a quotient of O(n)^l iff m = n (identity) or Hom(O(n), O(m)) has
-    dimension m - n + 1 >= 2, enough sections with no common zero; torsion
-    sheaves are always quotients of a single twist."""
-    for m in x.line:
-        if m != n and hom_dim_line(n, m) < 2:
-            return False
-    return True
-
-
-def hom_dim_line(n: int, m: int) -> int:
-    """dim Hom(O(n), O(m)) = m - n + 1 when nonnegative."""
-    return max(m - n + 1, 0)
-
-
-def ext_dim_line(n: int, m: int) -> int:
-    """dim Ext(O(n), O(m)) = n - m - 1 when nonnegative (Serre duality)."""
-    return max(n - m - 1, 0)
-
-
 def p1_narrow_contains(big: P1Narrow, small: P1Narrow) -> bool:
     """Symbolic inclusion between narrow subcategories."""
     if small.tag == ZERO or big.tag == ALL:
@@ -442,7 +421,8 @@ def p1_enumerate_sequences(points: int, lo: int, hi: int,
                            deg_lo: int, deg_hi: int):
     """All narrow-sequence normal forms whose non-forced behavior is
     visible on the window [lo, hi], with twist levels in [deg_lo, deg_hi],
-    in deterministic order."""
+    in deterministic order.  Each loop below varies the parameters its
+    form's key carries, so no form is built twice."""
     forms = []
     bounds = list(range(lo, hi + 1))
     # form IV
@@ -484,10 +464,7 @@ def p1_enumerate_sequences(points: int, lo: int, hi: int,
             for supports in chains([]):
                 forms.append(P1SeqForm("I", l1=l1, l2=l2, supports=supports,
                                        supports_start=start))
-    uniq = {}
-    for f in forms:
-        uniq.setdefault(f.key(), f)
-    return [uniq[k] for k in sorted(uniq, key=repr)]
+    return sorted(forms, key=lambda f: repr(f.key()))
 
 
 # ---------------------------------------------------------------------------

@@ -548,45 +548,6 @@ class QuiverBackend:
             arrays.append(coords[len(bases[t]):])
         return rep_from_arrays(spec, tuple(map(len, comps)), arrays)
 
-    def is_mono(self, f: Morphism) -> bool:
-        src = self.obj_rep(f.source)
-        return all(la.rank(m, self.p) == d for m, d in zip(f.mats, src.dims))
-
-    def is_epi(self, f: Morphism) -> bool:
-        tgt = self.obj_rep(f.target)
-        return all(la.rank(m, self.p) == d for m, d in zip(f.mats, tgt.dims))
-
-    # ------------------------------------------------------------------
-    # subobject enumeration
-
-    @_memoized
-    def subrep_bases(self, obj: Obj):
-        """All arrow-invariant subspace tuples of obj, as per-vertex bases:
-        those where each arrow maps the basis at its source into the span of
-        the (independent) basis at its target."""
-        rep, p = self.obj_rep(obj), self.p
-        return [combo for combo in itertools.product(*(all_subspaces(d, p) for d in rep.dims))
-                if all(la.rank(combo[t] + tuple(_apply(m, combo[s], p)), p) == len(combo[t])
-                       for m, (s, t) in zip(rep.mats, self.spec.arrows) if combo[s])]
-
-    def subobjects(self, obj: Obj):
-        """All subobjects of obj up to isomorphism, as Objs."""
-        return sorted({sub for sub, _ in self.sub_quot_pairs(obj)})
-
-    def quotients(self, obj: Obj):
-        """All quotient objects of obj up to isomorphism, as Objs."""
-        return sorted({quot for _, quot in self.sub_quot_pairs(obj)})
-
-    @_memoized
-    def sub_quot_pairs(self, obj: Obj):
-        """All (subobject, quotient) pairs of complementary subrepresentations."""
-        rep = self.obj_rep(obj)
-        seen = set()
-        for bases in self.subrep_bases(obj):
-            seen.add((self.decompose_rep(self._sub_rep(rep, bases)),
-                      self.decompose_rep(self._quot_rep(rep, bases))))
-        return sorted(seen)
-
     # ------------------------------------------------------------------
     # extensions
 
@@ -688,17 +649,6 @@ class QuiverBackend:
         n = len(self.indecs)
         for mask in range(1 << n):
             yield frozenset(i for i in range(n) if mask >> i & 1)
-
-
-@functools.cache
-def all_subspaces(dim, p):
-    """All subspaces of F_p^dim, each as the tuple of rows of its reduced
-    row echelon form (a basis), by dimension and then by those rows read
-    column by column."""
-    vectors = list(itertools.product(range(p), repeat=dim))[1:]  # nonzero ones
-    spans = {tuple(la.rref(combo, p)[0])
-             for r in range(dim + 1) for combo in itertools.combinations(vectors, r)}
-    return sorted(spans, key=lambda basis: (len(basis), tuple(zip(*basis))))
 
 
 def _vertex_starts(a, b):

@@ -94,32 +94,13 @@ def psi(backend, r: RefinedTSeq) -> derived.SubcatSeq:
     That is the closure of t_f(k) and f(k-1) under quotients and extensions
     taken inside f(k), keeping only what lies in f(k): f(k) is wide, so the
     proof of ``generated_torsion`` applies.  The tests check it against that
-    bounded closure (``core._violations`` with f(k) as ambient)."""
+    closure, searched over bounded sums inside f(k)."""
 
     def value(k):
         return core.generated_torsion(backend, r.tf_at(k) | r.f_at(k - 1), r.f_at(k))
 
     entries = tuple(value(k) for k in range(r.lo, r.hi + 1))
     return derived.SubcatSeq(r.lo, r.hi, entries, frozenset(), value(r.hi + 1))
-
-
-def tilting_torsion_classes(backend, w):
-    """All tilting torsion classes inside the wide subcategory w, in
-    deterministic order: the subsets t of w that are the torsion class they
-    generate in w (``core.generated_torsion``) and pass ``core.is_tilting_in``.
-    The scan is the oracle of ``core.tilting_census``."""
-    cache = core.memo(backend)
-    key = ("tilttors", w)
-    if key not in cache:
-        ids = sorted(w)
-        found = []
-        for r in range(len(ids) + 1):
-            for combo in itertools.combinations(ids, r):
-                t = frozenset(combo)
-                if core.generated_torsion(backend, t, w) == t and core.is_tilting_in(backend, t, w):
-                    found.append(t)
-        cache[key] = core._by_members(found)
-    return cache[key]
 
 
 def validate_refined(backend, r: RefinedTSeq):

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import os
 import subprocess
 import sys
@@ -6,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from tstructkit import core
-from tstructkit.quiver import QuiverSpec, build_backend
+from tstructkit import core, dedekind as dd, fplinalg as la
+from tstructkit.quiver import QuiverSpec, _apply, build_backend
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,6 +46,112 @@ def scan_census(spec):
     and more than one test compares against it."""
     b = build_backend(spec)
     return {S: scan_flags(b, S) for S in b.subsets()}
+
+
+# ---------------------------------------------------------------------------
+# searches that the Hom/Ext formulas of the program replaced, kept as oracles
+
+def is_mono(backend, f) -> bool:
+    return all(la.rank(m, backend.p) == d for m, d in zip(f.mats, backend.obj_dims(f.source)))
+
+
+def is_epi(backend, f) -> bool:
+    return all(la.rank(m, backend.p) == d for m, d in zip(f.mats, backend.obj_dims(f.target)))
+
+
+def kernel_realizations(backend, S, target_id):
+    """Epimorphisms between bounded sums of S whose kernel is the given
+    indecomposable; yields (source, target) witnesses."""
+    S = frozenset(S)
+    for a in core.candidates(S):
+        for b in core.candidates(S):
+            for f in backend.morphisms(a, b):
+                if not is_epi(backend, f):
+                    continue
+                ker, _, _ = backend.morphism_parts(f)
+                if ker == (target_id,):
+                    yield a, b
+
+
+def tilting_torsion_classes(backend, w):
+    """All tilting torsion classes inside the wide subcategory w, in
+    deterministic order: the subsets t of w that are the torsion class they
+    generate in w (``core.generated_torsion``) and pass ``core.is_tilting_in``.
+    The scan is the oracle of ``core.tilting_census``; it memoises in
+    ``core.memo``, so its answers follow the active fault set."""
+    cache = core.memo(backend)
+    key = ("tilttors", w)
+    if key not in cache:
+        ids = sorted(w)
+        found = []
+        for r in range(len(ids) + 1):
+            for combo in itertools.combinations(ids, r):
+                t = frozenset(combo)
+                if core.generated_torsion(backend, t, w) == t and core.is_tilting_in(backend, t, w):
+                    found.append(t)
+        cache[key] = core._by_members(found)
+    return cache[key]
+
+
+def left_perp_zero(objs, family):
+    """Dedekind family members with vanishing Hom into every listed group."""
+    return frozenset(x for x in family if not any(dd.hom_nonzero(x, g) for g in objs))
+
+
+@functools.cache
+def all_subspaces(dim, p):
+    """All subspaces of F_p^dim, each as the tuple of rows of its reduced
+    row echelon form (a basis), by dimension and then by those rows read
+    column by column."""
+    vectors = list(itertools.product(range(p), repeat=dim))[1:]  # nonzero ones
+    spans = {tuple(la.rref(combo, p)[0])
+             for r in range(dim + 1) for combo in itertools.combinations(vectors, r)}
+    return sorted(spans, key=lambda basis: (len(basis), tuple(zip(*basis))))
+
+
+def subrep_bases(backend, obj):
+    """All arrow-invariant subspace tuples of obj, as per-vertex bases:
+    those where each arrow maps the basis at its source into the span of
+    the (independent) basis at its target."""
+    rep, p = backend.obj_rep(obj), backend.p
+    return [combo for combo in itertools.product(*(all_subspaces(d, p) for d in rep.dims))
+            if all(la.rank(combo[t] + tuple(_apply(m, combo[s], p)), p) == len(combo[t])
+                   for m, (s, t) in zip(rep.mats, backend.spec.arrows) if combo[s])]
+
+
+@functools.cache
+def sub_quot_pairs(backend, obj):
+    """All (subobject, quotient) pairs of complementary subrepresentations
+    of obj, up to isomorphism, sorted."""
+    rep = backend.obj_rep(obj)
+    return sorted({(backend.decompose_rep(backend._sub_rep(rep, bases)),
+                    backend.decompose_rep(backend._quot_rep(rep, bases)))
+                   for bases in subrep_bases(backend, obj)})
+
+
+def subobjects(backend, obj):
+    return sorted({sub for sub, _ in sub_quot_pairs(backend, obj)})
+
+
+def quotients(backend, obj):
+    return sorted({quot for _, quot in sub_quot_pairs(backend, obj)})
+
+
+def quotients_leaving(backend, S, ambient=None):
+    """Yield the quotients of the sums of at most ``core.MULT_BOUND`` members
+    of S that lie outside S; with an ambient set, only those inside it."""
+    for a in core.candidates(S):
+        for q in quotients(backend, a):
+            if (ambient is None or core.obj_in(ambient, q)) and not core.obj_in(S, q):
+                yield q
+
+
+def torsion_scan(backend, S, ambient=None):
+    """Whether S is closed under quotients and extensions by the bounded
+    search, counting only what lies in ambient: the oracle of the torsion
+    tests read off the Hom matrix."""
+    return (next(quotients_leaving(backend, S, ambient), None) is None
+            and core.is_closed(backend, S, ("extensions",), ambient))
 
 
 @pytest.fixture(scope="session")

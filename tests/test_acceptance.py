@@ -7,7 +7,7 @@ the suite is readable both as a checklist and as a test run.
 
 import time
 
-from conftest import run_cli_process, scan_flags
+from conftest import kernel_realizations, left_perp_zero, run_cli_process, scan_flags
 
 from tstructkit import core, dedekind as dd, derived, projline as pl, refined
 from tstructkit.core import candidates, closure, enumerate_subcats, obj_in, perp
@@ -114,7 +114,7 @@ def test_criterion_5_dedekind_classification(capfd):
     ok &= finite not in want
     order = sorted(finite, key=lambda g: (g.rank, g.torsion))
     double = dd.right_perp_zero(
-        sorted(dd.left_perp_zero(order, family), key=lambda g: (g.rank, g.torsion)),
+        sorted(left_perp_zero(order, family), key=lambda g: (g.rank, g.torsion)),
         family)
     ok &= finite < double
     report(capfd, 5, "integers: 5 torsionfree classes, order reversal, finite "
@@ -162,7 +162,7 @@ def test_criterion_6_structure_theorems_shadowed(a2, capfd):
         w = closure(a2, n, wide_rules)
         seed = set(n)
         for i in a2.all_ids():
-            if i not in seed and next(core.kernel_realizations(a2, n, i), None):
+            if i not in seed and next(kernel_realizations(a2, n, i), None):
                 seed.add(i)
         ok &= closure(a2, frozenset(seed), ("cokernels", "extensions")) == w
     report(capfd, 6, "structure results: image closure, growth between levels, "

@@ -1,6 +1,12 @@
+import functools
+import random
+import re
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import left_perp_zero
 from tstructkit import dedekind as dd
 from tstructkit.quiver import BackendError
 
@@ -99,7 +105,7 @@ def test_finite_groups_are_sub_ext_closed_but_not_a_double_perp():
             if dd.is_subgroup(y, x):
                 assert y.rank == 0
     # yet no torsionfree class: its double perp collapses to the zero class
-    left = dd.left_perp_zero(sorted(finite, key=lambda g: (g.rank, g.torsion)),
+    left = left_perp_zero(sorted(finite, key=lambda g: (g.rank, g.torsion)),
                              family)
     double = dd.right_perp_zero(sorted(left, key=lambda g: (g.rank, g.torsion)),
                                 family)
@@ -126,20 +132,178 @@ def test_constant_mod_is_the_degenerate_pivot():
     assert isinstance(form, dd.CoNarrowSeq) and form.n == dd.POS_INF
 
 
+def validate_within_a_second(seq, **kwargs):
+    """``ded_co_narrow_validate`` over the full test family, which must take
+    under 1 s."""
+    start = time.perf_counter()
+    out = dd.ded_co_narrow_validate(seq, **kwargs)
+    assert time.perf_counter() - start < 1.0
+    return out
+
+
 def test_finite_length_entry_is_co_narrow_but_no_aisle():
     seq = {0: dd.MOD, 1: dd.FINITE_GROUPS, 2: dd.ZERO}
     out = dd.ded_classify_sequence(seq, primes=PRIMES)
     assert isinstance(out, dd.DedInvalid)
-    ok, report = dd.ded_co_narrow_validate(seq, primes=PRIMES)
+    ok, report = validate_within_a_second(seq, primes=PRIMES)
     assert ok, report
 
 
 def test_co_narrow_validator_rejects_nonclosed_entries():
-    # an entry violating subobject closure: rank-one groups only
-    family = dd.ded_test_family(PRIMES)
     seq = {0: dd.MOD, 1: dd.torsionfree_class({2}), 2: dd.torsionfree_class({3})}
-    ok, report = dd.ded_co_narrow_validate(seq, primes=PRIMES)
+    ok, report = validate_within_a_second(seq, primes=PRIMES)
     assert not ok  # entries must be nonincreasing
+    assert report == ["cokernel condition fails at degree 1",
+                      "sequence is increasing at degree 1"]
+
+
+# ---------------------------------------------------------------------------
+# the loop validator that the table of ``ded_co_narrow_validate`` replaced
+
+# The oracle re-derives every middle term it needs; the memo only spares it
+# the repeats, and ``ded_co_narrow_validate`` does not see it.
+middle_term_types = functools.cache(dd.middle_term_types)
+
+
+def subquotient_pairs(x, candidates):
+    """Pairs (sub, quot) with 0 -> sub -> x -> quot -> 0 exact, both drawn
+    from the candidate pool."""
+    out = []
+    for sub in candidates:
+        if not dd.is_subgroup(sub, x):
+            continue
+        for quot in candidates:
+            if quot.rank != x.rank - sub.rank:
+                continue
+            if x in middle_term_types(sub, quot):
+                out.append((sub, quot))
+    return out
+
+
+def quotient_types(x, candidates):
+    """Quotient types of x within the candidate pool."""
+    return sorted({q for _, q in subquotient_pairs(x, candidates)},
+                  key=lambda g: (g.rank, g.torsion))
+
+
+def validate_by_search(seq, below, above, primes, family):
+    """The oracle of ``ded_co_narrow_validate``: each test searches the
+    subquotient pairs of the family again, level by level."""
+    ks = sorted(seq)
+    lo, hi = ks[0], ks[-1]
+
+    def value(k):
+        if k < lo:
+            return below
+        if k > hi:
+            return above
+        return seq[k]
+
+    def members(k):
+        return frozenset(x for x in family if dd.entry_membership(value(k), x, primes))
+
+    report = []
+    degrees = range(lo - 2, hi + 3)
+    for k in degrees:
+        if not members(k + 1) <= members(k):
+            report.append(f"sequence is increasing at degree {k}")
+    for k in degrees:
+        cur, up, dn = members(k), members(k + 1), members(k - 1)
+        for a in cur:
+            for b in cur:
+                for mid in middle_term_types(a, b):
+                    if mid in family and mid not in cur:
+                        report.append(f"level {k} is not closed under extensions")
+                        break
+                else:
+                    continue
+                break
+            else:
+                continue
+            break
+        for x in cur:
+            for sub, _ in subquotient_pairs(x, family):
+                if sub not in cur:
+                    report.append(f"level {k} is not closed under subobjects")
+                    break
+            else:
+                continue
+            break
+        # kernels of maps from level k into level k-1 stay at level k
+        bad = False
+        for d in cur:
+            for sub, quot in subquotient_pairs(d, family):
+                if sub in cur:
+                    continue
+                if any(dd.is_subgroup(quot, e) for e in dn):
+                    report.append(f"kernel condition fails at degree {k}")
+                    bad = True
+                    break
+            if bad:
+                break
+        # cokernels of maps from level k+1 into level k stay at level k
+        bad = False
+        for b in cur:
+            for img, cok in subquotient_pairs(b, family):
+                if cok in cur:
+                    continue
+                if any(img in quotient_types(a, family) for a in up):
+                    report.append(f"cokernel condition fails at degree {k}")
+                    bad = True
+                    break
+            if bad:
+                break
+    report = sorted(set(report))
+    return (not report), report
+
+
+def sample_sequences(primes, family, rng):
+    """Valid sequences first (every pivot form, finite-groups levels, and a
+    finite-groups level between ``MOD`` and zero), then sequences of random
+    entries, and pivot and finite-groups sequences whose member sets lose or
+    gain one member at one degree, as (entries, below, above)."""
+    classes = dd.ded_torsionfree_classes(primes)
+    valid = [({k: cn.value_at(k) for k in range(-1, 2)}, dd.MOD, dd.ZERO)
+             for cn in (dd.CoNarrowSeq(c, rng.randint(-1, 1)) for c in classes)]
+    valid.append(({0: dd.FINITE_GROUPS, 1: dd.FINITE_GROUPS}, dd.FINITE_GROUPS, dd.FINITE_GROUPS))
+    valid.append(({0: dd.MOD, 1: dd.FINITE_GROUPS, 2: dd.ZERO}, dd.MOD, dd.ZERO))
+    entries = classes + [dd.MOD, dd.ZERO, dd.FINITE_GROUPS]
+    out = list(valid)
+    for _ in range(4):
+        lo = rng.randint(-1, 1)
+        out.append(({k: rng.choice(entries) for k in range(lo, lo + rng.randint(1, 3))},
+                    rng.choice(entries), rng.choice(entries)))
+    for _ in range(30):
+        seq, below, above = rng.choice(valid)
+        levels = {k: frozenset(x for x in family if dd.entry_membership(v, x, primes))
+                  for k, v in seq.items()}
+        k = rng.choice(sorted(levels))
+        levels[k] ^= {rng.choice(family)}
+        out.append((levels, below, above))
+    return out
+
+
+@pytest.mark.parametrize("primes", [frozenset({2, 3}), frozenset({2, 5})], ids=["2,3", "2,5"])
+def test_table_validator_equals_the_loop_validator(primes, monkeypatch):
+    """On a seeded sample over the groups of rank <= 2 with at most one
+    cyclic torsion summand: levels may also be explicit member sets, so that
+    the closure and kernel tests, which every class and tag passes, are
+    exercised too."""
+    tagged = dd.entry_membership
+    monkeypatch.setattr(dd, "entry_membership", lambda entry, x, primes:
+                        x in entry if isinstance(entry, frozenset) else tagged(entry, x, primes))
+    family = [g for g in dd.ded_test_family(primes) if sum(map(len, dict(g.torsion).values())) <= 1]
+    sample = sample_sequences(primes, family, random.Random(f"validator:{sorted(primes)}"))
+    reports = []
+    for seq, below, above in sample:
+        got = dd.ded_co_narrow_validate(seq, below, above, primes, family)
+        assert got == validate_by_search(seq, below, above, primes, family), (seq, below, above)
+        reports.append(got)
+    assert all(ok for ok, _ in reports[:len(dd.ded_torsionfree_classes(primes)) + 2])
+    assert {re.sub(r"-?\d+", "k", line) for _, report in reports for line in report} == {
+        "sequence is increasing at degree k", "level k is not closed under extensions",
+        "level k is not closed under subobjects", "kernel condition fails at degree k",
+        "cokernel condition fails at degree k"}
 
 
 def test_enumeration_counts():

@@ -1,15 +1,27 @@
 import contextlib
+import math
 
 import pytest
 
+from conftest import tilting_torsion_classes
 from tstructkit import core, faults, refined
 from tstructkit.derived import (SubcatSeq, aisle_from_torsion,
-                                derived_hom_dim, dobj,
+                                derived_hom_dim, dobj, dobj_key,
                                 enumerate_narrow_sequences, full_subcat,
                                 is_narrow_sequence, mu, restrict, shift,
-                                star_membership, theta_membership, truncate,
+                                star_membership, theta_membership,
                                 window_objects)
 from tstructkit.quiver import BackendError, QuiverSpec, build_backend
+
+
+def truncate(x: dict, n: int, side: str) -> dict:
+    """Keep homologies in degrees >= n ('above') or <= n ('below')."""
+    x = dobj(x)
+    if side == "above":
+        return {k: v for k, v in x.items() if k >= n}
+    if side == "below":
+        return {k: v for k, v in x.items() if k <= n}
+    raise BackendError("side must be 'above' or 'below'")
 
 
 def test_dobj_normalization():
@@ -105,6 +117,19 @@ def test_window_objects_counts(a2):
     assert len(objs2) == 7
 
 
+@pytest.mark.parametrize("size_bound", [1, 2, 3])
+def test_window_objects_are_distinct(a2, a3, size_bound):
+    """No object repeats, so the count is the number of multisets of at
+    most size_bound (degree, id) slots; a repeated id in the pool adds none."""
+    for backend in (a2, a3):
+        slots = 2 * len(backend.indecs)
+        objs = window_objects(backend, 0, 1, size_bound=size_bound)
+        assert len({dobj_key(x) for x in objs}) == len(objs) == \
+            sum(math.comb(slots + r - 1, r) for r in range(size_bound + 1))
+        ids = backend.all_ids()
+        assert window_objects(backend, 0, 1, size_bound, ids=ids + ids[:2]) == objs
+
+
 def test_star_membership_basics(a2, a2_ids):
     S1, S2, P1 = a2_ids["S1"], a2_ids["S2"], a2_ids["P1"]
     left = aisle_from_torsion(a2, {S1})
@@ -148,7 +173,7 @@ def test_results_do_not_depend_on_fault_history():
 
     def answers(b):
         return (len(enumerate_narrow_sequences(b, 0, 1)),
-                refined.tilting_torsion_classes(b, full_subcat(b)),
+                tilting_torsion_classes(b, full_subcat(b)),
                 [r.key() for r in refined.enumerate_refined(b, 0, 1)],
                 sum(core.is_closed(b, S, ("extensions", "cokernels")) for S in b.subsets()))
 

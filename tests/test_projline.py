@@ -7,6 +7,24 @@ from tstructkit.quiver import BackendError
 N_POINTS = 3
 
 
+def hom_dim_line(n: int, m: int) -> int:
+    """dim Hom(O(n), O(m)) = m - n + 1 when nonnegative."""
+    return max(m - n + 1, 0)
+
+
+def ext_dim_line(n: int, m: int) -> int:
+    """dim Ext(O(n), O(m)) = n - m - 1 when nonnegative (Serre duality)."""
+    return max(n - m - 1, 0)
+
+
+def is_quotient_of_twists(x, n: int) -> bool:
+    """Section-counting oracle for Gen(O(n)) membership: a line bundle O(m)
+    is a quotient of O(n)^l iff m = n (identity) or Hom(O(n), O(m)) has
+    dimension m - n + 1 >= 2, enough sections with no common zero; torsion
+    sheaves are always quotients of a single twist."""
+    return all(m == n or hom_dim_line(n, m) >= 2 for m in x.line)
+
+
 def test_sheaf_basics():
     x = pl.line_bundle(2, copies=2).direct_sum(pl.skyscraper(0, 3))
     assert x.rank == 2 and x.degree == 4 + 3
@@ -17,10 +35,10 @@ def test_sheaf_basics():
 
 
 def test_hom_and_ext_between_line_bundles():
-    assert pl.hom_dim_line(0, 2) == 3
-    assert pl.hom_dim_line(2, 0) == 0
-    assert pl.ext_dim_line(2, 0) == 1
-    assert pl.ext_dim_line(0, 0) == 0
+    assert hom_dim_line(0, 2) == 3
+    assert hom_dim_line(2, 0) == 0
+    assert ext_dim_line(2, 0) == 1
+    assert ext_dim_line(0, 0) == 0
 
 
 def test_euler_form():
@@ -52,7 +70,7 @@ def test_gen_membership_matches_quotient_oracle():
             continue
         for n in range(-2, 3):
             assert pl.p1_membership(x, pl.p1_gen(n)) == \
-                pl.is_quotient_of_twists(x, n), (x, n)
+                is_quotient_of_twists(x, n), (x, n)
 
 
 def test_wide_closure():
@@ -125,6 +143,15 @@ def test_sequence_enumeration_roundtrip():
         assert back.key() == form.key(), (form, back)
 
 
+@pytest.mark.parametrize("points, lo, hi, dlo, dhi", [
+    (N_POINTS, -2, 2, -2, 2), (2, 0, 1, -1, 1), (1, -1, 3, 0, 2)])
+def test_sequence_enumeration_builds_each_form_once(points, lo, hi, dlo, dhi):
+    forms = pl.p1_enumerate_sequences(points, lo, hi, dlo, dhi)
+    keys = [f.key() for f in forms]
+    assert len(set(keys)) == len(keys)
+    assert [repr(k) for k in keys] == sorted(repr(k) for k in keys)
+
+
 def test_seq_form_json_encoding():
     form = pl.P1SeqForm("II", l1=pl.NEG_INF, l2=pl.POS_INF, n=1)
     d = form.to_json_dict()
@@ -135,4 +162,4 @@ def test_seq_form_json_encoding():
 @settings(max_examples=40, deadline=None)
 def test_euler_form_matches_hom_minus_ext_on_line_bundles(n, m):
     assert pl.euler_form((1, n), (1, m)) == \
-        pl.hom_dim_line(n, m) - pl.ext_dim_line(n, m)
+        hom_dim_line(n, m) - ext_dim_line(n, m)

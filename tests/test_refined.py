@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from conftest import scan_census
+from conftest import quotients_leaving, scan_census, tilting_torsion_classes
 from tstructkit import core, derived
 from tstructkit.derived import (SubcatSeq, aisle_from_torsion,
                                 enumerate_narrow_sequences, full_subcat,
@@ -10,8 +10,7 @@ from tstructkit.derived import (SubcatSeq, aisle_from_torsion,
 from tstructkit.quiver import QuiverSpec, build_backend
 from tstructkit.refined import (RefinedTSeq, TStructRecord, enumerate_refined,
                                 enumerate_tstructures, gap, psi,
-                                star_oracle_membership,
-                                tilting_torsion_classes, validate_refined,
+                                star_oracle_membership, validate_refined,
                                 verify_roundtrips, xi)
 
 
@@ -194,8 +193,9 @@ def closure_psi(backend, r, closed):
         if key not in closed:
             S = seed
             while True:
-                new = S.union(*(obj for _, obj in core._violations(
-                    backend, S, ("quotients", "extensions"), ambient)))
+                new = S.union(*quotients_leaving(backend, S, ambient),
+                              *(obj for _, obj in core._violations(
+                                  backend, S, ("extensions",), ambient)))
                 if new == S:
                     break
                 S = new
