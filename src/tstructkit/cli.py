@@ -198,7 +198,7 @@ def _p1_checks(points, lo, hi, dlo, dhi):
         return members[value]
 
     rt, cond, mono = [], True, True
-    for form in projline.p1_enumerate_sequences(points, lo, hi, dlo, dhi):
+    for form in projline.p1_sequence_forms(points, lo, hi, dlo, dhi):
         entries, below, above = projline.p1_sequence_window(form, lo, hi)
         got = projline.classify_p1_sequence(entries, below, above)
         if not isinstance(got, projline.P1SeqForm) or got.key() != form.key():
@@ -207,7 +207,8 @@ def _p1_checks(points, lo, hi, dlo, dhi):
         cond &= projline.p1_is_aisle(form) == (form.form != "I" or form.l2 == form.l1 + 1)
         mono &= all(not held(form.value_at(k)) & ~held(form.value_at(k + 1))
                     for k in range(lo - 1, hi + 1))
-    yield ("sequence-form-roundtrip", not rt, rt[:1] or None)
+    # the witness is the first failing key in the order of p1_enumerate_sequences
+    yield ("sequence-form-roundtrip", not rt, [min(rt, key=repr)] if rt else None)
     yield ("aisle-rejection-is-wide-torsion-zone", cond, None)
     yield ("sequences-nondecreasing-on-test-sheaves", mono, None)
     yield ("euler-form-spot-values",

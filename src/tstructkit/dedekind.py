@@ -188,6 +188,13 @@ def _quotients_by_few_generators(nu: tuple, r: int):
     return sorted(out)
 
 
+def _local_types(mu: tuple, nu: tuple, r: int) -> list:
+    """The p-parts of the middle terms of extensions of a quotient with
+    p-part nu by a sub of free rank r with p-part mu."""
+    return sorted({lam for nu_cut in _quotients_by_few_generators(nu, r)
+                   for lam in p_extension_types(mu, nu_cut)})
+
+
 def middle_term_types(a: FGGroup, b: FGGroup):
     """Isomorphism types of middle terms X of extensions 0 -> a -> X -> b -> 0.
 
@@ -195,24 +202,10 @@ def middle_term_types(a: FGGroup, b: FGGroup):
     of b's torsion generated by at most rank(a) elements; the remaining
     torsion extends prime-locally by the Littlewood-Richardson rule."""
     primes = sorted(a.support | b.support)
-    per_prime = []
-    for p in primes:
-        mu, nu = a.part(p), b.part(p)
-        opts = set()
-        for nu_cut in _quotients_by_few_generators(nu, a.rank):
-            opts.update(p_extension_types(mu, nu_cut))
-        per_prime.append(sorted(opts))
-    out = []
-    for combo in itertools.product(*per_prime):
-        tors = tuple((p, lam) for p, lam in zip(primes, combo) if lam)
-        out.append(FGGroup(a.rank + b.rank, tors))
-    seen = set()
-    uniq = []
-    for x in sorted(out, key=lambda g: (g.rank, g.torsion)):
-        if x not in seen:
-            seen.add(x)
-            uniq.append(x)
-    return uniq
+    per_prime = [_local_types(a.part(p), b.part(p), a.rank) for p in primes]
+    return sorted((FGGroup(a.rank + b.rank, tuple(zip(primes, combo)))
+                   for combo in itertools.product(*per_prime)),
+                  key=lambda g: (g.rank, g.torsion))
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +455,6 @@ def ded_co_narrow_validate(seq: dict, below=MOD, above=ZERO,
     if family is None:
         family = ded_test_family(primes)
     family = list(dict.fromkeys(family))
-    index = {x: i for i, x in enumerate(family)}
     ids = range(len(family))
 
     def value(k):
@@ -474,8 +466,7 @@ def ded_co_narrow_validate(seq: dict, below=MOD, above=ZERO,
 
     members = {k: sum(1 << i for i in ids if entry_membership(value(k), family[i], primes))
                for k in range(lo - 3, hi + 4)}
-    mids = [[sum(1 << index[m] for m in middle_term_types(a, b) if m in index)
-             for b in family] for a in family]
+    mids = _middle_term_table(family)
     pairs = [[] for _ in ids]  # x -> the (sub, quot) pairs of x within the family
     for s in ids:
         for q in ids:
@@ -512,9 +503,47 @@ def ded_co_narrow_validate(seq: dict, below=MOD, above=ZERO,
     return (not report), report
 
 
+def _middle_term_table(family: list) -> list:
+    """``mids[i][j]``: the bitmask of the members of ``family`` (distinct
+    groups) among ``middle_term_types(family[i], family[j])``.
+
+    Those types are the groups of rank a.rank + b.rank whose p-part lies in
+    ``_local_types(a_p, b_p, a.rank)`` at each prime p of a.support |
+    b.support; any other prime contributes ``_local_types((), (), r) ==
+    [()]``.  So a member m is one iff it has that rank and, at every prime
+    p of the family's supports (which hold those of m, a and b), m_p lies
+    in ``_local_types(a_p, b_p, a.rank)``: an AND of one rank mask with, per
+    prime, an OR of p-part masks that depends on (p, a_p, b_p, a.rank)."""
+    primes = sorted({p for x in family for p in x.support})
+    parts = [[(p, x.part(p)) for p in primes] for x in family]
+    masks = {}  # rank, or (prime, p-part) -> the members that have it
+    for i, x in enumerate(family):
+        for key in [x.rank, *parts[i]]:
+            masks[key] = masks.get(key, 0) | 1 << i
+    local = {}
+    mids = []
+    for a, a_parts in zip(family, parts):
+        row = []
+        for b, b_parts in zip(family, parts):
+            mask = masks.get(a.rank + b.rank, 0)
+            for (p, mu), (_, nu) in zip(a_parts, b_parts):
+                key = (p, mu, nu, a.rank)
+                if mask and key not in local:
+                    # each member has one p-part, so this sum is an OR
+                    local[key] = sum(masks.get((p, lam), 0) for lam in _local_types(*key[1:]))
+                mask = mask and mask & local[key]
+            row.append(mask)
+        mids.append(row)
+    return mids
+
+
 def _bits(mask: int) -> list:
     """The positions of the set bits of mask, in increasing order."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
 
 
 def ded_enumerate_tstructures(primes=DEFAULT_PRIMES, lo: int = 0, hi: int = 0):

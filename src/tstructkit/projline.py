@@ -421,25 +421,31 @@ def p1_enumerate_sequences(points: int, lo: int, hi: int,
                            deg_lo: int, deg_hi: int):
     """All narrow-sequence normal forms whose non-forced behavior is
     visible on the window [lo, hi], with twist levels in [deg_lo, deg_hi],
-    in deterministic order.  Each loop below varies the parameters its
-    form's key carries, so no form is built twice."""
-    forms = []
+    sorted by the repr of their keys."""
+    return sorted(p1_sequence_forms(points, lo, hi, deg_lo, deg_hi),
+                  key=lambda f: repr(f.key()))
+
+
+def p1_sequence_forms(points: int, lo: int, hi: int, deg_lo: int, deg_hi: int):
+    """The forms of ``p1_enumerate_sequences``, generated one at a time in
+    construction order.  Each loop below varies the parameters its form's
+    key carries, so no form is built twice."""
     bounds = list(range(lo, hi + 1))
     # form IV
-    forms.append(P1SeqForm("IV", l=NEG_INF))
+    yield P1SeqForm("IV", l=NEG_INF)
     for l in bounds + [hi + 1]:
-        forms.append(P1SeqForm("IV", l=l))
-    forms.append(P1SeqForm("IV", l=POS_INF))
+        yield P1SeqForm("IV", l=l)
+    yield P1SeqForm("IV", l=POS_INF)
     # form III
     for l in bounds:
         for n in range(deg_lo, deg_hi + 1):
-            forms.append(P1SeqForm("III", n=n, l=l))
+            yield P1SeqForm("III", n=n, l=l)
     # form II
     for n in range(deg_lo, deg_hi + 1):
         for l2 in bounds + [POS_INF]:
             l1s = [NEG_INF] + [k for k in bounds if k < l2]
             for l1 in l1s:
-                forms.append(P1SeqForm("II", l1=l1, l2=l2, n=n))
+                yield P1SeqForm("II", l1=l1, l2=l2, n=n)
     # form I
     nonempty = []
     for r in range(1, points + 1):
@@ -462,9 +468,7 @@ def p1_enumerate_sequences(points: int, lo: int, hi: int,
                         yield from chains(prefix + [s])
 
             for supports in chains([]):
-                forms.append(P1SeqForm("I", l1=l1, l2=l2, supports=supports,
-                                       supports_start=start))
-    return sorted(forms, key=lambda f: repr(f.key()))
+                yield P1SeqForm("I", l1=l1, l2=l2, supports=supports, supports_start=start)
 
 
 # ---------------------------------------------------------------------------

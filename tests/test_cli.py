@@ -1,11 +1,12 @@
 import hashlib
 import json
+import random
 
 import pytest
 
 from conftest import run_cli_process, run_python_process
 
-from tstructkit import cli
+from tstructkit import cli, projline
 from tstructkit.faults import FAULT_NAMES
 
 A2 = "demos/quivers/a2.json"
@@ -171,10 +172,17 @@ def test_classify_p1(tmp_path):
     assert verdict["form"]["form"] == "I" and verdict["is_aisle"]
 
 
+# dedekind sequence files over the primes 2, 3: a pivot sequence (an aisle)
+# and one that rises from the class of 2 to the class of 3
+DEDEKIND_SEQUENCES = {
+    "pivot": {"entries": {"0": "mod", "1": {"support": [2]}, "2": "zero"}},
+    "invalid": {"entries": {"0": "mod", "1": {"support": [2]}, "2": {"support": [3]}}},
+}
+
+
 def test_classify_dedekind(tmp_path):
-    data = {"entries": {"0": "mod", "1": {"support": [2]}, "2": "zero"}}
     path = tmp_path / "dd.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(DEDEKIND_SEQUENCES["pivot"]))
     code, out, err = run_cli("classify", "--backend", "dedekind", "--primes",
                              "2,3", str(path))
     assert code == 0, err
@@ -225,6 +233,55 @@ def test_quiver_stdout_is_pinned(command, quiver, arg, tmp_path):
     code, out, err = run_cli(command, "--backend", f"quiver:demos/quivers/{quiver}.json", *tail)
     assert code == 0 and err == "", err
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command, quiver, arg]
+
+
+P1_ARGS = ("--backend", "p1", "--points", "3", "--window=-2:2", "--degrees=-2:2")
+DEDEKIND_ARGS = ("--backend", "dedekind", "--primes", "2,3")
+
+# SHA-256 of stdout of the p1 and dedekind backends, keyed on (command,
+# backend, sequence name or None); recorded before the Dedekind table was
+# built from local extension sets and before `verify` streamed the p1 forms
+SYMBOLIC_STDOUT_SHA256 = {
+    ("verify", "p1", None): "5eab638dd3505504d0a2724db3fe48eb548e87efad0f08eca6539bb8da811526",
+    ("enumerate", "p1", None): "4a967134dc21b146ef6f5328c6f4bdebc8a0642360723f10b4ed29007069fbcb",
+    ("verify", "dedekind", None): "6cb9fb3935e52b4d909ac3672c8da10653a3c8a41fd24b7c3778f14a50dbdc22",
+    ("enumerate", "dedekind", None): "2f85f954468813ed605365d3ecf56d9a693ccdbd5834d54c82be09d7fc8dc6aa",
+    ("classify", "dedekind", "pivot"): "2ca97cfc18edb59ea1257ce98a62b66beb613ff4398949711e107e9d61284527",
+    ("classify", "dedekind", "invalid"): "ea60b6df118b8bf24bf2befc48b5a4d1638e9c62ec36ce7e25b2f91094ef89de",
+}
+
+
+@pytest.mark.parametrize("command, backend, name", sorted(SYMBOLIC_STDOUT_SHA256, key=repr))
+def test_symbolic_stdout_is_pinned(command, backend, name, tmp_path):
+    argv = (command,) + (P1_ARGS if backend == "p1" else DEDEKIND_ARGS)
+    if name:
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps(DEDEKIND_SEQUENCES[name]))
+        argv += (str(path),)
+    code, out, err = run_cli(*argv)
+    assert code == 0 and err == "", err
+    assert hashlib.sha256(out.encode()).hexdigest() == SYMBOLIC_STDOUT_SHA256[command, backend, name]
+
+
+def test_p1_roundtrip_witness_is_the_first_failing_key_in_sorted_order(monkeypatch):
+    """`verify` streams the p1 forms unsorted; its roundtrip witness is
+    still the first failing form of ``p1_enumerate_sequences``."""
+    window = (3, -2, 2, -2, 2)
+    forms = projline.p1_enumerate_sequences(*window)
+    rng = random.Random("p1-witness")
+    failing = {f.key() for f in forms if rng.random() < 0.5}
+    first = next(f.key() for f in forms if f.key() in failing)
+    assert first != next(f.key() for f in projline.p1_sequence_forms(*window)
+                         if f.key() in failing)
+    classify = projline.classify_p1_sequence
+
+    def faulty(entries, below, above):
+        got = classify(entries, below, above)
+        return projline.P1Invalid("injected") if got.key() in failing else got
+
+    monkeypatch.setattr(projline, "classify_p1_sequence", faulty)
+    checks = {name: (ok, witness) for name, ok, witness in cli._p1_checks(*window)}
+    assert checks["sequence-form-roundtrip"] == (False, [first])
 
 
 # Runs ``cli.main`` on its arguments with numpy made unimportable, after

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 import re
 import time
@@ -40,6 +41,39 @@ def test_is_subgroup():
     assert not dd.is_subgroup(Z.direct_sum(Z), Z)
     # torsion cannot embed into a free group
     assert not dd.is_subgroup(dd.cyclic(2), dd.free_group(5))
+
+
+def middle_term_types_per_pair(a, b):
+    """``dd.middle_term_types`` as it was before ``dd._local_types``: the
+    per-prime options, their product, then a sort and a pass that drops
+    repeats."""
+    primes = sorted(a.support | b.support)
+    per_prime = []
+    for p in primes:
+        mu, nu = a.part(p), b.part(p)
+        opts = set()
+        for nu_cut in dd._quotients_by_few_generators(nu, a.rank):
+            opts.update(dd.p_extension_types(mu, nu_cut))
+        per_prime.append(sorted(opts))
+    out = []
+    for combo in itertools.product(*per_prime):
+        tors = tuple((p, lam) for p, lam in zip(primes, combo) if lam)
+        out.append(dd.FGGroup(a.rank + b.rank, tors))
+    seen = set()
+    uniq = []
+    for x in sorted(out, key=lambda g: (g.rank, g.torsion)):
+        if x not in seen:
+            seen.add(x)
+            uniq.append(x)
+    return uniq
+
+
+def test_middle_term_types_equal_the_per_pair_product():
+    family = dd.ded_test_family(PRIMES)
+    assert len(family) == 48
+    for a in family:
+        for b in family:
+            assert dd.middle_term_types(a, b) == middle_term_types_per_pair(a, b), (a, b)
 
 
 def test_middle_terms_of_p_group_extensions():
@@ -132,12 +166,12 @@ def test_constant_mod_is_the_degenerate_pivot():
     assert isinstance(form, dd.CoNarrowSeq) and form.n == dd.POS_INF
 
 
-def validate_within_a_second(seq, **kwargs):
+def validate_quickly(seq, **kwargs):
     """``ded_co_narrow_validate`` over the full test family, which must take
-    under 1 s."""
+    under 0.2 s."""
     start = time.perf_counter()
     out = dd.ded_co_narrow_validate(seq, **kwargs)
-    assert time.perf_counter() - start < 1.0
+    assert time.perf_counter() - start < 0.2
     return out
 
 
@@ -145,13 +179,13 @@ def test_finite_length_entry_is_co_narrow_but_no_aisle():
     seq = {0: dd.MOD, 1: dd.FINITE_GROUPS, 2: dd.ZERO}
     out = dd.ded_classify_sequence(seq, primes=PRIMES)
     assert isinstance(out, dd.DedInvalid)
-    ok, report = validate_within_a_second(seq, primes=PRIMES)
+    ok, report = validate_quickly(seq, primes=PRIMES)
     assert ok, report
 
 
 def test_co_narrow_validator_rejects_nonclosed_entries():
     seq = {0: dd.MOD, 1: dd.torsionfree_class({2}), 2: dd.torsionfree_class({3})}
-    ok, report = validate_within_a_second(seq, primes=PRIMES)
+    ok, report = validate_quickly(seq, primes=PRIMES)
     assert not ok  # entries must be nonincreasing
     assert report == ["cokernel condition fails at degree 1",
                       "sequence is increasing at degree 1"]
@@ -304,6 +338,51 @@ def test_table_validator_equals_the_loop_validator(primes, monkeypatch):
         "sequence is increasing at degree k", "level k is not closed under extensions",
         "level k is not closed under subobjects", "kernel condition fails at degree k",
         "cokernel condition fails at degree k"}
+
+
+def one_cyclic_summand(group):
+    return sum(map(len, dict(group.torsion).values())) <= 1
+
+
+@pytest.mark.parametrize("primes, keep", [
+    (frozenset({2, 3}), None), (frozenset({2, 5}), None),
+    (frozenset({2, 3}), one_cyclic_summand), (frozenset({2, 5}), one_cyclic_summand),
+], ids=["2,3", "2,5", "2,3-one-summand", "2,5-one-summand"])
+def test_middle_term_table_equals_the_per_pair_table(primes, keep):
+    """The table that ``ded_co_narrow_validate`` reads, against the bitmasks
+    of ``middle_term_types`` on every ordered pair of family members."""
+    family = list(filter(keep, dd.ded_test_family(primes)))
+    index = {x: i for i, x in enumerate(family)}
+    want = [[sum(1 << index[m] for m in middle_term_types(a, b) if m in index) for b in family]
+            for a in family]
+    assert dd._middle_term_table(family) == want
+
+
+def test_validator_reports_hold_on_the_family_one_larger():
+    """The default test family (rank <= 2, at most 2 cyclic summands per
+    prime) gives the same reports as the family with both bounds raised by
+    one, on seeded sequences of the entries the CLI accepts."""
+    larger = dd.ded_test_family(PRIMES, max_rank=3, max_torsion=3)
+    assert len(larger) == 196
+    rng = random.Random("family-bound")
+    classes = dd.ded_torsionfree_classes(PRIMES)
+    entries = classes + [dd.MOD, dd.ZERO, dd.FINITE_GROUPS]
+    pivot = dd.CoNarrowSeq(rng.choice([c for c in classes if c.support.primes]),
+                           rng.randint(-1, 1))
+    sample = [({k: pivot.value_at(k) for k in range(-1, 2)}, dd.MOD, dd.ZERO),
+              ({0: dd.MOD, 1: dd.FINITE_GROUPS, 2: dd.ZERO}, dd.MOD, dd.ZERO)]
+    for _ in range(4):
+        lo = rng.randint(-1, 1)
+        sample.append(({k: rng.choice(entries) for k in range(lo, lo + rng.randint(1, 3))},
+                       rng.choice(entries), rng.choice(entries)))
+    start = time.perf_counter()
+    reports = []
+    for seq, below, above in sample:
+        got = dd.ded_co_narrow_validate(seq, below, above, PRIMES, larger)
+        assert got == dd.ded_co_narrow_validate(seq, below, above, PRIMES), (seq, below, above)
+        reports.append(got)
+    assert time.perf_counter() - start < 5
+    assert reports[0][0] and reports[1][0] and not all(ok for ok, _ in reports)
 
 
 def test_enumeration_counts():

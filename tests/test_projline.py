@@ -150,6 +150,10 @@ def test_sequence_enumeration_builds_each_form_once(points, lo, hi, dlo, dhi):
     keys = [f.key() for f in forms]
     assert len(set(keys)) == len(keys)
     assert [repr(k) for k in keys] == sorted(repr(k) for k in keys)
+    # the stream that `verify` reads holds each form once, unsorted
+    streamed = list(pl.p1_sequence_forms(points, lo, hi, dlo, dhi))
+    assert len({f.key() for f in streamed}) == len(streamed)
+    assert sorted(streamed, key=lambda f: repr(f.key())) == forms
 
 
 def test_seq_form_json_encoding():
