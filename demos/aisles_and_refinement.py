@@ -19,7 +19,7 @@ from tstructkit.refined import (enumerate_refined, psi, verify_roundtrips, xi)
 
 def main():
     backend = build_backend(QuiverSpec(vertices=2, arrows=((0, 1),), field=2))
-    names = {tuple(backend.indecs[i].dims): i for i in backend.all_ids()}
+    names = {backend.roots[i]: i for i in backend.all_ids()}
     S2, S1, P1 = names[(0, 1)], names[(1, 0)], names[(1, 1)]
 
     # The Happel-style aisle of the torsion class {P1, S1}: zero below

@@ -15,7 +15,7 @@ from tstructkit.quiver import QuiverSpec, build_backend
 
 
 def name_of(backend, i):
-    return {(0, 1): "S2", (1, 0): "S1", (1, 1): "P1"}[tuple(backend.indecs[i].dims)]
+    return {(0, 1): "S2", (1, 0): "S1", (1, 1): "P1"}[backend.roots[i]]
 
 
 def show(backend, s):
@@ -26,7 +26,7 @@ def main():
     backend = build_backend(QuiverSpec(vertices=2, arrows=((0, 1),), field=2))
     print("indecomposables:")
     for i in backend.all_ids():
-        print(f"  {name_of(backend, i)}  dims={tuple(backend.indecs[i].dims)}")
+        print(f"  {name_of(backend, i)}  dims={backend.roots[i]}")
 
     # Hom and Ext between indecomposables drive everything downstream.
     ids = {name_of(backend, i): i for i in backend.all_ids()}

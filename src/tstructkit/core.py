@@ -391,9 +391,10 @@ def enumerate_subcats(backend, flags=()):
     """All additively-closed subsets passing classify_subcat with every
     requested flag, in bitmask order; a table of more than MAX_SCAN_INDECS
     indecomposables is refused."""
-    n = len(backend.indecs)
+    n = len(backend.roots)
     if n > MAX_SCAN_INDECS:
-        raise BackendError("indecomposable table too large for subset enumeration")
+        raise BackendError(f"indecomposable table too large for subset enumeration: "
+                           f"{n} indecomposables, above MAX_SCAN_INDECS = {MAX_SCAN_INDECS}")
     out = []
     for S in backend.subsets():
         fl = classify_subcat(backend, S)

@@ -93,12 +93,6 @@ class QuiverSpec:
         hom(M, N) - ext(M, N) for representations of dimension vectors d, e."""
         return sum(map(operator.mul, d, e)) - sum(d[s] * e[t] for s, t in self.arrows)
 
-    def _may_be_indecomposable(self, dv):
-        """Connected support and Tits form at most 1 (see
-        ``QuiverBackend._build_table``)."""
-        support = {v for v, d in enumerate(dv) if d}
-        return _is_connected(support, self.arrows) and self.euler_form(dv, dv) <= 1
-
     @functools.cached_property
     def positive_roots(self):
         """The positive roots in (total dimension, vector) order, or None
@@ -106,8 +100,22 @@ class QuiverSpec:
 
         A walk: start from the simple roots (inside the box, since every
         bound is >= 1) and step d -> d + e_v whenever the new vector has
-        connected support and q <= 1 (``_may_be_indecomposable``); stop
-        with None at the first such step that leaves the box.
+        connected support and Tits form q <= 1, q(x) = euler_form(x, x);
+        stop with None at the first such step that leaves the box.
+
+        Each step reads d, q(d) and the arrows at v alone.  Write n_v(d)
+        for the sum of d_u over the arrows between v and another vertex u,
+        either way round, each arrow counted once.  The quiver has no
+        loops, so only the square of the v-th entry and the arrow terms at
+        v change:
+
+            q(d + e_v) = q(d) + 2 d_v + 1 - n_v(d).
+
+        Every visited vector has connected support (a simple root's, or it
+        was checked on the step that reached it), so supp(d) + {v} is
+        connected iff v lies in supp(d) or an arrow joins v to a vertex of
+        supp(d), that is iff d_v + n_v(d) > 0: n_v(d) is a sum of entries
+        d_u >= 0 and is 0 exactly when no neighbour of v lies in supp(d).
 
         Some indecomposable lies outside the box iff some positive root
         does: a Dynkin quiver's indecomposables are its positive roots
@@ -128,19 +136,25 @@ class QuiverSpec:
         built.
         """
         n, bound = self.vertices, self.dim_bound
-        seen = {tuple(int(w == v) for w in range(n)) for v in range(n)}
-        todo = list(seen)
+        near = [[] for _ in range(n)]  # per vertex, the other end of each arrow at it
+        for s, t in self.arrows:
+            near[s].append(t)
+            near[t].append(s)
+        q = {tuple(int(w == v) for w in range(n)): 1 for v in range(n)}  # visited vector -> q
+        todo = list(q)
         while todo:
             d = todo.pop()
             for v in range(n):
                 e = d[:v] + (d[v] + 1,) + d[v + 1:]
-                if e in seen or not self._may_be_indecomposable(e):
+                nv = sum(d[u] for u in near[v])
+                qe = q[d] + 2 * d[v] + 1 - nv
+                if e in q or not d[v] + nv or qe > 1:
                     continue
                 if e[v] > bound[v]:
                     return None
-                seen.add(e)
+                q[e] = qe
                 todo.append(e)
-        return tuple(sorted(seen, key=lambda dv: (sum(dv), dv)))
+        return tuple(sorted(q, key=lambda dv: (sum(dv), dv)))
 
     @property
     def truncated(self):
@@ -167,21 +181,6 @@ def _is_prime(n):
         if n % d == 0:
             return False
     return True
-
-
-def _is_connected(support, arrows):
-    """Whether the vertex set ``support`` is nonempty and connected by the
-    arrows with both ends in it, directions ignored."""
-    if not support:
-        return False
-    seen, todo = set(), [min(support)]
-    while todo:
-        v = todo.pop()
-        if v not in seen:
-            seen.add(v)
-            todo.extend(t if s == v else s for s, t in arrows
-                        if v in (s, t) and s in support and t in support)
-    return seen == support
 
 
 def _has_cycle(n, arrows):
@@ -259,10 +258,18 @@ class QuiverBackend:
 
     The constructor refuses a truncated spec (``QuiverSpec.truncated``:
     some indecomposable lies outside the ``dim_bound`` box, so objects could
-    leave the table) with a ``BackendError`` naming ``dim_bound``, before
-    any representation work.
+    leave the table) with a ``BackendError`` naming ``dim_bound``.  It then
+    reads the spec alone: the ids are the positive roots (``roots``, one
+    indecomposable per root, Gabriel), and the Hom and Ext matrices and the
+    path order follow from the roots and the Euler form.  No representation
+    is built there.  ``indecs``, one brick per root in the order of
+    ``roots``, is built on first use by ``_build_table``, when a method
+    that works on representations (``obj_rep``, ``hom_basis``,
+    ``part_sets``, ``middle_terms``, ``decompose_rep``, ...) first asks for
+    it; the censuses, ``classify_subcat`` and ``enumerate`` read the
+    matrices alone.
 
-    After construction the instance is read-only: the indecomposable table
+    After construction the instance is read-only: the table, once built,
     and the Hom/Ext matrices are fixed, and the one memo dictionary
     ``_memo`` (filled by the ``_memoized`` methods) only accretes values of
     pure functions of their arguments.  Hom bases are memoised between
@@ -276,9 +283,13 @@ class QuiverBackend:
         self._memo = {}
         self.spec = spec
         self.p = spec.field
-        self.indecs: list[Rep] = []
-        self._build_table()
-        euler = [[spec.euler_form(a.dims, b.dims) for b in self.indecs] for a in self.indecs]
+        self.roots = spec.positive_roots
+        # <d, e> = d . pulled(e), pulled(e)_v = e_v - sum over arrows v -> t of e_t
+        pulled = [list(e) for e in self.roots]
+        for e, pe in zip(self.roots, pulled):
+            for s, t in spec.arrows:
+                pe[s] -= e[t]
+        euler = [[sum(map(operator.mul, d, pe)) for pe in pulled] for d in self.roots]
         self.hom_matrix, self.ext_matrix = _hom_ext_of_dynkin(euler)
         # back substitution steps of _ids_from_homs: each id, latest in the
         # path order first, with the later ids it has maps to
@@ -288,12 +299,19 @@ class QuiverBackend:
     # ------------------------------------------------------------------
     # table construction
 
+    @functools.cached_property
+    def indecs(self) -> list[Rep]:
+        """One brick per positive root, in the order of ``roots``
+        (``_build_table``, run on first use)."""
+        return self._build_table()
+
     def _build_table(self):
         """One representative of each indecomposable whose dimension vector
-        lies in the ``dim_bound`` box, in (total dimension, vector) order.
+        lies in the ``dim_bound`` box, in (total dimension, vector) order:
+        one per vector of ``roots``.
 
-        A vector is visited only when it can carry an indecomposable
-        (``QuiverSpec._may_be_indecomposable``):
+        The walk of ``QuiverSpec.positive_roots`` visits a vector only when
+        it can carry an indecomposable:
 
         (a) its support is connected in the underlying graph: a rep whose
             support splits into two parts with no arrow between them is the
@@ -334,12 +352,9 @@ class QuiverBackend:
         one, nested as ``rep_from_arrays`` nests them.
         """
         spec = self.spec
-        for dv in spec.positive_roots:
-            if max(dv) <= 1:
-                self.indecs.append(Rep(dv, tuple(((1,) * dv[s],) * dv[t] for s, t in spec.arrows)))
-            else:
-                self.indecs.append(next(rep for rep in self._all_reps(dv)
-                                        if self._rep_hom_dim(rep, rep) == 1))
+        return [Rep(dv, tuple(((1,) * dv[s],) * dv[t] for s, t in spec.arrows)) if max(dv) <= 1
+                else next(rep for rep in self._all_reps(dv) if self._rep_hom_dim(rep, rep) == 1)
+                for dv in self.roots]
 
     def _all_reps(self, dv):
         spec = self.spec
@@ -404,7 +419,7 @@ class QuiverBackend:
     def obj_dims(self, obj: Obj):
         dims = (0,) * self.spec.vertices
         for i in obj:
-            dims = tuple(d + e for d, e in zip(dims, self.indecs[i].dims))
+            dims = tuple(d + e for d, e in zip(dims, self.roots[i]))
         return dims
 
     @_memoized
@@ -438,13 +453,13 @@ class QuiverBackend:
         substitution, the latest id first.  A negative multiplicity or a
         dimension vector other than ``dims`` means that the Hom vector or
         the table is wrong, and is refused."""
-        mult = [0] * len(self.indecs)
+        mult = [0] * len(self.roots)
         total = (0,) * self.spec.vertices
         for i, later in self._hom_steps:
             m = mult[i] = homs[i] - sum(h * mult[j] for j, h in later)
             if m < 0:
                 raise BackendError("object does not decompose over the table")
-            total = tuple(t + m * d for t, d in zip(total, self.indecs[i].dims))
+            total = tuple(t + m * d for t, d in zip(total, self.roots[i]))
         if total != tuple(dims):
             raise BackendError("object does not decompose over the table")
         return tuple(i for i, m in enumerate(mult) for _ in range(m))
@@ -463,7 +478,7 @@ class QuiverBackend:
         starts, at = [], (0,) * self.spec.vertices
         for i in obj:
             starts.append(at)
-            at = tuple(a + d for a, d in zip(at, self.indecs[i].dims))
+            at = tuple(a + d for a, d in zip(at, self.roots[i]))
         return starts
 
     def hom_basis(self, x: Obj, y: Obj):
@@ -642,13 +657,18 @@ class QuiverBackend:
     # enumeration interface
 
     def all_ids(self):
-        return tuple(range(len(self.indecs)))
+        return tuple(range(len(self.roots)))
 
     def subsets(self):
-        """All additively-closed subcategories, in bitmask order."""
-        n = len(self.indecs)
-        for mask in range(1 << n):
-            yield frozenset(i for i in range(n) if mask >> i & 1)
+        """All additively-closed subcategories, in bitmask order: the subset
+        of mask m | 2^i, for m < 2^i, is the subset of m plus {i}, so the
+        masks 2^i .. 2^(i+1) - 1 are the earlier subsets, each grown by i."""
+        subs = [frozenset()]
+        yield subs[0]
+        for i in range(len(self.roots)):
+            grown = [s | {i} for s in subs]
+            yield from grown
+            subs += grown
 
 
 def _vertex_starts(a, b):

@@ -154,6 +154,19 @@ def torsion_scan(backend, S, ambient=None):
             and core.is_closed(backend, S, ("extensions",), ambient))
 
 
+# Dynkin quivers bounded by their highest roots, so every positive root is
+# in the table; E_n is a chain with a branch vertex (listed last) on the
+# third chain vertex, and E6 is demos/quivers/e6.json
+HIGHEST_ROOT_SPECS = {
+    "D5": QuiverSpec(5, ((0, 1), (1, 2), (2, 3), (2, 4)), 2, (1, 2, 2, 1, 1)),
+    "D6": QuiverSpec(6, ((0, 1), (1, 2), (2, 3), (3, 4), (3, 5)), 2, (1, 2, 2, 2, 1, 1)),
+    "E6": QuiverSpec(6, ((0, 1), (1, 2), (2, 3), (3, 4), (5, 2)), 2, (1, 2, 3, 2, 1, 2)),
+    "E7": QuiverSpec(7, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)), 2, (2, 3, 4, 3, 2, 1, 2)),
+    "E8": QuiverSpec(8, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 7)), 2,
+                     (2, 4, 6, 5, 4, 3, 2, 3)),
+}
+
+
 @pytest.fixture(scope="session")
 def a1():
     return build_backend(QuiverSpec(1, (), 2))
@@ -172,7 +185,7 @@ def a3():
 def id_by_dims(backend, dims):
     """The table id of the unique indecomposable with the given dimension
     vector, for fixtures where that is unambiguous."""
-    hits = [i for i, ind in enumerate(backend.indecs) if tuple(ind.dims) == tuple(dims)]
+    hits = [i for i, root in enumerate(backend.roots) if root == tuple(dims)]
     assert len(hits) == 1, f"expected one indecomposable with dims {dims}, found {hits}"
     return hits[0]
 

@@ -198,6 +198,41 @@ def test_classify_garbage_input_exits_2(tmp_path):
         assert code == 2, (text, err)
 
 
+@pytest.mark.parametrize("entries, shown", [([[7]], "7"), ([[-1]], "-1"), ([[True]], "true")])
+def test_classify_refuses_ids_outside_the_table(tmp_path, entries, shown):
+    """a2 has ids 0..2: 7 is past the end, -1 would index from it, and JSON
+    true would hash as id 1; each is a usage error naming the range."""
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps({"lo": 0, "hi": 0, "entries": entries, "below": [], "above": [0, 1, 2]}))
+    code, out, err = run_cli("classify", "--backend", f"quiver:{A2}", str(path))
+    assert code == 2 and out == "", (out, err)
+    assert f"integers in 0..2, got {shown}" in json.loads(err)["error"], err
+
+
+E6 = "demos/quivers/e6.json"
+
+
+def test_verify_on_e6_refuses_the_subset_scan_in_seconds():
+    """E6's 36 indecomposables are beyond ``core.MAX_SCAN_INDECS``: the
+    refusal is the first line, before any representation is built."""
+    proc = run_cli_process("verify", "--backend", f"quiver:{E6}", timeout=30)
+    assert proc.returncode == 1, (proc.stdout, proc.stderr)
+    assert proc.stdout == ('FAIL suite-error: "indecomposable table too large for subset '
+                           'enumeration: 36 indecomposables, above MAX_SCAN_INDECS = 14"\n'
+                           'FAILED (1 failing checks)\n'), proc.stdout
+
+
+def test_enumerate_e6_demo():
+    """The E6 demo on the window 0:0: one record per narrow subcategory, and
+    the 418 = Cat+(E6) tilting torsion classes have the whole category as
+    above-tail."""
+    proc = run_cli_process("enumerate", "--backend", f"quiver:{E6}", "--window", "0:0", timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)["records"]
+    assert len(rows) == 4878
+    assert sum(r["parameters"]["above"] == list(range(36)) for r in rows) == 418
+
+
 def test_enumerate_callable_in_process():
     import io
     args = cli.build_parser().parse_args(

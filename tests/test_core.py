@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import numpy_fplinalg as nla
-from conftest import id_by_dims, is_mono, kernel_realizations, scan_census, torsion_scan
+from conftest import HIGHEST_ROOT_SPECS, id_by_dims, is_mono, kernel_realizations, scan_census, torsion_scan
 from tstructkit import core, derived
 from tstructkit.derived import enumerate_narrow_sequences
 from tstructkit.core import (classify_subcat, closure, enumerate_subcats,
@@ -340,22 +340,36 @@ def test_kernel_realizations(a2, a2_ids):
     (A4, 42, 14, 90),  # A_n: Catalan(n + 1) wides, Catalan(n) tilting classes
     (D4, 50, 20, 120),
     (A5, 132, 42, 394),
+    (HIGHEST_ROOT_SPECS["D5"], 182, 77, None),
+    (HIGHEST_ROOT_SPECS["D6"], 672, 294, None),
+    (HIGHEST_ROOT_SPECS["E6"], 833, 418, None),
+    (HIGHEST_ROOT_SPECS["E7"], 4160, 2431, None),
+    (HIGHEST_ROOT_SPECS["E8"], 25080, None, None),
 ])
 def test_census_counts_without_the_scan(spec, wides, tilting, narrow):
     """Wide subcategories, tilting torsion classes of the whole category, and
-    narrow subcategories counted as the sum over wides W of #tilting(W)."""
+    narrow subcategories counted as the sum over wides W of #tilting(W).
+    The wide and tilting counts are the Coxeter-Catalan numbers Cat(W)
+    (Ingalls-Thomas 2009) and the positive Catalan numbers Cat+(W)
+    (Buan-Marsh-Reineke-Reiten-Todorov 2006; Fomin-Reading 2005).  E8's
+    17 342 tilting classes take several seconds and are not counted; its
+    wide census takes about 2.5 s."""
+    start = time.perf_counter()
     b = build_backend(spec)
     assert not spec.truncated
     census = wide_census(b)
     assert len(census) == wides
-    assert len(tilting_census(b, b.all_ids())) == tilting
-    assert sum(len(tilting_census(b, w)) for w in census) == narrow
+    if tilting is not None:
+        assert len(tilting_census(b, b.all_ids())) == tilting
+    if narrow is not None:
+        assert sum(len(tilting_census(b, w)) for w in census) == narrow
+    assert time.perf_counter() - start < 10.0
 
 
 def test_a5_is_beyond_the_subset_scan():
     b = build_backend(A5)
-    assert len(b.indecs) == 15
-    with pytest.raises(BackendError, match="too large"):
+    assert len(b.roots) == 15
+    with pytest.raises(BackendError, match="too large.*15 indecomposables, above MAX_SCAN_INDECS = 14"):
         enumerate_subcats(b, ("is_wide",))
     with pytest.raises(BackendError, match="too large"):
         enumerate_narrow_sequences(b, 0, 1)

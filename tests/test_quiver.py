@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import re
 import time
 from fractions import Fraction
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 import numpy_fplinalg as nla
-from conftest import is_epi, is_mono, quotients, subobjects
-from tstructkit import core
+from conftest import HIGHEST_ROOT_SPECS, is_epi, is_mono, quotients, subobjects
+from tstructkit import core, refined
 from tstructkit.quiver import (MORPHISM_SPACE_LIMIT, BackendError, Morphism, QuiverBackend,
                                QuiverSpec, _combine, _has_cycle, build_backend)
 
@@ -282,8 +283,9 @@ class FullScanBackend(QuiverBackend):
     box by the split-summand and isomorphism scan, with no pruning to
     connected roots and no refusal of a truncated spec; its Hom matrix by
     numpy linear algebra on each pair of entries (``hom_basis_oracle``) and
-    its inverse in Fractions, whatever the table.  Only the table and these
-    matrices are built."""
+    its inverse in Fractions, whatever the table.  Only the table, its
+    dimension vectors (``roots``, one per entry, so a vector may repeat)
+    and these matrices are built."""
 
     def __init__(self, spec):
         self._memo = {}
@@ -294,6 +296,7 @@ class FullScanBackend(QuiverBackend):
             for rep in self._all_reps(dv):
                 if self._is_new_indec(rep):
                     self.indecs.append(rep)
+        self.roots = tuple(rep.dims for rep in self.indecs)
         self.hom_matrix = tuple(tuple(self._rep_hom_dim(a, b) for b in self.indecs) for a in self.indecs)
         self.ext_matrix = tuple(tuple(h - spec.euler_form(a.dims, b.dims) for b, h in zip(self.indecs, row))
                                 for a, row in zip(self.indecs, self.hom_matrix))
@@ -400,12 +403,54 @@ def test_truncated_iff_box_misses_an_indecomposable(spec, truncated):
         build_backend(spec)
 
 
+def is_connected(support, arrows):
+    """Whether the vertex set ``support`` is nonempty and connected by the
+    arrows with both ends in it, directions ignored."""
+    if not support:
+        return False
+    seen, todo = set(), [min(support)]
+    while todo:
+        v = todo.pop()
+        if v not in seen:
+            seen.add(v)
+            todo.extend(t if s == v else s for s, t in arrows
+                        if v in (s, t) and s in support and t in support)
+    return seen == support
+
+
+def may_be_indecomposable(spec, dv):
+    """Connected support and Tits form at most 1, read off the whole vector
+    (see ``QuiverBackend._build_table``)."""
+    support = {v for v, d in enumerate(dv) if d}
+    return is_connected(support, spec.arrows) and spec.euler_form(dv, dv) <= 1
+
+
+def whole_vector_walk(spec):
+    """Reference oracle for ``QuiverSpec.positive_roots``: the same walk,
+    with connectivity and q decided on each whole vector by
+    ``may_be_indecomposable`` instead of stepped from the last one."""
+    n, bound = spec.vertices, spec.dim_bound
+    seen = {tuple(int(w == v) for w in range(n)) for v in range(n)}
+    todo = list(seen)
+    while todo:
+        d = todo.pop()
+        for v in range(n):
+            e = d[:v] + (d[v] + 1,) + d[v + 1:]
+            if e in seen or not may_be_indecomposable(spec, e):
+                continue
+            if e[v] > bound[v]:
+                return None
+            seen.add(e)
+            todo.append(e)
+    return tuple(sorted(seen, key=lambda dv: (sum(dv), dv)))
+
+
 def box_scan_truncated(spec):
     """Reference oracle for ``QuiverSpec.truncated``: whether some vector of
     the box grown by one at every vertex, but outside the box, has connected
     support and q <= 1."""
     bound = spec.dim_bound
-    return any(spec._may_be_indecomposable(dv)
+    return any(may_be_indecomposable(spec, dv)
                for dv in itertools.product(*(range(b + 2) for b in bound))
                if any(d > b for d, b in zip(dv, bound)))
 
@@ -444,7 +489,7 @@ def test_root_walk_truncation_equals_the_grown_box_scan(name):
             if not spec.truncated:
                 box = itertools.product(*(range(b + 1) for b in bound))
                 assert spec.positive_roots == tuple(sorted(
-                    (dv for dv in box if spec._may_be_indecomposable(dv)),
+                    (dv for dv in box if may_be_indecomposable(spec, dv)),
                     key=lambda dv: (sum(dv), dv)))
 
 
@@ -485,8 +530,83 @@ def test_only_non_thin_roots_search_the_representations(monkeypatch):
 
     monkeypatch.setattr(QuiverBackend, "_all_reps", guarded)
     for spec in UNTRUNCATED_SPECS:
-        build_backend(spec)
+        build_backend(spec).indecs  # the table is built on first use
     assert searched == [(QuiverSpec(4, D4_INTO_CENTRE, 2, (1, 2, 1, 1)), (1, 2, 1, 1))]
+
+
+def random_acyclic_specs(seed, count):
+    """Seeded random acyclic quivers on 1-6 vertices with multi-arrows
+    allowed (each arrow runs from a lower to a higher vertex of a random
+    order) and every dim_bound entry in 1..3."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        order = rng.sample(range(n), n)
+        arrows = []
+        for _ in range(rng.randint(0, n + 1)):
+            if n > 1:
+                i, j = sorted(rng.sample(range(n), 2))
+                arrows.append((order[i], order[j]))
+        yield QuiverSpec(n, tuple(arrows), 2, tuple(rng.randint(1, 3) for _ in range(n)))
+
+
+def test_root_walk_equals_the_whole_vector_walk():
+    """The stepped walk of ``positive_roots`` gives the whole-vector walk's
+    roots, or None with it, on seeded random acyclic quivers; the sample
+    holds multi-arrows, every bound 1..3 and truncated specs."""
+    specs = list(random_acyclic_specs(19, 300))
+    for spec in specs:
+        assert spec.positive_roots == whole_vector_walk(spec), spec
+    assert any(len(set(spec.arrows)) < len(spec.arrows) for spec in specs)
+    assert {b for spec in specs for b in spec.dim_bound} == {1, 2, 3}
+    assert sum(spec.truncated for spec in specs) >= 50
+    assert sum(not spec.truncated and spec.vertices >= 4 for spec in specs) >= 20
+
+
+CONSTRUCTION_SPECS = UNTRUNCATED_SPECS + list(HIGHEST_ROOT_SPECS.values())
+
+
+def test_construction_and_the_censuses_build_no_table(monkeypatch):
+    """Building a backend reads the spec alone, and so do the A3 census and
+    ``enumerate_tstructures``: ``_build_table`` never runs.  D6 builds in
+    under 0.3 s and E6-E8 in under 0.15 s each (about 1 ms and 1-25 ms on
+    an idle 2-core host)."""
+    def no_table(self):
+        raise AssertionError("the representation table was built")
+
+    monkeypatch.setattr(QuiverBackend, "_build_table", no_table)
+    for spec in CONSTRUCTION_SPECS:
+        start = time.perf_counter()
+        backend = build_backend(spec)
+        took = time.perf_counter() - start
+        assert "indecs" not in vars(backend)
+        if spec in (HIGHEST_ROOT_SPECS["E6"], HIGHEST_ROOT_SPECS["E7"], HIGHEST_ROOT_SPECS["E8"]):
+            assert took < 0.15, (spec, took)
+        elif spec == HIGHEST_ROOT_SPECS["D6"]:
+            assert took < 0.3, took
+    a3 = build_backend(QuiverSpec(3, A3_LINEAR, 3))
+    flags = [core.classify_subcat(a3, S) for S in a3.subsets()]
+    assert sum(f.is_narrow for f in flags) == 22 and sum(f.is_wide for f in flags) == 14
+    assert len(core.wide_census(a3)) == 14 and len(core.tilting_census(a3, a3.all_ids())) == 5
+    assert len(refined.enumerate_tstructures(a3, 0, 1)) == 79
+    assert a3._memo == {} and "indecs" not in vars(a3)
+
+
+@pytest.mark.parametrize("spec", CONSTRUCTION_SPECS, ids=spec_id)
+def test_euler_matrix_equals_the_euler_form(spec):
+    backend = build_backend(spec)
+    roots = backend.roots
+    assert roots == spec.positive_roots
+    for i, d in enumerate(roots):
+        for j, e in enumerate(roots):
+            assert backend.hom_matrix[i][j] - backend.ext_matrix[i][j] == spec.euler_form(d, e), (d, e)
+
+
+@pytest.mark.parametrize("spec", UNTRUNCATED_SPECS, ids=spec_id)
+def test_roots_are_the_dimension_vectors_of_the_table(spec):
+    backend = build_backend(spec)
+    assert len(backend.indecs) == len(backend.roots)
+    assert all(backend.roots[i] == ind.dims for i, ind in enumerate(backend.indecs))
 
 
 def searched_middle_terms(backend, quot, sub):
