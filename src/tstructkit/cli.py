@@ -17,7 +17,7 @@ import operator
 import sys
 
 from . import core, dedekind, derived, faults, projline, refined
-from .quiver import BackendError, QuiverSpec, _is_int, build_backend
+from .quiver import BackendError, QuiverSpec, build_backend
 
 USAGE_ERROR, VERIFY_ERROR = 2, 1
 
@@ -312,11 +312,8 @@ def cmd_classify(args, out=sys.stdout) -> int:
 
 def _classify_quiver(backend, data):
     seq = derived.SubcatSeq.from_json_dict(data)
-    n = len(backend.roots)
     for entry in (*data["entries"], data["below"], data["above"]):
-        for i in entry:
-            if not (_is_int(i) and 0 <= i < n):
-                raise ValueError(f"indecomposable ids are integers in 0..{n - 1}, got {json.dumps(i)}")
+        core.check_ids(backend, entry)  # the raw lists: a frozenset merges true into 1
     ok, report = derived.is_narrow_sequence(backend, seq)
     return {"valid_narrow_sequence": ok, "form": "narrow-sequence" if ok else None,
             "is_aisle": ok and not seq.below, "violations": report}

@@ -17,9 +17,12 @@ The narrow, wide and torsion flags of ``classify_subcat``, the wide census
 subcategory (``generated_torsion``, which ``refined.psi`` glues with) and
 the tilting test (``is_tilting_in``) are read off the Hom and Ext matrices
 of the table, with no closure and no representation; ``enumerate_subcats``
-filters every subset by those flags.  The closure scans (``is_closed``,
-``closure``) serve ``derived`` and ``refined.xi``, and stay as the oracles
-that ``verify`` compares the flags with.
+filters every subset by those flags.  The wide closure (``wide_closure``)
+that ``refined.xi``, ``derived.restrict`` and
+``derived.enumerate_narrow_sequences`` read is such a formula too.  The
+closure scans serve ``derived.is_narrow_sequence``'s extension test
+(``is_closed``) and stay as the oracles that ``verify`` compares the flags
+and the wide closure with.
 
 Memo rule for this layer and the two built on it (derived, refined): every
 result that depends on the closure predicates or on ``perp`` is stored in
@@ -32,11 +35,12 @@ QuiverBackend).
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 
 from . import faults
 from . import fplinalg as la
-from .quiver import BackendError, Obj
+from .quiver import BackendError, Obj, _is_int
 
 Subcat = frozenset
 
@@ -143,19 +147,14 @@ class SubcatFlags:
 
 def classify_subcat(backend, S) -> SubcatFlags:
     """Closure flags of an additively-closed subset, from the Hom and Ext
-    matrices: S is wide iff S = perp(perp(S, right), left), narrow iff
-    S = generated_torsion(P, perp(perp(P, right), left)) for P the
-    Ext-projectives of S (the p in S with Ext(p, x) = 0 for every x in S),
-    and a torsion class iff it is the torsion class it generates in the
-    whole table.  All perps but those of ``generated_torsion`` take Hom and
-    Ext.
+    matrices: S is wide iff S = wide_closure(S), narrow iff
+    S = generated_torsion(P, wide_closure(P)) for P the Ext-projectives of
+    S (the p in S with Ext(p, x) = 0 for every x in S), and a torsion class
+    iff it is the torsion class it generates in the whole table.
 
     Proof.  Both sides of each test are sets of indecomposables, and every
-    category here is closed under summands.  Wide: for any Y, perp(Y, left)
-    is closed under kernels, cokernels and extensions, since Ext^2 vanishes
-    (Geigle-Lenzing 1991, *Perpendicular categories*), so a fixed point is
-    wide; a wide S of a Dynkin category is perp(S^perp) (see the proof of
-    ``wide_census``).  Narrow means closed under extensions and cokernels;
+    category here is closed under summands.  Wide: see ``wide_closure``.
+    Narrow means closed under extensions and cokernels;
     such an S is closed under images too.  Let f: A -> B be a map in S with
     image I and kernel K; its cokernel Q lies in S, and Ext^2(Q, K) = 0
     makes Ext^1(B, K) -> Ext^1(I, K) onto, so 0 -> K -> A -> I -> 0 is the
@@ -164,35 +163,64 @@ def classify_subcat(backend, S) -> SubcatFlags:
     0 -> A -> I + F -> B -> 0, so I + F lies in S, and I is a summand.  So
     S is ICE-closed, and an ICE-closed S of a hereditary category is the
     torsion class that its Ext-projectives P generate in their wide closure
-    W(P) (Enomoto 2022, *Rigid modules and ICE-closed subcategories in
-    quiver representations*, arXiv:2005.05536), W(P) = perp(perp(P, right),
-    left) as above.  Conversely that torsion class T is narrow: the
-    cokernel of a map in T lies in the wide W(P) and is a quotient there of
-    an object of T, and an extension of objects of T lies in W(P), hence in
-    T (``generated_torsion`` proves T the least torsion class of W(P)
+    W(P) = wide_closure(P) (Enomoto 2022, *Rigid modules and ICE-closed
+    subcategories in quiver representations*, arXiv:2005.05536).
+    Conversely that torsion class T is narrow: the cokernel of a map in T
+    lies in the wide W(P) and is a quotient there of an object of T, and an
+    extension of objects of T lies in W(P), hence in T
+    (``generated_torsion`` proves T the least torsion class of W(P)
     holding P).  Torsion: see ``generated_torsion`` (Dickson 1966).
 
     On a finite-length backend every nullity class is coreflective, so the
     torsion-class flag coincides with the nullity flag.  The closure scans
     (``is_closed`` with ("extensions", "cokernels"), then ("kernels",))
     decide the narrow and wide flags by search; ``verify`` compares them.
+    A set not yet memoised is first checked by ``check_ids``.
     """
     S = frozenset(S)
     key = ("classify", S)
     cache = memo(backend)
     if key not in cache:
+        check_ids(backend, S)
         ext = backend.ext_matrix
         ext_proj = [p for p in S if not any(ext[p][x] for x in S)]
-        narrow = generated_torsion(backend, ext_proj, _wide_closure(backend, ext_proj)) == S
-        wide = narrow and _wide_closure(backend, S) == S
+        narrow = generated_torsion(backend, ext_proj, wide_closure(backend, ext_proj)) == S
+        wide = narrow and wide_closure(backend, S) == S
         nullity = generated_torsion(backend, S, backend.all_ids()) == S
         cache[key] = SubcatFlags(narrow, wide, nullity, nullity)
     return cache[key]
 
 
-def _wide_closure(backend, S) -> Subcat:
-    """perp(perp(S, right), left), both with Hom and Ext: the least wide
-    subcategory holding S (see ``classify_subcat``)."""
+def check_ids(backend, ids):
+    """Refuse any id that is not an int in 0..n-1 for a table of n
+    indecomposables (a bool is not an id)."""
+    n = len(backend.roots)
+    for i in ids:
+        if not (_is_int(i) and 0 <= i < n):
+            raise BackendError(f"indecomposable ids are integers in 0..{n - 1}, "
+                               f"got {json.dumps(i, default=repr)}")
+
+
+def wide_closure(backend, S) -> Subcat:
+    """The least wide subcategory W(S) holding S: perp(perp(S, right),
+    left), both perps with Hom and Ext.  So S is wide iff
+    wide_closure(S) = S.
+
+    Proof.  Every category here is closed under summands, and Hom and Ext
+    vanish summand by summand, so both perps are read off the matrices
+    over the indecomposables.  For any Y, perp(Y, left) is closed under
+    kernels, cokernels and extensions: the long exact Hom-Ext sequences of
+    a map or a short exact sequence against y in Y stop at Ext^2 = 0
+    (Geigle-Lenzing 1991, *Perpendicular categories*).  So
+    perp(S^perp, left) is wide, and it holds S by the definition of S^perp.
+    Each perp({y}, left) with y in S^perp is wide and holds S, so it holds
+    W(S); hence S^perp = W(S)^perp.  A quiver table belongs to a Dynkin
+    quiver (``QuiverBackend`` refuses a truncated spec), and a wide
+    subcategory W of a Dynkin category is generated by an exceptional
+    sequence, so W = perp(W^perp) (Geigle-Lenzing 1991; Ingalls-Thomas
+    2009).  Together perp(S^perp) = perp(W(S)^perp) = W(S), and S is wide
+    iff it is this fixed point.
+    """
     return perp(backend, perp(backend, S, "right", "all"), "left", "all")
 
 
@@ -267,21 +295,17 @@ def _by_members(sets):
 
 def wide_census(backend) -> list:
     """All wide subcategories, from the Hom and Ext matrices: the distinct
-    W(S) = perp(perp(S, right), left) over the Hom-orthogonal sets S of
-    indecomposables (both perps with Hom and Ext), sorted by members.
+    ``wide_closure(S)`` over the Hom-orthogonal sets S of indecomposables,
+    sorted by members.
 
-    Proof.  A quiver table belongs to a Dynkin quiver (``QuiverBackend``
-    refuses a truncated spec), whose indecomposables are exceptional:
-    Ext^1(X, X) = 0 and End(X) = F_p.  So a Hom-orthogonal set
-    of indecomposables is a semibrick, and S -> filt(S), the extension
-    closure of S, is a bijection from semibricks onto wide subcategories;
-    its inverse takes W to its simple objects (Ringel 1976, *Representations
-    of K-species and bimodules*).  Since Ext^2 vanishes, the long exact
-    sequences carry Hom- and Ext-vanishing against S along extensions, so
-    S^perp = filt(S)^perp.  A wide subcategory W of a Dynkin category is
-    generated by an exceptional sequence, hence W = perp(W^perp)
-    (Geigle-Lenzing 1991, *Perpendicular categories*; Ingalls-Thomas 2009).
-    Together W(S) = filt(S): each wide subcategory is reached exactly once.
+    Proof.  A quiver table belongs to a Dynkin quiver, whose
+    indecomposables are exceptional: Ext^1(X, X) = 0 and End(X) = F_p.  So
+    a Hom-orthogonal set of indecomposables is a semibrick, and
+    S -> filt(S), the extension closure of S, is a bijection from
+    semibricks onto wide subcategories; its inverse takes W to its simple
+    objects (Ringel 1976, *Representations of K-species and bimodules*).
+    Every wide subcategory holding S holds filt(S), so filt(S), being wide,
+    is wide_closure(S): each wide subcategory is reached exactly once.
     The growth visits only Hom-orthogonal sets, one per wide subcategory.
     """
     cache = memo(backend)
@@ -289,7 +313,7 @@ def wide_census(backend) -> list:
         hom = backend.hom_matrix
         found = []
         _grow_cliques(backend.all_ids(), lambda i, j: hom[i][j] == 0 and hom[j][i] == 0,
-                      lambda S: found.append(_wide_closure(backend, S)))
+                      lambda S: found.append(wide_closure(backend, S)))
         cache["wide-census"] = _by_members(set(found))
     return cache["wide-census"]
 

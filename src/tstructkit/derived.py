@@ -130,7 +130,10 @@ def is_narrow_sequence(backend, seq: SubcatSeq):
     condition split into extension closure, a cokernel condition against the
     next level, and a kernel condition against the previous level.  The
     window is extended by two degrees so each constant tail is exercised
-    against itself once.  Returns (ok, list of violation strings)."""
+    against itself once.  Returns (ok, list of violation strings); an id
+    outside the table is refused (``core.check_ids``)."""
+    for s in (*seq.entries, seq.below, seq.above):
+        core.check_ids(backend, s)
     report = []
     degrees = range(seq.lo - 2, seq.hi + 3)
     for k in degrees:
@@ -202,7 +205,8 @@ def mu(backend, seq_or_member, lo=None, hi=None):
 
 def restrict(backend, seq: SubcatSeq, k=None, l=None) -> SubcatSeq:
     """The restriction of a preaisle to degrees [k, l]: zero below k, the
-    original values on [k, l], the wide closure of the value at l above."""
+    original values on [k, l], the wide closure of the value at l
+    (``core.wide_closure``) above."""
     if k is not None and l is not None and k > l:
         raise BackendError("restriction needs k <= l")
 
@@ -210,7 +214,7 @@ def restrict(backend, seq: SubcatSeq, k=None, l=None) -> SubcatSeq:
         if k is not None and n < k:
             return frozenset()
         if l is not None and n > l:
-            return core.closure(backend, seq.at(l), core.WIDE_RULES)
+            return core.wide_closure(backend, seq.at(l))
         return seq.at(n)
 
     entries = tuple(value(n) for n in range(seq.lo, seq.hi + 1))
@@ -337,27 +341,28 @@ def _all_multisets(backend):
 # enumeration of narrow sequences
 
 def enumerate_narrow_sequences(backend, lo: int, hi: int):
-    """All narrow sequences on the window with zero below-tail and constant
-    (hence wide) above-tail, in deterministic order; the narrow
-    subcategories come from ``core.enumerate_subcats``, which refuses a
-    table beyond ``core.MAX_SCAN_INDECS``."""
+    """All narrow sequences on the window with zero below-tail and the wide
+    closure of the top entry as above-tail, in deterministic order.  The
+    narrow subcategories come from ``core.enumerate_subcats``, which
+    refuses a table beyond ``core.MAX_SCAN_INDECS``; each entry holds the
+    wide closure (``core.wide_closure``) of the one below it, and so holds
+    that entry too."""
     narrow_subsets = core._by_members(core.enumerate_subcats(backend, ("is_narrow",)))
     results = []
 
     def rec(chain):
         if len(chain) == hi - lo + 1:
-            # beyond the window the values are forced: the next entry must
-            # contain the wide closure of the top entry yet stay inside the
-            # (constant) wide closure, so the tail is that wide closure
+            # the above-tail is the least the chain allows, W(N(hi)); a tail
+            # that jumps past it at hi + 1 needs a wider window
             seq = SubcatSeq(lo, hi, tuple(chain), frozenset(),
-                            core.closure(backend, chain[-1], core.WIDE_RULES))
+                            core.wide_closure(backend, chain[-1]))
             ok, _ = is_narrow_sequence(backend, seq)
             if ok:
                 results.append(seq)
             return
-        prev = chain[-1] if chain else frozenset()
+        floor = core.wide_closure(backend, chain[-1] if chain else ())
         for s in narrow_subsets:
-            if prev <= s and core.closure(backend, prev, core.WIDE_RULES) <= s:
+            if floor <= s:
                 rec(chain + [s])
 
     rec([])

@@ -15,7 +15,7 @@ FAULT_NAMES = (
     "skip-kernel-condition",     # narrow-sequence validator skips the kernel condition
     "swap-ext-direction",        # derived Hom counts Ext against degree k-1 instead of k+1
     "perp-ignores-ext",          # perpendicular categories test Hom vanishing only
-    "wide-closure-skips-kernels",  # wide closures omit the kernels rule
+    "wide-closure-skips-kernels",  # closure scans omit the kernels rule
 )
 
 _active: set = set()

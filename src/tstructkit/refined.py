@@ -22,8 +22,10 @@ class RefinedTSeq:
     """Windowed refined t-sequence.
 
     f is zero below the window and constant equal to f(hi) above it; tf is
-    zero below the window, and above it takes the constant value
-    tf_above = f(hi) cap perp f(hi) (zero unless f(hi) = 0)."""
+    zero below the window and tf_above above it.  On a valid sequence
+    tf_above is zero, since it lies in the gap f(hi) cap perp f(hi) = 0;
+    ``xi`` makes it nonzero only when the aisle's above-tail leaves the
+    wide closure of its value at hi, which ``validate_refined`` reports."""
 
     lo: int
     hi: int
@@ -65,24 +67,19 @@ class RefinedTSeq:
 
 def gap(backend, w_cur, w_prev) -> frozenset:
     """The perpendicular gap: w_cur cap perp(w_prev) (Hom and Ext vanishing)."""
-    return frozenset(core.perp(backend, w_prev, "left", "all", universe=w_cur))
+    return core.perp(backend, w_prev, "left", "all", universe=w_cur)
 
 
 def xi(backend, u: derived.SubcatSeq) -> RefinedTSeq:
-    """Cut an aisle into a refined t-sequence: f(n) is the wide closure of
-    the degree-n value, t_f(n) the part of the degree-n value perpendicular
-    to f(n-1)."""
+    """Cut an aisle into a refined t-sequence: f(n) is the wide closure
+    ``core.wide_closure`` of the degree-n value, and t_f(n) its gap over
+    f(n-1), for n = lo..hi and for the above-tail at hi + 1."""
     ok, report = derived.is_narrow_sequence(backend, u)
     if not ok:
         raise BackendError("xi needs a narrow sequence; " + "; ".join(report))
-    wide = {}
-    for n in range(u.lo - 1, u.hi + 2):
-        wide[n] = core.closure(backend, u.at(n), core.WIDE_RULES)
-    f = tuple(wide[n] for n in range(u.lo, u.hi + 1))
-    tf = tuple(frozenset(core.perp(backend, wide[n - 1], "left", "all", universe=u.at(n)))
-               for n in range(u.lo, u.hi + 1))
-    tf_above = frozenset(core.perp(backend, wide[u.hi], "left", "all", universe=u.at(u.hi + 1)))
-    return RefinedTSeq(u.lo, u.hi, f, tf, tf_above)
+    wide = [core.wide_closure(backend, u.at(n)) for n in range(u.lo - 1, u.hi + 1)]
+    tf = [gap(backend, u.at(n), w) for n, w in zip(range(u.lo, u.hi + 2), wide)]
+    return RefinedTSeq(u.lo, u.hi, wide[1:], tf[:-1], tf[-1])
 
 
 def psi(backend, r: RefinedTSeq) -> derived.SubcatSeq:
@@ -139,15 +136,9 @@ def enumerate_refined(backend, lo, hi):
 
     def rec(chain):
         if len(chain) == hi - lo + 1:
-            gaps = []
-            prev = frozenset()
-            for w in chain:
-                gaps.append(gap(backend, w, prev))
-                prev = w
-            top_gap = gap(backend, chain[-1], chain[-1])
+            gaps = [gap(backend, w, prev) for w, prev in zip(chain, [frozenset()] + chain)]
             for tfs in itertools.product(*(core.tilting_census(backend, g) for g in gaps)):
-                for tf_above in core.tilting_census(backend, top_gap):
-                    results.append(RefinedTSeq(lo, hi, tuple(chain), tfs, tf_above))
+                results.append(RefinedTSeq(lo, hi, chain, tfs))
             return
         prev = chain[-1] if chain else frozenset()
         for w in wides:
@@ -229,15 +220,14 @@ def star_oracle_membership(backend, r: RefinedTSeq, n: int, m: int, x: dict,
 class TStructRecord:
     backend_id: str
     window: tuple
-    sequence: object   # SubcatSeq or a backend-specific classified form
-    refined: object    # RefinedTSeq or None for symbolic backends
+    sequence: derived.SubcatSeq
+    refined: RefinedTSeq
     checks: tuple      # ((check name, bool), ...) in a fixed order
 
     def to_json_dict(self):
-        seq = self.sequence.to_json_dict() if hasattr(self.sequence, "to_json_dict") else self.sequence
-        ref = self.refined.to_json_dict() if hasattr(self.refined, "to_json_dict") else self.refined
         return {"backend": self.backend_id, "window": list(self.window),
-                "sequence": seq, "refined": ref, "checks": dict(self.checks)}
+                "sequence": self.sequence.to_json_dict(),
+                "refined": self.refined.to_json_dict(), "checks": dict(self.checks)}
 
 
 def enumerate_tstructures(backend, lo, hi, backend_id="quiver"):

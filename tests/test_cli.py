@@ -49,7 +49,19 @@ MUTATE_STDOUT_SHA256 = {
     "skip-kernel-condition": "2f2e5a7354a30431418a43d7ab47d68011ab84588344108658d5a744b7d3788f",
     "swap-ext-direction": "fab09bc82d256df97317354b2268100b868292eaa105fd02d4af6850e92d1839",
     "perp-ignores-ext": "93b740eb3b9d11e25f82d5bea7cd312e9deb99a4c9d55d295b2d790aba94ae67",
-    "wide-closure-skips-kernels": "ad478733a809ee948591b1157debb9dfbe502bc044b861ad5a1dc4d0250f1501",
+    "wide-closure-skips-kernels": "f61a2c30614d9a4bb458e45ea24894d4695137ab5e48cb09f3e77f177101e063",
+}
+
+# the checks each fault turns red in that output, so a changed hash shows
+# which line flipped
+MUTATE_FAILING_CHECKS = {
+    "drop-extension-closure": {"narrow-flags-match-direct-extension-scan"},
+    "skip-kernel-condition": {"constant-non-wide-sequences-rejected", "aisle-refinement-roundtrips"},
+    "swap-ext-direction": {"derived-hom-counts-hom-and-ext"},
+    "perp-ignores-ext": {"narrow-flags-match-direct-extension-scan",
+                         "perpendicular-includes-ext-vanishing", "suite-error"},
+    "wide-closure-skips-kernels": {"narrow-flags-match-direct-extension-scan",
+                                   "wide-closures-are-kernel-closed"},
 }
 
 
@@ -58,7 +70,9 @@ def test_every_fault_turns_verify_red(fault):
     code, out, err = run_cli("verify", "--backend", f"quiver:{A2}",
                              "--window", "0:1", "--mutate", fault)
     assert code == 1, (fault, out, err)
-    assert "FAIL" in out, err
+    failing = {line[len("FAIL "):].split(":", 1)[0]
+               for line in out.splitlines() if line.startswith("FAIL ")}
+    assert failing == MUTATE_FAILING_CHECKS[fault], out
     assert hashlib.sha256(out.encode()).hexdigest() == MUTATE_STDOUT_SHA256[fault], out
 
 

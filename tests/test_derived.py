@@ -175,17 +175,21 @@ def test_results_do_not_depend_on_fault_history():
         return (len(enumerate_narrow_sequences(b, 0, 1)),
                 tilting_torsion_classes(b, full_subcat(b)),
                 [r.key() for r in refined.enumerate_refined(b, 0, 1)],
-                sum(core.is_closed(b, S, ("extensions", "cokernels")) for S in b.subsets()))
+                sum(core.is_closed(b, S, ("extensions", "cokernels")) for S in b.subsets()),
+                sum(core.is_closed(b, S, ("kernels",)) for S in b.subsets()))
 
     # (fault, narrow sequences and refined t-sequences on the window 0:1,
-    # subsets the scan finds closed under extensions and cokernels)
-    steps = [(None, 14, 14, 6), ("drop-extension-closure", 14, 14, 7),
-             ("perp-ignores-ext", 11, 15, 6), ("wide-closure-skips-kernels", 12, 14, 6),
-             (None, 14, 14, 6)]
-    for fault, count, refined_count, scan_count in steps:
+    # subsets the scan finds closed under extensions and cokernels, and
+    # under kernels); every faulted row differs from the clean one
+    steps = [(None, 14, 14, 6, 7), ("drop-extension-closure", 14, 14, 7, 7),
+             ("perp-ignores-ext", 10, 15, 6, 7), ("wide-closure-skips-kernels", 14, 14, 6, 8),
+             (None, 14, 14, 6, 7)]
+    assert all(step[1:] != steps[0][1:] for step in steps if step[0])  # memo isolation shows
+    for fault, count, refined_count, scan_count, kernel_count in steps:
         with faults.injected(fault) if fault else contextlib.nullcontext():
             got, cold = answers(warm), answers(build_backend(spec))
         assert got[0] == cold[0] == count, fault
         assert got[1] == cold[1], fault
         assert got[2] == cold[2] and len(got[2]) == refined_count, fault
         assert got[3] == cold[3] == scan_count, fault
+        assert got[4] == cold[4] == kernel_count, fault

@@ -35,6 +35,22 @@ def test_psi_inverts_xi_on_standard_aisles(a2):
         assert psi(a2, xi(a2, u)).key() == u.key()
 
 
+def test_no_wide_closure_outside_verify_searches(a2_ids, monkeypatch):
+    """With the closure search gone, the roundtrips and ``restrict`` still
+    give their answers: every wide closure they take is
+    ``core.wide_closure``."""
+    def refuse(*args):
+        raise AssertionError("core.closure called")
+
+    monkeypatch.setattr(core, "closure", refuse)
+    a3 = build_backend(QuiverSpec(3, ((0, 1), (1, 2)), 2))
+    assert verify_roundtrips(a3, 0, 2)["failures"] == []
+    a2 = build_backend(QuiverSpec(2, ((0, 1),), 2))
+    seq = aisle_from_torsion(a2, {a2_ids["P1"], a2_ids["S1"]})
+    r = derived.restrict(a2, seq, 0, 0)
+    assert (r.at(-1), r.at(0), r.at(1)) == (frozenset(), seq.at(0), full_subcat(a2))
+
+
 def test_gap(a2, a2_ids):
     S1, S2, P1 = a2_ids["S1"], a2_ids["S2"], a2_ids["P1"]
     assert gap(a2, full_subcat(a2), frozenset({S2})) == frozenset({P1})
