@@ -246,8 +246,7 @@ def _dedekind_checks(primes, lo, hi):
     yield ("pivot-form-roundtrip", rt, None)
     fg = {k: dedekind.FINITE_GROUPS for k in range(lo, hi + 1)}
     ok, _ = dedekind.ded_co_narrow_validate(fg, below=dedekind.FINITE_GROUPS,
-                                            above=dedekind.FINITE_GROUPS,
-                                            primes=primes, family=fam)
+                                            above=dedekind.FINITE_GROUPS, primes=primes)
     aisle = dedekind.ded_is_aisle(fg, below=dedekind.FINITE_GROUPS,
                                   above=dedekind.FINITE_GROUPS, primes=primes)
     yield ("finite-length-sequence-valid-but-not-aisle", ok and not aisle, None)

@@ -175,13 +175,14 @@ def classify_subcat(backend, S) -> SubcatFlags:
     torsion-class flag coincides with the nullity flag.  The closure scans
     (``is_closed`` with ("extensions", "cokernels"), then ("kernels",))
     decide the narrow and wide flags by search; ``verify`` compares them.
-    A set not yet memoised is first checked by ``check_ids``.
+    The raw ids are checked by ``check_ids`` before the memo is read: a
+    frozenset merges True into 1.
     """
+    check_ids(backend, S)
     S = frozenset(S)
     key = ("classify", S)
     cache = memo(backend)
     if key not in cache:
-        check_ids(backend, S)
         ext = backend.ext_matrix
         ext_proj = [p for p in S if not any(ext[p][x] for x in S)]
         narrow = generated_torsion(backend, ext_proj, wide_closure(backend, ext_proj)) == S

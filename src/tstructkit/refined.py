@@ -247,11 +247,18 @@ def enumerate_tstructures(backend, lo, hi, backend_id="quiver"):
 
 def verify_roundtrips(backend, lo, hi):
     """Check psi(xi(U)) = U on every enumerated aisle and xi(psi(r)) = r on
-    every enumerated refined t-sequence; returns a report dict."""
+    every enumerated refined t-sequence; returns a report dict.  A sequence
+    that ``xi`` refuses is a failure of its roundtrip, recorded with the
+    refusal's message."""
     failures = []
     aisles = derived.enumerate_narrow_sequences(backend, lo, hi)
     for u in aisles:
-        v = psi(backend, xi(backend, u))
+        try:
+            cut = xi(backend, u)
+        except BackendError as exc:
+            failures.append(("psi-xi", u.key(), str(exc)))
+            continue
+        v = psi(backend, cut)
         if v.key() != u.key():
             failures.append(("psi-xi", u.key(), v.key()))
     refineds = enumerate_refined(backend, lo, hi)
@@ -260,7 +267,12 @@ def verify_roundtrips(backend, lo, hi):
         if not ok:
             failures.append(("refined-invalid", r.key(), tuple(rep)))
             continue
-        r2 = xi(backend, psi(backend, r))
+        glued = psi(backend, r)
+        try:
+            r2 = xi(backend, glued)
+        except BackendError as exc:
+            failures.append(("xi-psi", r.key(), str(exc)))
+            continue
         if r2.key() != r.key():
             failures.append(("xi-psi", r.key(), r2.key()))
     return {"aisles": len(aisles), "refined": len(refineds), "failures": failures}

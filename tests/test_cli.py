@@ -48,7 +48,7 @@ MUTATE_STDOUT_SHA256 = {
     "drop-extension-closure": "6baa79a6b2d9700fa8ab8f3c9bdaa43808a2399b8fcb5bdf9178f1a1cec19524",
     "skip-kernel-condition": "2f2e5a7354a30431418a43d7ab47d68011ab84588344108658d5a744b7d3788f",
     "swap-ext-direction": "fab09bc82d256df97317354b2268100b868292eaa105fd02d4af6850e92d1839",
-    "perp-ignores-ext": "93b740eb3b9d11e25f82d5bea7cd312e9deb99a4c9d55d295b2d790aba94ae67",
+    "perp-ignores-ext": "1b1d1d2a2793cbf9bd3df1dd20df34a197851428ce71b853ae54fccd0fc71494",
     "wide-closure-skips-kernels": "f61a2c30614d9a4bb458e45ea24894d4695137ab5e48cb09f3e77f177101e063",
 }
 
@@ -59,7 +59,7 @@ MUTATE_FAILING_CHECKS = {
     "skip-kernel-condition": {"constant-non-wide-sequences-rejected", "aisle-refinement-roundtrips"},
     "swap-ext-direction": {"derived-hom-counts-hom-and-ext"},
     "perp-ignores-ext": {"narrow-flags-match-direct-extension-scan",
-                         "perpendicular-includes-ext-vanishing", "suite-error"},
+                         "perpendicular-includes-ext-vanishing", "aisle-refinement-roundtrips"},
     "wide-closure-skips-kernels": {"narrow-flags-match-direct-extension-scan",
                                    "wide-closures-are-kernel-closed"},
 }

@@ -311,9 +311,12 @@ def test_wide_closure_equals_the_closure_search():
 @pytest.mark.parametrize("ids, shown", [({-1}, "-1"), ({7}, "7"), ({True}, "true")])
 def test_api_refuses_ids_outside_the_table(ids, shown):
     """A2 has ids 0..2: -1 would index from the end, 7 past it, and True
-    hashes as 1.  ``classify_subcat`` checks on a memo miss, so the backend
-    is fresh: a memoised {1} would answer for {True}."""
+    hashes as 1.  ``classify_subcat`` refuses on a fresh backend and again
+    once {1} is memoised, which must not answer for {True}."""
     a2 = build_backend(QuiverSpec(2, ((0, 1),), 2))
+    with pytest.raises(BackendError, match=f"integers in 0..2, got {shown}$"):
+        classify_subcat(a2, ids)
+    classify_subcat(a2, {1})
     with pytest.raises(BackendError, match=f"integers in 0..2, got {shown}$"):
         classify_subcat(a2, ids)
     for seq in (derived.SubcatSeq(0, 0, (ids,), frozenset(), frozenset({0, 1, 2})),

@@ -1,5 +1,8 @@
 import functools
+import hashlib
+import io
 import itertools
+import json
 import random
 import re
 import time
@@ -8,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import left_perp_zero
-from tstructkit import dedekind as dd
+from test_cli import DEDEKIND_ARGS, DEDEKIND_SEQUENCES, SYMBOLIC_STDOUT_SHA256
+from tstructkit import cli, dedekind as dd
 from tstructkit.quiver import BackendError
 
 PRIMES = frozenset({2, 3})
@@ -33,14 +37,29 @@ def test_hom_nonzero():
     assert dd.hom_nonzero(Z2, Z2.direct_sum(Z))
 
 
+def is_subgroup(y, x):
+    """Whether y embeds into x: rank at most the ambient rank (torsion must
+    land in the torsion subgroup) and, per prime, the partition of y lies
+    componentwise below the partition of x."""
+    if y.rank > x.rank:
+        return False
+    for p in y.support | x.support:
+        yp, xp = y.part(p), x.part(p)
+        if len(yp) > len(xp):
+            return False
+        if any(a > b for a, b in zip(yp, xp)):
+            return False
+    return True
+
+
 def test_is_subgroup():
     Z, Z4 = dd.free_group(), dd.cyclic(2, 2)
-    assert dd.is_subgroup(dd.cyclic(2, 1), Z4)
-    assert not dd.is_subgroup(Z4, dd.cyclic(2, 1))
-    assert dd.is_subgroup(Z, dd.free_group(2))
-    assert not dd.is_subgroup(Z.direct_sum(Z), Z)
+    assert is_subgroup(dd.cyclic(2, 1), Z4)
+    assert not is_subgroup(Z4, dd.cyclic(2, 1))
+    assert is_subgroup(Z, dd.free_group(2))
+    assert not is_subgroup(Z.direct_sum(Z), Z)
     # torsion cannot embed into a free group
-    assert not dd.is_subgroup(dd.cyclic(2), dd.free_group(5))
+    assert not is_subgroup(dd.cyclic(2), dd.free_group(5))
 
 
 def middle_term_types_per_pair(a, b):
@@ -136,7 +155,7 @@ def test_finite_groups_are_sub_ext_closed_but_not_a_double_perp():
     # sub-closed within the family
     for x in finite:
         for y in family:
-            if dd.is_subgroup(y, x):
+            if is_subgroup(y, x):
                 assert y.rank == 0
     # yet no torsionfree class: its double perp collapses to the zero class
     left = left_perp_zero(sorted(finite, key=lambda g: (g.rank, g.torsion)),
@@ -167,8 +186,7 @@ def test_constant_mod_is_the_degenerate_pivot():
 
 
 def validate_quickly(seq, **kwargs):
-    """``ded_co_narrow_validate`` over the full test family, which must take
-    under 0.2 s."""
+    """``ded_co_narrow_validate``, which must take under 0.2 s."""
     start = time.perf_counter()
     out = dd.ded_co_narrow_validate(seq, **kwargs)
     assert time.perf_counter() - start < 0.2
@@ -192,10 +210,11 @@ def test_co_narrow_validator_rejects_nonclosed_entries():
 
 
 # ---------------------------------------------------------------------------
-# the loop validator that the table of ``ded_co_narrow_validate`` replaced
+# the searches that the closed form of ``ded_co_narrow_validate`` replaced:
+# the loop validator, and the table validator that replaced it in turn
 
-# The oracle re-derives every middle term it needs; the memo only spares it
-# the repeats, and ``ded_co_narrow_validate`` does not see it.
+# The oracles re-derive every middle term they need; the memo only spares
+# them the repeats, and ``ded_co_narrow_validate`` does not see it.
 middle_term_types = functools.cache(dd.middle_term_types)
 
 
@@ -204,7 +223,7 @@ def subquotient_pairs(x, candidates):
     from the candidate pool."""
     out = []
     for sub in candidates:
-        if not dd.is_subgroup(sub, x):
+        if not is_subgroup(sub, x):
             continue
         for quot in candidates:
             if quot.rank != x.rank - sub.rank:
@@ -269,7 +288,7 @@ def validate_by_search(seq, below, above, primes, family):
             for sub, quot in subquotient_pairs(d, family):
                 if sub in cur:
                     continue
-                if any(dd.is_subgroup(quot, e) for e in dn):
+                if any(is_subgroup(quot, e) for e in dn):
                     report.append(f"kernel condition fails at degree {k}")
                     bad = True
                     break
@@ -288,6 +307,115 @@ def validate_by_search(seq, below, above, primes, family):
             if bad:
                 break
     report = sorted(set(report))
+    return (not report), report
+
+
+def bits(mask):
+    """The positions of the set bits of mask, in increasing order."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
+
+
+def middle_term_table(family):
+    """``mids[i][j]``: the bitmask of the members of ``family`` (distinct
+    groups) among ``middle_term_types(family[i], family[j])``.
+
+    Those types are the groups of rank a.rank + b.rank whose p-part lies in
+    ``_local_types(a_p, b_p, a.rank)`` at each prime p of a.support |
+    b.support; any other prime contributes ``_local_types((), (), r) ==
+    [()]``.  So a member m is one iff it has that rank and, at every prime
+    p of the family's supports (which hold those of m, a and b), m_p lies
+    in ``_local_types(a_p, b_p, a.rank)``: an AND of one rank mask with, per
+    prime, an OR of p-part masks that depends on (p, a_p, b_p, a.rank)."""
+    primes = sorted({p for x in family for p in x.support})
+    parts = [[(p, x.part(p)) for p in primes] for x in family]
+    masks = {}  # rank, or (prime, p-part) -> the members that have it
+    for i, x in enumerate(family):
+        for key in [x.rank, *parts[i]]:
+            masks[key] = masks.get(key, 0) | 1 << i
+    local = {}
+    mids = []
+    for a, a_parts in zip(family, parts):
+        row = []
+        for b, b_parts in zip(family, parts):
+            mask = masks.get(a.rank + b.rank, 0)
+            for (p, mu), (_, nu) in zip(a_parts, b_parts):
+                key = (p, mu, nu, a.rank)
+                if mask and key not in local:
+                    # each member has one p-part, so this sum is an OR
+                    local[key] = sum(masks.get((p, lam), 0) for lam in dd._local_types(*key[1:]))
+                mask = mask and mask & local[key]
+            row.append(mask)
+        mids.append(row)
+    return mids
+
+
+@functools.cache
+def family_tables(family):
+    """What the table validator reads, for a tuple of distinct groups:
+    ``mids`` (``middle_term_table``), ``pairs[x]`` (the (sub, quot) pairs
+    of x within the family), ``subs[x]`` (the subs of x), ``quotient_of[q]``
+    (the members with a quotient q) and ``embeds[q]`` (the members that q
+    embeds into).  A short exact sequence 0 -> sub -> x -> quot -> 0 within
+    the family is a bit x of ``mids[sub][quot]``: a middle term holds its
+    sub (rank adds, and per prime the Littlewood-Richardson rule keeps mu
+    inside lam), so no separate subgroup test is needed."""
+    ids = range(len(family))
+    mids = middle_term_table(list(family))
+    pairs = [[] for _ in ids]
+    for s in ids:
+        for q in ids:
+            for x in bits(mids[s][q]):
+                pairs[x].append((s, q))
+    subs, quotient_of = [0] * len(family), [0] * len(family)
+    for x in ids:
+        for s, q in pairs[x]:
+            subs[x] |= 1 << s
+            quotient_of[q] |= 1 << x
+    embeds = [sum(1 << e for e in ids if is_subgroup(family[q], family[e])) for q in ids]
+    return mids, pairs, subs, quotient_of, embeds
+
+
+def validate_by_table(seq, below, above, primes, family):
+    """The fast oracle of ``ded_co_narrow_validate``: the five tests of the
+    loop validator, read off ``family_tables``."""
+    ks = sorted(seq)
+    lo, hi = ks[0], ks[-1]
+    family = tuple(dict.fromkeys(family))
+    ids = range(len(family))
+
+    def value(k):
+        if k < lo:
+            return below
+        if k > hi:
+            return above
+        return seq[k]
+
+    members = {k: sum(1 << i for i in ids if dd.entry_membership(value(k), family[i], primes))
+               for k in range(lo - 3, hi + 4)}
+    mids, pairs, subs, quotient_of, embeds = family_tables(family)
+    report = []
+    for k in range(lo - 2, hi + 3):
+        cur, up, dn = members[k], members[k + 1], members[k - 1]
+        inside = bits(cur)
+        if up & ~cur:
+            report.append(f"sequence is increasing at degree {k}")
+        if any(mids[a][b] & ~cur for a in inside for b in inside):
+            report.append(f"level {k} is not closed under extensions")
+        if any(subs[x] & ~cur for x in inside):
+            report.append(f"level {k} is not closed under subobjects")
+        # kernels of maps from level k into level k-1 stay at level k
+        if any(not cur >> sub & 1 and embeds[quot] & dn
+               for d in inside for sub, quot in pairs[d]):
+            report.append(f"kernel condition fails at degree {k}")
+        # cokernels of maps from level k+1 into level k stay at level k
+        if any(not cur >> cok & 1 and quotient_of[img] & up
+               for b in inside for img, cok in pairs[b]):
+            report.append(f"cokernel condition fails at degree {k}")
+    report = sorted(report)
     return (not report), report
 
 
@@ -330,7 +458,7 @@ def test_table_validator_equals_the_loop_validator(primes, monkeypatch):
     sample = sample_sequences(primes, family, random.Random(f"validator:{sorted(primes)}"))
     reports = []
     for seq, below, above in sample:
-        got = dd.ded_co_narrow_validate(seq, below, above, primes, family)
+        got = validate_by_table(seq, below, above, primes, family)
         assert got == validate_by_search(seq, below, above, primes, family), (seq, below, above)
         reports.append(got)
     assert all(ok for ok, _ in reports[:len(dd.ded_torsionfree_classes(primes)) + 2])
@@ -349,40 +477,114 @@ def one_cyclic_summand(group):
     (frozenset({2, 3}), one_cyclic_summand), (frozenset({2, 5}), one_cyclic_summand),
 ], ids=["2,3", "2,5", "2,3-one-summand", "2,5-one-summand"])
 def test_middle_term_table_equals_the_per_pair_table(primes, keep):
-    """The table that ``ded_co_narrow_validate`` reads, against the bitmasks
-    of ``middle_term_types`` on every ordered pair of family members."""
+    """The table that ``validate_by_table`` reads, against the bitmasks of
+    ``middle_term_types`` on every ordered pair of family members."""
     family = list(filter(keep, dd.ded_test_family(primes)))
     index = {x: i for i, x in enumerate(family)}
     want = [[sum(1 << index[m] for m in middle_term_types(a, b) if m in index) for b in family]
             for a in family]
-    assert dd._middle_term_table(family) == want
+    assert middle_term_table(family) == want
 
 
-def test_validator_reports_hold_on_the_family_one_larger():
-    """The default test family (rank <= 2, at most 2 cyclic summands per
-    prime) gives the same reports as the family with both bounds raised by
-    one, on seeded sequences of the entries the CLI accepts."""
-    larger = dd.ded_test_family(PRIMES, max_rank=3, max_torsion=3)
-    assert len(larger) == 196
-    rng = random.Random("family-bound")
-    classes = dd.ded_torsionfree_classes(PRIMES)
-    entries = classes + [dd.MOD, dd.ZERO, dd.FINITE_GROUPS]
-    pivot = dd.CoNarrowSeq(rng.choice([c for c in classes if c.support.primes]),
-                           rng.randint(-1, 1))
-    sample = [({k: pivot.value_at(k) for k in range(-1, 2)}, dd.MOD, dd.ZERO),
-              ({0: dd.MOD, 1: dd.FINITE_GROUPS, 2: dd.ZERO}, dd.MOD, dd.ZERO)]
-    for _ in range(4):
+# ---------------------------------------------------------------------------
+# the closed form against the table oracle
+
+def vocabulary(primes):
+    """Every kind of entry the CLI and the API accept over the prime set:
+    its torsionfree classes, the three tags, and two classes marked by
+    supports that leave the prime set."""
+    return dd.ded_torsionfree_classes(primes) + [
+        dd.MOD, dd.ZERO, dd.FINITE_GROUPS,
+        dd.torsionfree_class({7}), dd.torsionfree_class(set(primes) | {7})]
+
+
+def report_kinds(reports):
+    return {re.sub(r"-?\d+", "k", line) for _, report in reports for line in report}
+
+
+def assert_closed_form_equals_the_table(sample, primes, family):
+    """Compare on (entries, below, above) triples; returns the reports."""
+    reports = []
+    for seq, below, above in sample:
+        got = dd.ded_co_narrow_validate(seq, below, above, primes)
+        assert got == validate_by_table(seq, below, above, primes, family), (seq, below, above)
+        reports.append(got)
+    return reports
+
+
+def test_closed_form_equals_the_table_on_every_width_1_sequence():
+    """All 512 sequences over the prime 3 of one entry and two tails drawn
+    from the 8 entries of ``vocabulary``: every pair of adjacent levels."""
+    primes = frozenset({3})
+    entries = vocabulary(primes)
+    sample = [({0: entry}, below, above)
+              for entry, below, above in itertools.product(entries, repeat=3)]
+    assert len(sample) == 512
+    start = time.perf_counter()
+    reports = assert_closed_form_equals_the_table(sample, primes, dd.ded_test_family(primes))
+    assert time.perf_counter() - start < 10
+    assert any(ok for ok, _ in reports)
+    assert report_kinds(reports) == {"sequence is increasing at degree k",
+                                     "cokernel condition fails at degree k"}
+
+
+@pytest.mark.parametrize("primes", [frozenset({2, 3}), frozenset({2, 5})], ids=["2,3", "2,5"])
+def test_closed_form_equals_the_table_on_seeded_samples(primes):
+    """120 seeded sequences of widths 1-3 over two primes, where a class can
+    hold some but not all of the Z/p."""
+    entries = vocabulary(primes)
+    rng = random.Random(f"closed-form:{sorted(primes)}")
+    sample = []
+    for _ in range(120):
         lo = rng.randint(-1, 1)
         sample.append(({k: rng.choice(entries) for k in range(lo, lo + rng.randint(1, 3))},
                        rng.choice(entries), rng.choice(entries)))
     start = time.perf_counter()
-    reports = []
-    for seq, below, above in sample:
-        got = dd.ded_co_narrow_validate(seq, below, above, PRIMES, larger)
-        assert got == dd.ded_co_narrow_validate(seq, below, above, PRIMES), (seq, below, above)
-        reports.append(got)
+    reports = assert_closed_form_equals_the_table(sample, primes, dd.ded_test_family(primes))
     assert time.perf_counter() - start < 5
-    assert reports[0][0] and reports[1][0] and not all(ok for ok, _ in reports)
+    assert any(ok for ok, _ in reports)
+    assert report_kinds(reports) == {"sequence is increasing at degree k",
+                                     "cokernel condition fails at degree k"}
+
+
+def test_closed_form_equals_the_table_on_the_family_one_larger():
+    """The family with rank and torsion length raised to 3 (196 groups) on
+    every pivot form and 30 seeded sequences."""
+    larger = dd.ded_test_family(PRIMES, max_rank=3, max_torsion=3)
+    assert len(larger) == 196
+    entries = vocabulary(PRIMES)
+    rng = random.Random("family-bound")
+    sample = [({k: cn.value_at(k) for k in range(-1, 2)}, dd.MOD, dd.ZERO)
+              for cn in (dd.CoNarrowSeq(c, 0) for c in dd.ded_torsionfree_classes(PRIMES))]
+    sample.append(({0: dd.MOD, 1: dd.FINITE_GROUPS, 2: dd.ZERO}, dd.MOD, dd.ZERO))
+    for _ in range(30):
+        lo = rng.randint(-1, 1)
+        sample.append(({k: rng.choice(entries) for k in range(lo, lo + rng.randint(1, 3))},
+                       rng.choice(entries), rng.choice(entries)))
+    start = time.perf_counter()
+    reports = assert_closed_form_equals_the_table(sample, PRIMES, larger)
+    assert time.perf_counter() - start < 10
+    assert all(ok for ok, _ in reports[:6]) and not all(ok for ok, _ in reports)
+
+
+def test_closed_form_reads_no_family_and_no_middle_terms(monkeypatch, tmp_path):
+    """With the test family and the middle-term computations made to raise,
+    the validator still runs, and so does ``classify`` on every pinned
+    Dedekind sequence file, with the pinned output."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the co-narrow validator reads no family and no middle terms")
+
+    for name in ("ded_test_family", "middle_term_types", "_local_types"):
+        monkeypatch.setattr(dd, name, refuse)
+    assert validate_quickly({0: dd.MOD, 1: dd.FINITE_GROUPS, 2: dd.ZERO}) == (True, [])
+    parser = cli.build_parser()
+    for name, seq in DEDEKIND_SEQUENCES.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(seq))
+        out = io.StringIO()
+        assert cli.cmd_classify(parser.parse_args(["classify", *DEDEKIND_ARGS, str(path)]), out) == 0
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        assert digest == SYMBOLIC_STDOUT_SHA256["classify", "dedekind", name], name
 
 
 def test_enumeration_counts():
