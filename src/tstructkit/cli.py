@@ -12,6 +12,7 @@ worker, which is already deterministic.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import operator
 import sys
@@ -42,40 +43,32 @@ def _parse_primes(text: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)  # the options of every command
+    common.add_argument("--backend", required=True, help="quiver:FILE.json | p1 | dedekind")
+    common.add_argument("--window", default="0:1", help="degree window lo:hi")
+    common.add_argument("--field", type=int, default=None, help="override the quiver base field")
+    common.add_argument("--points", type=int, default=2, help="number of closed points (p1 backend)")
+    common.add_argument("--degrees", default="-1:1", help="twist-level window a:b (p1 backend)")
+    common.add_argument("--primes", default="2,3", help="comma-separated primes (dedekind backend)")
+    common.add_argument("--format", default="json", choices=("json", "csv", "table"))
+    common.add_argument("--jobs", type=int, default=1,
+                        help="accepted and ignored: work runs on one worker, and "
+                             "output is identical for every value")
+    common.add_argument("--mutate", default=None, choices=faults.FAULT_NAMES,
+                        help="inject a named fault (verification hardening)")
     parser = argparse.ArgumentParser(prog="tstructkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("enumerate", "verify", "classify"):
-        p = sub.add_parser(name)
-        p.add_argument("--backend", required=True,
-                       help="quiver:FILE.json | p1 | dedekind")
-        p.add_argument("--window", default="0:1", help="degree window lo:hi")
-        p.add_argument("--field", type=int, default=None,
-                       help="override the quiver base field")
-        p.add_argument("--points", type=int, default=2,
-                       help="number of closed points (p1 backend)")
-        p.add_argument("--degrees", default="-1:1",
-                       help="twist-level window a:b (p1 backend)")
-        p.add_argument("--primes", default="2,3",
-                       help="comma-separated primes (dedekind backend)")
-        p.add_argument("--format", default="json", choices=("json", "csv", "table"))
-        p.add_argument("--jobs", type=int, default=1,
-                       help="accepted and ignored: work runs on one worker, and "
-                            "output is identical for every value")
-        p.add_argument("--mutate", default=None, choices=faults.FAULT_NAMES,
-                       help="inject a named fault (verification hardening)")
-        if name == "classify":
-            p.add_argument("input", help="sequence JSON file")
+    sub.add_parser("enumerate", parents=[common])
+    sub.add_parser("verify", parents=[common])
+    sub.add_parser("classify", parents=[common]).add_argument("input", help="sequence JSON file")
     return parser
 
 
 def _load_quiver(selector: str, field=None):
-    """The backend of a quiver file (``QuiverBackend`` refuses a truncated
-    spec before it builds the table)."""
-    path = selector.split(":", 1)[1]
-    spec = QuiverSpec.from_json(path)
-    if field is not None:
-        spec = QuiverSpec(spec.vertices, spec.arrows, field, spec.dim_bound)
-    return build_backend(spec)
+    """The backend of a quiver file (``QuiverBackend`` refuses a quiver that
+    is not Dynkin before it builds anything)."""
+    spec = QuiverSpec.from_json(selector.split(":", 1)[1])
+    return build_backend(spec if field is None else dataclasses.replace(spec, field=field))
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +93,8 @@ def _emit(rows, fmt, out):
         out.write("  ".join(r[c].ljust(widths[c]) for c in cols).rstrip() + "\n")
 
 
-def cmd_enumerate(args, out=sys.stdout) -> int:
+def cmd_enumerate(args, out=None) -> int:
+    out = sys.stdout if out is None else out
     lo, hi = _parse_window(args.window)
     rows = []
     if args.backend.startswith("quiver:"):
@@ -252,7 +246,8 @@ def _dedekind_checks(primes, lo, hi):
     yield ("finite-length-sequence-valid-but-not-aisle", ok and not aisle, None)
 
 
-def cmd_verify(args, out=sys.stdout) -> int:
+def cmd_verify(args, out=None) -> int:
+    out = sys.stdout if out is None else out
     lo, hi = _parse_window(args.window)
     if args.backend.startswith("quiver:"):
         backend = _load_quiver(args.backend, args.field)
@@ -286,7 +281,8 @@ def cmd_verify(args, out=sys.stdout) -> int:
 # ---------------------------------------------------------------------------
 # classify
 
-def cmd_classify(args, out=sys.stdout) -> int:
+def cmd_classify(args, out=None) -> int:
+    out = sys.stdout if out is None else out
     quiver = args.backend.startswith("quiver:")
     backend = _load_quiver(args.backend, args.field) if quiver else None
     try:

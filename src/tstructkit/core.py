@@ -216,11 +216,11 @@ def wide_closure(backend, S) -> Subcat:
     perp(S^perp, left) is wide, and it holds S by the definition of S^perp.
     Each perp({y}, left) with y in S^perp is wide and holds S, so it holds
     W(S); hence S^perp = W(S)^perp.  A quiver table belongs to a Dynkin
-    quiver (``QuiverBackend`` refuses a truncated spec), and a wide
-    subcategory W of a Dynkin category is generated by an exceptional
-    sequence, so W = perp(W^perp) (Geigle-Lenzing 1991; Ingalls-Thomas
-    2009).  Together perp(S^perp) = perp(W(S)^perp) = W(S), and S is wide
-    iff it is this fixed point.
+    quiver (``QuiverBackend`` refuses any other by ``QuiverSpec.is_dynkin``),
+    and a wide subcategory W of a Dynkin category is generated by an
+    exceptional sequence, so W = perp(W^perp) (Geigle-Lenzing 1991;
+    Ingalls-Thomas 2009).  Together perp(S^perp) = perp(W(S)^perp) = W(S),
+    and S is wide iff it is this fixed point.
     """
     return perp(backend, perp(backend, S, "right", "all"), "left", "all")
 

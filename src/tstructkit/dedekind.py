@@ -328,15 +328,16 @@ POS_INF = float("inf")
 
 def entry_membership(entry, x: FGGroup, primes=DEFAULT_PRIMES) -> bool:
     """Membership for a sequence entry: a torsionfree class, or one of the
-    tags 'mod' (everything), 'zero', 'finite-groups' (rank zero)."""
+    tags 'mod' (everything), 'zero', 'finite-groups' (rank zero); each
+    refuses a group with torsion outside the prime set."""
     if isinstance(entry, TorsionFreeClass):
         return ded_membership(x, entry, primes)
     if entry == MOD:
-        return True
+        return ded_membership(x, mod_class(), primes)
     if entry == ZERO:
-        return x.is_zero
+        return ded_membership(x, zero_class(), primes)
     if entry == FINITE_GROUPS:
-        return x.rank == 0
+        return ded_membership(x, mod_class(), primes) and x.rank == 0
     raise BackendError(f"unknown sequence entry {entry!r}")
 
 
@@ -372,17 +373,22 @@ class DedInvalid:
 def ded_classify_sequence(seq: dict, below=MOD, above=ZERO, primes=DEFAULT_PRIMES):
     """Match a windowed sequence (constant tails, by default the whole
     category below and zero above) against the pivot normal form.  Returns
-    a CoNarrowSeq or DedInvalid naming the violated zone."""
+    a CoNarrowSeq or DedInvalid naming the violated zone.  A class marks
+    its primes modulo the prime set: the groups carry no torsion at the
+    others, so a class marked only there is the mod class."""
     ks = sorted(seq)
     if not ks or ks != list(range(ks[0], ks[-1] + 1)):
         raise BackendError("sequence window must be a contiguous degree range")
     lo, hi = ks[0], ks[-1]
+    primes = check_prime_set(primes)
 
     def norm(e):
         if e == MOD:
             return mod_class()
         if e == ZERO:
             return zero_class()
+        if isinstance(e, TorsionFreeClass) and not e.is_zero_class:
+            return torsionfree_class(e.support.primes & primes)
         return e
 
     values = {k: norm(seq[k]) for k in ks}

@@ -28,17 +28,12 @@ class BackendError(Exception):
 
 @dataclass(frozen=True)
 class QuiverSpec:
-    """An acyclic quiver with a prime base field and an enumeration bound.
-
-    ``dim_bound`` caps the dimension at each vertex of the representations
-    the indecomposable table is searched over (default 2 at every vertex).
-    Each entry is an integer >= 1, so every simple lies in the box.
-    """
+    """An acyclic quiver with a prime base field."""
 
     vertices: int
     arrows: tuple  # tuple of (source, target) pairs, 0-based
     field: int = 2
-    dim_bound: tuple = ()
+    dim_bound: tuple = ()  # unread; perfbench/workloads.py still passes it as the fourth argument
 
     def __post_init__(self):
         if not _is_int(self.vertices) or self.vertices < 1:
@@ -50,14 +45,6 @@ class QuiverSpec:
         if not _is_int(self.field):
             raise BackendError(f"field must be an integer, got {self.field!r}")
         object.__setattr__(self, "arrows", tuple(tuple(a) for a in self.arrows))
-        if not self.dim_bound:
-            object.__setattr__(self, "dim_bound", tuple(2 for _ in range(self.vertices)))
-        else:
-            object.__setattr__(self, "dim_bound", tuple(self.dim_bound))
-        if len(self.dim_bound) != self.vertices:
-            raise BackendError("dim_bound length must match vertex count")
-        if not all(_is_int(b) and b >= 1 for b in self.dim_bound):
-            raise BackendError(f"dim_bound entries must be integers >= 1, got {list(self.dim_bound)}")
         if self.field < 2 or not _is_prime(self.field):
             raise BackendError("field size must be a prime (prime powers beyond primes unsupported)")
         for (s, t) in self.arrows:
@@ -69,7 +56,7 @@ class QuiverSpec:
     @staticmethod
     def from_json(path):
         """The spec of a JSON object with keys ``vertices`` and ``arrows``
-        and optional ``field`` and ``dim_bound`` (a list); a malformed file
+        and optional ``field``; any other key is ignored.  A malformed file
         raises a ``BackendError`` naming the offending key."""
         with open(path) as fh:
             data = json.load(fh)
@@ -78,30 +65,53 @@ class QuiverSpec:
         for key in ("vertices", "arrows"):
             if key not in data:
                 raise BackendError(f"quiver file lacks the required key {key!r}")
-        dim_bound = data.get("dim_bound", [])
-        if not isinstance(dim_bound, list):
-            raise BackendError(f"dim_bound must be a list, got {dim_bound!r}")
-        return QuiverSpec(
-            vertices=data["vertices"],
-            arrows=data["arrows"],
-            field=data.get("field", 2),
-            dim_bound=tuple(dim_bound),
-        )
+        return QuiverSpec(vertices=data["vertices"], arrows=data["arrows"], field=data.get("field", 2))
 
     def euler_form(self, d, e):
         """<d, e> = sum_v d_v e_v - sum_{s->t} d_s e_t, which is
         hom(M, N) - ext(M, N) for representations of dimension vectors d, e."""
         return sum(map(operator.mul, d, e)) - sum(d[s] * e[t] for s, t in self.arrows)
 
+    @property
+    def is_dynkin(self):
+        """Whether the Tits form q(x) = euler_form(x, x) = x^T T x / 2 is
+        positive definite, T = 2I - (A + A^T) with A[s][t] the number of
+        arrows s -> t; by Sylvester's criterion, whether every leading
+        principal minor of T is > 0.  Fraction-free (Bareiss) elimination
+        keeps them integral: step k sets M[i][j] = (M[i][j] M[k][k] -
+        M[i][k] M[k][j]) / prev for i, j > k, prev the previous pivot (1 at
+        first), an exact division; before it M[k][k] is the minor of order
+        k + 1 (Bareiss 1968), so the test stops at the first one <= 0 and
+        never divides by 0.
+
+        That is the Dynkin test: an acyclic quiver has finitely many
+        indecomposables iff each connected component of its graph is A_n,
+        D_n, E_6, E_7 or E_8, iff its Tits form is positive definite
+        (Gabriel 1972, *Unzerlegbare Darstellungen I*)."""
+        n = self.vertices
+        m = [[2 * (i == j) for j in range(n)] for i in range(n)]
+        for s, t in self.arrows:
+            m[s][t] -= 1
+            m[t][s] -= 1
+        prev = 1
+        for k in range(n):
+            if m[k][k] <= 0:
+                return False
+            for i in range(k + 1, n):
+                for j in range(k + 1, n):
+                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            prev = m[k][k]
+        return True
+
     @functools.cached_property
     def positive_roots(self):
-        """The positive roots in (total dimension, vector) order, or None
-        when some indecomposable lies outside the ``dim_bound`` box.
+        """The positive roots in (total dimension, vector) order.  A quiver
+        that is not Dynkin (``is_dynkin``) has infinitely many, and is
+        refused with a ``BackendError`` before the walk starts.
 
-        A walk: start from the simple roots (inside the box, since every
-        bound is >= 1) and step d -> d + e_v whenever the new vector has
-        connected support and Tits form q <= 1, q(x) = euler_form(x, x);
-        stop with None at the first such step that leaves the box.
+        A walk: start from the simple roots and step d -> d + e_v whenever
+        the new vector has connected support and Tits form q <= 1,
+        q(x) = euler_form(x, x).
 
         Each step reads d, q(d) and the arrows at v alone.  Write n_v(d)
         for the sum of d_u over the arrows between v and another vertex u,
@@ -117,25 +127,21 @@ class QuiverSpec:
         supp(d), that is iff d_v + n_v(d) > 0: n_v(d) is a sum of entries
         d_u >= 0 and is 0 exactly when no neighbour of v lies in supp(d).
 
-        Some indecomposable lies outside the box iff some positive root
-        does: a Dynkin quiver's indecomposables are its positive roots
-        (Gabriel), and any other quiver has infinitely many positive roots,
-        each carrying an absolutely indecomposable over F_p (Kac).  A
+        q is positive definite and integral, so q(d) >= 1 for every d != 0,
+        and a visited vector has q = 1: it is a positive root (for a
+        positive definite q, the positive roots are the nonzero x >= 0
+        with q(x) = 1; Gabriel 1972).  They are finitely many (q <= 1 is
+        a bounded ellipsoid), so the walk stops.  It visits each of them: a
         positive root that is not simple is a positive root plus a simple
         root, because the positive part of the Kac-Moody algebra is
-        generated by the e_i.  Every positive root has connected support and
-        q <= 1, so the walk takes each step of such a chain up from a simple
-        root until the chain first leaves the box: if a root lies outside
-        the box, the walk stops with None.  Conversely a vector it stops at
-        is a positive root outside the box when the quiver is Dynkin (q is
-        positive definite there, so q = 1), and the box misses a root anyway
-        when it is not.  If the walk never leaves the box, the quiver is
-        Dynkin and every vector visited is a positive root (q = 1 again), and
-        every positive root is visited (its chain stays in the box).  Only
-        the spec is read, so a truncated spec is refused before any table is
-        built.
+        generated by the e_i, and every positive root has connected support
+        and q = 1, so the walk takes each step of such a chain up from a
+        simple root.
         """
-        n, bound = self.vertices, self.dim_bound
+        if not self.is_dynkin:
+            raise BackendError("quiver is not Dynkin (its Tits form is not positive definite): "
+                               "it has infinitely many indecomposables")
+        n = self.vertices
         near = [[] for _ in range(n)]  # per vertex, the other end of each arrow at it
         for s, t in self.arrows:
             near[s].append(t)
@@ -150,24 +156,9 @@ class QuiverSpec:
                 qe = q[d] + 2 * d[v] + 1 - nv
                 if e in q or not d[v] + nv or qe > 1:
                     continue
-                if e[v] > bound[v]:
-                    return None
                 q[e] = qe
                 todo.append(e)
         return tuple(sorted(q, key=lambda dv: (sum(dv), dv)))
-
-    @property
-    def truncated(self):
-        """Whether some indecomposable lies outside the ``dim_bound`` box
-        (decided by the walk of ``positive_roots``)."""
-        return self.positive_roots is None
-
-    def refuse_truncated(self):
-        """Raise a BackendError naming ``dim_bound`` if the table is truncated."""
-        if self.truncated:
-            raise BackendError(
-                f"indecomposable table truncated by dim_bound {list(self.dim_bound)}: "
-                "some indecomposable lies outside it (every bound does, unless the quiver is Dynkin)")
 
 
 def _is_int(x):
@@ -256,10 +247,10 @@ def _memoized(method):
 class QuiverBackend:
     """Finite hereditary backend built from a Dynkin quiver.
 
-    The constructor refuses a truncated spec (``QuiverSpec.truncated``:
-    some indecomposable lies outside the ``dim_bound`` box, so objects could
-    leave the table) with a ``BackendError`` naming ``dim_bound``.  It then
-    reads the spec alone: the ids are the positive roots (``roots``, one
+    The constructor refuses a quiver that is not Dynkin
+    (``QuiverSpec.is_dynkin``: it has infinitely many indecomposables) with
+    the ``BackendError`` of ``QuiverSpec.positive_roots``.  It reads the
+    spec alone: the ids are the positive roots (``roots``, one
     indecomposable per root, Gabriel), and the Hom and Ext matrices and the
     path order follow from the roots and the Euler form.  No representation
     is built there.  ``indecs``, one brick per root in the order of
@@ -279,11 +270,10 @@ class QuiverBackend:
     """
 
     def __init__(self, spec: QuiverSpec):
-        spec.refuse_truncated()
+        self.roots = spec.positive_roots
         self._memo = {}
         self.spec = spec
         self.p = spec.field
-        self.roots = spec.positive_roots
         # <d, e> = d . pulled(e), pulled(e)_v = e_v - sum over arrows v -> t of e_t
         pulled = [list(e) for e in self.roots]
         for e, pe in zip(self.roots, pulled):
@@ -306,9 +296,8 @@ class QuiverBackend:
         return self._build_table()
 
     def _build_table(self):
-        """One representative of each indecomposable whose dimension vector
-        lies in the ``dim_bound`` box, in (total dimension, vector) order:
-        one per vector of ``roots``.
+        """One representative of each indecomposable, in (total dimension,
+        vector) order: one per vector of ``roots``.
 
         The walk of ``QuiverSpec.positive_roots`` visits a vector only when
         it can carry an indecomposable:
@@ -331,12 +320,12 @@ class QuiverBackend:
             *Unzerlegbare Darstellungen I*).
 
         A skipped vector carries no indecomposable, so a scan of every rep
-        of the box (keep a rep unless an entry splits off it or is
-        isomorphic to it) adds nothing there either.
+        of every dimension vector (keep a rep unless an entry splits off it
+        or is isomorphic to it) adds nothing there either.
 
-        The spec is untruncated, so the quiver is Dynkin, the visited vectors
-        are ``QuiverSpec.positive_roots``, and each carries exactly one
-        indecomposable, which is a brick: End = F_p (Gabriel 1972; Ringel
+        The quiver is Dynkin (the constructor accepted it), the visited
+        vectors are ``QuiverSpec.positive_roots``, and each carries exactly
+        one indecomposable, which is a brick: End = F_p (Gabriel 1972; Ringel
         1984, *Tame algebras and integral quadratic forms*, LNM 1099, 2.4).
         A brick is indecomposable, and a decomposable rep has End of
         dimension >= 2.  So the first rep in ``_all_reps`` order with a

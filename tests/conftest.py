@@ -154,16 +154,22 @@ def torsion_scan(backend, S, ambient=None):
             and core.is_closed(backend, S, ("extensions",), ambient))
 
 
-# Dynkin quivers bounded by their highest roots, so every positive root is
-# in the table; E_n is a chain with a branch vertex (listed last) on the
-# third chain vertex, and E6 is demos/quivers/e6.json
+# Dynkin quivers of types D5-E8 and their highest roots (the largest entry
+# of any positive root at each vertex); E_n is a chain with a branch vertex
+# (listed last) on the third chain vertex, and E6 is demos/quivers/e6.json
 HIGHEST_ROOT_SPECS = {
-    "D5": QuiverSpec(5, ((0, 1), (1, 2), (2, 3), (2, 4)), 2, (1, 2, 2, 1, 1)),
-    "D6": QuiverSpec(6, ((0, 1), (1, 2), (2, 3), (3, 4), (3, 5)), 2, (1, 2, 2, 2, 1, 1)),
-    "E6": QuiverSpec(6, ((0, 1), (1, 2), (2, 3), (3, 4), (5, 2)), 2, (1, 2, 3, 2, 1, 2)),
-    "E7": QuiverSpec(7, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)), 2, (2, 3, 4, 3, 2, 1, 2)),
-    "E8": QuiverSpec(8, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 7)), 2,
-                     (2, 4, 6, 5, 4, 3, 2, 3)),
+    "D5": QuiverSpec(5, ((0, 1), (1, 2), (2, 3), (2, 4)), 2),
+    "D6": QuiverSpec(6, ((0, 1), (1, 2), (2, 3), (3, 4), (3, 5)), 2),
+    "E6": QuiverSpec(6, ((0, 1), (1, 2), (2, 3), (3, 4), (5, 2)), 2),
+    "E7": QuiverSpec(7, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)), 2),
+    "E8": QuiverSpec(8, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 7)), 2),
+}
+HIGHEST_ROOTS = {
+    "D5": (1, 2, 2, 1, 1),
+    "D6": (1, 2, 2, 2, 1, 1),
+    "E6": (1, 2, 3, 2, 1, 2),
+    "E7": (2, 3, 4, 3, 2, 1, 2),
+    "E8": (2, 4, 6, 5, 4, 3, 2, 3),
 }
 
 

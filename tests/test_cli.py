@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import random
 
@@ -88,6 +90,10 @@ def test_usage_errors_exit_2():
     assert code == 2 and "error" in err, err
 
 
+NOT_DYNKIN = ("quiver is not Dynkin (its Tits form is not positive definite): "
+              "it has infinitely many indecomposables")
+
+
 def test_truncated_quiver_refused_up_front(tmp_path):
     path = tmp_path / "seq.json"
     path.write_text(json.dumps({"lo": 0, "hi": 0, "entries": [[0]], "below": [], "above": [0]}))
@@ -97,21 +103,32 @@ def test_truncated_quiver_refused_up_front(tmp_path):
                  ("classify", "--backend", backend, str(path))):
         code, out, err = run_cli(*argv)
         assert code == 2 and out == "", (argv, out, err)
-        assert "dim_bound [1, 1]" in json.loads(err)["error"], err
+        assert json.loads(err)["error"] == NOT_DYNKIN, err
 
 
 def test_truncated_spec_refused_before_the_table_is_built(tmp_path):
     # the refusal reads the spec alone: QuiverBackend refuses it before any
-    # representation is built
+    # representation is built, and a dim_bound key in the file is ignored
     path = tmp_path / "kronecker.json"
     path.write_text(json.dumps({"vertices": 2, "arrows": [[0, 1], [0, 1]], "dim_bound": [3, 3]}))
     proc = run_cli_process("enumerate", "--backend", f"quiver:{path}", "--window", "0:0", timeout=30)
     assert proc.returncode == 2 and proc.stdout == "", (proc.stdout, proc.stderr)
-    assert "dim_bound [3, 3]" in json.loads(proc.stderr)["error"], proc.stderr
+    assert json.loads(proc.stderr)["error"] == NOT_DYNKIN, proc.stderr
+
+
+def test_a_dim_bound_key_is_ignored(tmp_path):
+    """A quiver file may still carry ``dim_bound``, of any value: the output
+    is that of the file without it."""
+    want = run_cli("enumerate", "--backend", f"quiver:{A2}", "--window", "0:1")
+    for bound in ([1, 1], 3, [0]):
+        path = tmp_path / "a2.json"
+        path.write_text(json.dumps({"vertices": 2, "arrows": [[0, 1]], "field": 2, "dim_bound": bound}))
+        code, out, err = run_cli("enumerate", "--backend", f"quiver:{path}", "--window", "0:1")
+        assert (code, out.replace(str(path), A2), err) == want, bound
 
 
 @pytest.mark.parametrize("spec, key", [
-    ({"vertices": 2, "arrows": [[0, 1]], "dim_bound": 3}, "dim_bound"),
+    ({"vertices": 0, "arrows": []}, "vertices"),
     ({"vertices": 2, "arrows": [[0, 1]], "field": 2.0}, "field"),
     ({"vertices": 2}, "arrows"),
 ])
@@ -247,8 +264,41 @@ def test_enumerate_e6_demo():
     assert sum(r["parameters"]["above"] == list(range(36)) for r in rows) == 418
 
 
+# SHA-256 of each command's --help text at 80 columns, recorded before the
+# shared options moved to one parent parser
+HELP_SHA256 = {
+    "enumerate": "87ebf3e07807870e1abb77c3f0324d6604d744166a2bbd73804c9c2e78dc30cd",
+    "verify": "45d1ca0209468c9f5b5ca46e7c2aac3e4c5bf3263659a64c11fa2e7fe50534e4",
+    "classify": "50de9bcb252db79eb4fd9419aad8af6dbbcd64939495902d6660943efec72ea2",
+}
+
+
+@pytest.mark.parametrize("command", HELP_SHA256)
+def test_help_is_pinned(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main([command, "--help"]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == HELP_SHA256[command], out.getvalue()
+
+
+@pytest.mark.parametrize("argv, first", [
+    (("enumerate", "--backend", "dedekind", "--primes", "2", "--window", "0:0"), "{"),
+    (("verify", "--backend", "dedekind", "--primes", "2"), "PASS "),
+    (("classify", "--backend", "dedekind", "--primes", "2,3", "seq.json"), "{"),
+], ids=["enumerate", "verify", "classify"])
+def test_main_writes_to_the_current_stdout(argv, first, tmp_path, monkeypatch):
+    """``cli.main`` writes to ``sys.stdout`` as it is when a command runs, so
+    ``contextlib.redirect_stdout`` captures every command's output."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "seq.json").write_text(json.dumps(DEDEKIND_SEQUENCES["pivot"]))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(list(argv)) == 0
+    assert out.getvalue().startswith(first) and out.getvalue().endswith("\n"), out.getvalue()
+
+
 def test_enumerate_callable_in_process():
-    import io
     args = cli.build_parser().parse_args(
         ["enumerate", "--backend", "dedekind", "--primes", "2",
          "--window", "0:0", "--format", "json"])

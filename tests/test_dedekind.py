@@ -185,6 +185,33 @@ def test_constant_mod_is_the_degenerate_pivot():
     assert isinstance(form, dd.CoNarrowSeq) and form.n == dd.POS_INF
 
 
+def test_classes_marked_outside_the_prime_set_read_as_mod():
+    """A class marks its primes modulo the prime set: marked only by 7, it
+    holds every group with torsion at 2 and 3, which is the mod class, for
+    the classifier as for the validator."""
+    seven = dd.torsionfree_class({7})
+    form = dd.ded_classify_sequence({0: seven}, below=dd.MOD, above=dd.MOD, primes=PRIMES)
+    assert form == dd.CoNarrowSeq(dd.mod_class(), dd.POS_INF)
+    assert dd.ded_co_narrow_validate({0: seven}, below=dd.MOD, above=dd.MOD, primes=PRIMES) == (True, [])
+    form = dd.ded_classify_sequence({0: dd.MOD, 1: seven, 2: dd.ZERO}, primes=PRIMES)
+    assert form.key() == (("maximals", ()), 1)
+    assert form == dd.ded_classify_sequence({0: dd.MOD, 1: dd.MOD, 2: dd.ZERO}, primes=PRIMES)
+    form = dd.ded_classify_sequence({0: dd.MOD, 1: dd.torsionfree_class({2, 7}), 2: dd.ZERO},
+                                    primes=PRIMES)
+    assert form.key() == (("maximals", (2,)), 1)
+
+
+@pytest.mark.parametrize("entry", [dd.MOD, dd.ZERO, dd.FINITE_GROUPS, dd.mod_class(),
+                                   dd.zero_class(), dd.torsionfree_class({2})])
+def test_entry_membership_refuses_torsion_outside_the_prime_set(entry):
+    """Tags and classes alike refuse a group with torsion outside the prime
+    set, and accept Z/2 by their own rule."""
+    with pytest.raises(BackendError, match="outside the configured prime set"):
+        dd.entry_membership(entry, dd.cyclic(7), PRIMES)
+    assert dd.entry_membership(entry, dd.cyclic(2), PRIMES) == (entry in (dd.MOD, dd.FINITE_GROUPS)
+                                                                 or entry == dd.mod_class())
+
+
 def validate_quickly(seq, **kwargs):
     """``ded_co_narrow_validate``, which must take under 0.2 s."""
     start = time.perf_counter()

@@ -1,7 +1,6 @@
 import itertools
 import json
 import random
-import re
 import time
 from fractions import Fraction
 
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 
 import numpy_fplinalg as nla
-from conftest import HIGHEST_ROOT_SPECS, is_epi, is_mono, quotients, subobjects
+from conftest import HIGHEST_ROOT_SPECS, HIGHEST_ROOTS, is_epi, is_mono, quotients, subobjects
 from tstructkit import core, refined
 from tstructkit.quiver import (MORPHISM_SPACE_LIMIT, BackendError, Morphism, QuiverBackend,
                                QuiverSpec, _combine, _has_cycle, build_backend)
@@ -20,30 +19,47 @@ A5_LINEAR = ((0, 1), (1, 2), (2, 3), (3, 4))
 D4_INTO_CENTRE = ((0, 1), (2, 1), (3, 1))  # vertex 1 is the centre
 KRONECKER = ((0, 1), (0, 1))
 
+# (spec, box): the full-scan oracles search the dimension vectors d with
+# 0 <= d_v <= box[v]
 TABLE_SPECS = [
-    QuiverSpec(1, (), 2),
-    QuiverSpec(2, ((0, 1),), 2),
-    QuiverSpec(2, ((0, 1),), 3),
-    QuiverSpec(3, A3_LINEAR, 2),
-    QuiverSpec(3, ((0, 1), (2, 1)), 2),
-    QuiverSpec(3, A3_LINEAR, 3),
-    QuiverSpec(3, ((1, 0), (1, 2)), 3),
-    QuiverSpec(4, A4_LINEAR, 2, (1, 1, 1, 1)),
-    QuiverSpec(4, A4_LINEAR, 3, (1, 1, 1, 1)),
-    QuiverSpec(5, A5_LINEAR, 2, (1, 1, 1, 1, 1)),
-    QuiverSpec(4, D4_INTO_CENTRE, 2, (1, 2, 1, 1)),
-    QuiverSpec(4, D4_INTO_CENTRE, 2, (1, 1, 1, 2)),  # misses (1, 2, 1, 1)
-    QuiverSpec(2, KRONECKER, 2, (1, 1)),
-    QuiverSpec(2, KRONECKER, 2, (2, 1)),
-    QuiverSpec(2, KRONECKER, 2, (2, 2)),
+    (QuiverSpec(1, (), 2), (2,)),
+    (QuiverSpec(2, ((0, 1),), 2), (2, 2)),
+    (QuiverSpec(2, ((0, 1),), 3), (2, 2)),
+    (QuiverSpec(3, A3_LINEAR, 2), (2, 2, 2)),
+    (QuiverSpec(3, ((0, 1), (2, 1)), 2), (2, 2, 2)),
+    (QuiverSpec(3, A3_LINEAR, 3), (2, 2, 2)),
+    (QuiverSpec(3, ((1, 0), (1, 2)), 3), (2, 2, 2)),
+    (QuiverSpec(4, A4_LINEAR, 2), (1, 1, 1, 1)),
+    (QuiverSpec(4, A4_LINEAR, 3), (1, 1, 1, 1)),
+    (QuiverSpec(5, A5_LINEAR, 2), (1, 1, 1, 1, 1)),
+    (QuiverSpec(4, D4_INTO_CENTRE, 2), (1, 2, 1, 1)),
+    (QuiverSpec(4, D4_INTO_CENTRE, 2), (1, 1, 1, 2)),  # misses (1, 2, 1, 1)
+    (QuiverSpec(2, KRONECKER, 2), (1, 1)),
+    (QuiverSpec(2, KRONECKER, 2), (2, 1)),
+    (QuiverSpec(2, KRONECKER, 2), (2, 2)),
 ]
 
-UNTRUNCATED_SPECS = [spec for spec in TABLE_SPECS if not spec.truncated]
-TRUNCATED_SPECS = [spec for spec in TABLE_SPECS if spec.truncated]
+
+def spec_id(spec, box=None):
+    """The arrows, the field and the box of the spec's full-scan oracle
+    (2 at every vertex unless given)."""
+    return f"{spec.arrows}-F{spec.field}-{box or (2,) * spec.vertices}"
 
 
-def spec_id(spec):
-    return f"{spec.arrows}-F{spec.field}-{spec.dim_bound}"
+def boxed_params(pairs):
+    """One pytest param per (spec, box) pair, named by ``spec_id``."""
+    return [pytest.param(spec, id=spec_id(spec, box)) for spec, box in pairs]
+
+
+def box_holds_every_root(spec, box):
+    """Whether the quiver is Dynkin and the box holds every positive root,
+    so that no indecomposable lies outside it."""
+    return spec.is_dynkin and all(d <= b for root in spec.positive_roots for d, b in zip(root, box))
+
+
+UNTRUNCATED = [(spec, box) for spec, box in TABLE_SPECS if box_holds_every_root(spec, box)]
+UNTRUNCATED_SPECS = [spec for spec, _ in UNTRUNCATED]
+NOT_DYNKIN = "not Dynkin.*infinitely many indecomposables"
 
 
 def test_spec_validation():
@@ -70,17 +86,15 @@ def test_spec_rejects_malformed_fields(vertices, arrows, field, key):
         QuiverSpec(vertices, arrows, field)
 
 
-@pytest.mark.parametrize("dim_bound", [(0, 1), (-1, 2), (1.5, 1), (True, 1), ("2", 1)])
-def test_spec_rejects_dim_bound_entries_below_one_or_not_int(dim_bound):
-    with pytest.raises(BackendError, match="dim_bound"):
-        QuiverSpec(2, ((0, 1),), 2, dim_bound)
-
-
 def test_spec_from_json(tmp_path):
     path = tmp_path / "q.json"
     path.write_text(json.dumps({"vertices": 2, "arrows": [[0, 1]], "field": 3}))
     spec = QuiverSpec.from_json(str(path))
     assert spec.vertices == 2 and spec.field == 3
+    # a dim_bound key, well formed or not, is ignored
+    for bound in ([1, 1], 3, "x"):
+        path.write_text(json.dumps({"vertices": 2, "arrows": [[0, 1]], "field": 3, "dim_bound": bound}))
+        assert QuiverSpec.from_json(str(path)) == spec
 
 
 def test_a2_indecomposable_table(a2):
@@ -93,7 +107,7 @@ def test_a3_and_kronecker_tables(a3):
     assert len(a3.indecs) == 6
     # bounded Kronecker table, built by the oracle alone (the backend refuses
     # it): two simples plus the three (1,1) classes
-    kronecker = FullScanBackend(QuiverSpec(2, KRONECKER, 2, (1, 1)))
+    kronecker = FullScanBackend(QuiverSpec(2, KRONECKER, 2), (1, 1))
     assert len(kronecker.indecs) == 5
     assert sorted(tuple(i.dims) for i in kronecker.indecs) == \
         [(0, 1), (1, 0), (1, 1), (1, 1), (1, 1)]
@@ -229,7 +243,7 @@ def test_hom_basis_dimension_matches_hom_dim(a3):
             assert len(a3.hom_basis((i,), (j,))) == a3.hom_dim((i,), (j,))
 
 
-@pytest.mark.parametrize("spec", UNTRUNCATED_SPECS, ids=spec_id)
+@pytest.mark.parametrize("spec", boxed_params(UNTRUNCATED))
 def test_ids_from_homs_refuses_forged_hom_vectors(spec):
     """The self-check of ``_ids_from_homs``: the Hom vector of X_x less that
     of another X_y has multiplicity -1 at y (its dimension vector, dim X_x -
@@ -279,20 +293,21 @@ def rational_inverse(mat):
 
 
 class FullScanBackend(QuiverBackend):
-    """Reference oracle: the table built from every dimension vector of the
+    """Reference oracle: the table built from every dimension vector of a
     box by the split-summand and isomorphism scan, with no pruning to
-    connected roots and no refusal of a truncated spec; its Hom matrix by
-    numpy linear algebra on each pair of entries (``hom_basis_oracle``) and
-    its inverse in Fractions, whatever the table.  Only the table, its
+    connected roots and no refusal of a quiver that is not Dynkin (the box
+    cuts its table); its Hom matrix by numpy linear algebra on each pair of
+    entries (``hom_basis_oracle``) and its inverse in Fractions, whatever
+    the table.  Only the table, its
     dimension vectors (``roots``, one per entry, so a vector may repeat)
     and these matrices are built."""
 
-    def __init__(self, spec):
+    def __init__(self, spec, box):
         self._memo = {}
         self.spec, self.p = spec, spec.field
         self.indecs = []
-        box = itertools.product(*(range(b + 1) for b in spec.dim_bound))
-        for dv in sorted((d for d in box if any(d)), key=lambda d: (sum(d), d)):
+        vectors = itertools.product(*(range(b + 1) for b in box))
+        for dv in sorted((d for d in vectors if any(d)), key=lambda d: (sum(d), d)):
             for rep in self._all_reps(dv):
                 if self._is_new_indec(rep):
                     self.indecs.append(rep)
@@ -339,13 +354,15 @@ class FullScanBackend(QuiverBackend):
         return False
 
 
-@pytest.mark.parametrize("spec", UNTRUNCATED_SPECS, ids=spec_id)
-def test_root_pruned_table_equals_full_box_scan(spec):
-    """Same table and matrices as the scan; and ``_ids_from_homs`` (back
-    substitution) inverts the scan's Hom matrix: on every column of H and
-    every sum of two columns it gives the multiset of ids that the
-    scan's Fraction inverse gives, times that vector."""
-    pruned, full = build_backend(spec), FullScanBackend(spec)
+@pytest.mark.parametrize("spec, box", [pytest.param(spec, box, id=spec_id(spec, box))
+                                       for spec, box in UNTRUNCATED])
+def test_root_pruned_table_equals_full_box_scan(spec, box):
+    """Same table and matrices as the scan of a box that holds every
+    positive root; and ``_ids_from_homs`` (back substitution) inverts the
+    scan's Hom matrix: on every column of H and every sum of two columns it
+    gives the multiset of ids that the scan's Fraction inverse gives, times
+    that vector."""
+    pruned, full = build_backend(spec), FullScanBackend(spec, box)
     assert pruned.indecs == full.indecs  # same order, same matrices
     assert pruned.hom_matrix == full.hom_matrix
     assert pruned.ext_matrix == full.ext_matrix
@@ -361,14 +378,30 @@ def test_root_pruned_table_equals_full_box_scan(spec):
         assert pruned._ids_from_homs(vec, pruned.obj_dims(want)) == want, (x, y)
 
 
-@pytest.mark.parametrize("spec", TRUNCATED_SPECS + [QuiverSpec(2, KRONECKER, 2, (3, 3))], ids=spec_id)
+NOT_DYNKIN_SPECS = [  # the Kronecker quiver with several values in the unread dim_bound slot
+    *(pytest.param(QuiverSpec(2, KRONECKER, 2, bound), id=spec_id(QuiverSpec(2, KRONECKER, 2), bound))
+      for bound in ((1, 1), (2, 1), (2, 2), (3, 3))),
+    pytest.param(QuiverSpec(2, KRONECKER * 2, 2), id="4-kronecker"),
+    pytest.param(QuiverSpec(3, ((0, 1), (1, 2), (0, 2)), 2), id="affine-A2"),
+    pytest.param(QuiverSpec(5, ((0, 1), (2, 1), (3, 1), (4, 1)), 2), id="affine-D4"),
+    pytest.param(QuiverSpec(4, ((0, 1), (2, 1), (3, 1), (0, 2)), 2), id="D4-plus-edge"),
+]
+
+
+@pytest.mark.parametrize("spec", NOT_DYNKIN_SPECS)
 def test_truncated_spec_refused_before_any_rep_work(spec, monkeypatch):
+    """A quiver that is not Dynkin has infinitely many indecomposables, so
+    no table of it can be complete: the constructor refuses it before any
+    representation work, whatever ``dim_bound`` the spec carries.  The
+    unbounded root walk would never stop on it, so the refusal also comes
+    before the walk."""
     def rep_work(self, *args):
         raise AssertionError("representation work ran before the refusal")
 
     monkeypatch.setattr(QuiverBackend, "_all_reps", rep_work)
     monkeypatch.setattr(QuiverBackend, "_rep_hom_basis", rep_work)
-    with pytest.raises(BackendError, match=re.escape(f"dim_bound {list(spec.dim_bound)}")):
+    assert not spec.is_dynkin
+    with pytest.raises(BackendError, match=NOT_DYNKIN):
         QuiverBackend(spec)
 
 
@@ -384,23 +417,28 @@ def test_gabriel_counts_of_positive_roots(vertices, arrows, field, count):
     dims = [ind.dims for ind in backend.indecs]
     assert len(dims) == count and len(set(dims)) == count
     assert all(backend.spec.euler_form(d, d) == 1 for d in dims)
-    assert not backend.spec.truncated
+    assert backend.spec.is_dynkin
 
 
-@pytest.mark.parametrize("spec, truncated", [
-    (QuiverSpec(3, A3_LINEAR, 2, (1, 1, 1)), False),
-    (QuiverSpec(4, D4_INTO_CENTRE, 2), False),
-    (QuiverSpec(4, D4_INTO_CENTRE, 2, (1, 1, 1, 1)), True),  # misses (1, 2, 1, 1)
-    (QuiverSpec(2, KRONECKER, 2, (1, 1)), True),  # not Dynkin: every box misses one
-    (QuiverSpec(2, KRONECKER, 2, (2, 2)), True),
+@pytest.mark.parametrize("spec, truncated", [  # each spec with a box
+    ((QuiverSpec(3, A3_LINEAR, 2), (1, 1, 1)), False),
+    ((QuiverSpec(4, D4_INTO_CENTRE, 2), (2, 2, 2, 2)), False),
+    ((QuiverSpec(4, D4_INTO_CENTRE, 2), (1, 1, 1, 1)), True),  # misses (1, 2, 1, 1)
+    ((QuiverSpec(2, KRONECKER, 2), (1, 1)), True),  # not Dynkin: every box misses one
+    ((QuiverSpec(2, KRONECKER, 2), (2, 2)), True),
 ])
 def test_truncated_iff_box_misses_an_indecomposable(spec, truncated):
-    assert spec.truncated == truncated
-    if truncated:
-        with pytest.raises(BackendError, match="dim_bound"):
-            build_backend(spec)
+    """The grown box scan finds a vector outside the box that may carry an
+    indecomposable exactly when the quiver is not Dynkin or the box misses
+    a positive root.  A Dynkin quiver builds whatever the box; any other is
+    refused."""
+    spec, box = spec
+    assert box_scan_truncated(spec, box) == truncated == (not box_holds_every_root(spec, box))
+    if spec.is_dynkin:
+        assert len(build_backend(spec).roots) == {3: 6, 4: 12}[spec.vertices]
     else:
-        build_backend(spec)
+        with pytest.raises(BackendError, match=NOT_DYNKIN):
+            build_backend(spec)
 
 
 def is_connected(support, arrows):
@@ -425,11 +463,12 @@ def may_be_indecomposable(spec, dv):
     return is_connected(support, spec.arrows) and spec.euler_form(dv, dv) <= 1
 
 
-def whole_vector_walk(spec):
+def whole_vector_walk(spec, box):
     """Reference oracle for ``QuiverSpec.positive_roots``: the same walk,
     with connectivity and q decided on each whole vector by
-    ``may_be_indecomposable`` instead of stepped from the last one."""
-    n, bound = spec.vertices, spec.dim_bound
+    ``may_be_indecomposable`` instead of stepped from the last one, and
+    None at the first step that leaves the box."""
+    n = spec.vertices
     seen = {tuple(int(w == v) for w in range(n)) for v in range(n)}
     todo = list(seen)
     while todo:
@@ -438,21 +477,20 @@ def whole_vector_walk(spec):
             e = d[:v] + (d[v] + 1,) + d[v + 1:]
             if e in seen or not may_be_indecomposable(spec, e):
                 continue
-            if e[v] > bound[v]:
+            if e[v] > box[v]:
                 return None
             seen.add(e)
             todo.append(e)
     return tuple(sorted(seen, key=lambda dv: (sum(dv), dv)))
 
 
-def box_scan_truncated(spec):
-    """Reference oracle for ``QuiverSpec.truncated``: whether some vector of
-    the box grown by one at every vertex, but outside the box, has connected
-    support and q <= 1."""
-    bound = spec.dim_bound
+def box_scan_truncated(spec, box):
+    """Reference oracle for whether some indecomposable lies outside the
+    box: whether some vector of the box grown by one at every vertex, but
+    outside the box, has connected support and q <= 1."""
     return any(may_be_indecomposable(spec, dv)
-               for dv in itertools.product(*(range(b + 2) for b in bound))
-               if any(d > b for d, b in zip(dv, bound)))
+               for dv in itertools.product(*(range(b + 2) for b in box))
+               if any(d > b for d, b in zip(dv, box)))
 
 
 def acyclic_orientations(vertices, edges):
@@ -477,23 +515,34 @@ ORACLE_GRAPHS = {  # name: (vertices, undirected edges, Dynkin)
 
 @pytest.mark.parametrize("name", ORACLE_GRAPHS)
 def test_root_walk_truncation_equals_the_grown_box_scan(name):
+    """On every orientation and box: the grown box scan finds a vector
+    outside the box exactly when the quiver is not Dynkin or a positive
+    root leaves the box; the walk refuses the quivers that are not Dynkin,
+    and on the others its roots in a box that holds them all are the
+    vectors of the box with connected support and q <= 1."""
     vertices, edges, dynkin = ORACLE_GRAPHS[name]
-    bounds = {(1,) * vertices, (2,) * vertices}
-    bounds |= {spec.dim_bound for spec in TABLE_SPECS if spec.vertices == vertices}
+    boxes = {(1,) * vertices, (2,) * vertices}
+    boxes |= {box for spec, box in TABLE_SPECS if spec.vertices == vertices}
     for arrows in acyclic_orientations(vertices, edges):
-        for bound in sorted(bounds):
-            spec = QuiverSpec(vertices, arrows, 2, bound)
-            assert spec.truncated == box_scan_truncated(spec), (arrows, bound)
-            if not dynkin:
-                assert spec.truncated
-            if not spec.truncated:
-                box = itertools.product(*(range(b + 1) for b in bound))
+        spec = QuiverSpec(vertices, arrows, 2)
+        assert spec.is_dynkin == dynkin, arrows
+        if not dynkin:
+            with pytest.raises(BackendError, match=NOT_DYNKIN):
+                spec.positive_roots
+        for box in sorted(boxes):
+            holds = box_holds_every_root(spec, box)
+            assert box_scan_truncated(spec, box) == (not holds), (arrows, box)
+            if holds:
+                vectors = itertools.product(*(range(b + 1) for b in box))
                 assert spec.positive_roots == tuple(sorted(
-                    (dv for dv in box if may_be_indecomposable(spec, dv)),
+                    (dv for dv in vectors if may_be_indecomposable(spec, dv)),
                     key=lambda dv: (sum(dv), dv)))
 
 
 def test_root_walk_finds_the_known_root_counts():
+    """Without any box, the walk finds every positive root of A6-E8 (E6, E7
+    and E8: 36, 63 and 120), and their highest roots are tight: the
+    whole-vector walk leaves any box lowered by one at a vertex."""
     # (vertices, edges, highest root, |positive roots|); E_n is a chain with
     # a branch vertex (listed last) on the third chain vertex
     types = [
@@ -506,17 +555,20 @@ def test_root_walk_finds_the_known_root_counts():
     ]
     start = time.perf_counter()
     for vertices, arrows, highest, count in types:
-        spec = QuiverSpec(vertices, arrows, 2, highest)
+        spec = QuiverSpec(vertices, arrows, 2)
         roots = spec.positive_roots
-        assert not spec.truncated
+        assert spec.is_dynkin
         assert len(roots) == len(set(roots)) == count
         assert all(spec.euler_form(d, d) == 1 for d in roots)
         assert tuple(map(max, zip(*roots))) == highest
+        assert whole_vector_walk(spec, highest) == roots
         for v, h in enumerate(highest):
             if h > 1:
                 lowered = highest[:v] + (h - 1,) + highest[v + 1:]
-                assert QuiverSpec(vertices, arrows, 2, lowered).truncated, lowered
+                assert whole_vector_walk(spec, lowered) is None, lowered
     assert time.perf_counter() - start < 1.0
+    for name, highest in HIGHEST_ROOTS.items():
+        assert tuple(map(max, zip(*HIGHEST_ROOT_SPECS[name].positive_roots))) == highest, name
 
 
 def test_only_non_thin_roots_search_the_representations(monkeypatch):
@@ -531,39 +583,70 @@ def test_only_non_thin_roots_search_the_representations(monkeypatch):
     monkeypatch.setattr(QuiverBackend, "_all_reps", guarded)
     for spec in UNTRUNCATED_SPECS:
         build_backend(spec).indecs  # the table is built on first use
-    assert searched == [(QuiverSpec(4, D4_INTO_CENTRE, 2, (1, 2, 1, 1)), (1, 2, 1, 1))]
+    assert searched == [(QuiverSpec(4, D4_INTO_CENTRE, 2), (1, 2, 1, 1))]
 
 
-def random_acyclic_specs(seed, count):
-    """Seeded random acyclic quivers on 1-6 vertices with multi-arrows
-    allowed (each arrow runs from a lower to a higher vertex of a random
-    order) and every dim_bound entry in 1..3."""
+def random_acyclic_quivers(seed, count, max_vertices):
+    """Seeded random acyclic quivers on 1..max_vertices vertices with
+    multi-arrows allowed (each arrow runs from a lower to a higher vertex
+    of a random order), each with a box whose entries lie in 1..3."""
     rng = random.Random(seed)
     for _ in range(count):
-        n = rng.randint(1, 6)
+        n = rng.randint(1, max_vertices)
         order = rng.sample(range(n), n)
         arrows = []
         for _ in range(rng.randint(0, n + 1)):
             if n > 1:
                 i, j = sorted(rng.sample(range(n), 2))
                 arrows.append((order[i], order[j]))
-        yield QuiverSpec(n, tuple(arrows), 2, tuple(rng.randint(1, 3) for _ in range(n)))
+        yield QuiverSpec(n, tuple(arrows), 2), tuple(rng.randint(1, 3) for _ in range(n))
 
 
 def test_root_walk_equals_the_whole_vector_walk():
-    """The stepped walk of ``positive_roots`` gives the whole-vector walk's
-    roots, or None with it, on seeded random acyclic quivers; the sample
-    holds multi-arrows, every bound 1..3 and truncated specs."""
-    specs = list(random_acyclic_specs(19, 300))
+    """On seeded random acyclic quivers, each with a box: the whole-vector
+    walk stays in the box exactly when the quiver is Dynkin and the box
+    holds every positive root, and then it gives the roots of
+    ``positive_roots``; a quiver that is not Dynkin is refused.  The
+    sample holds multi-arrows, every box entry 1..3 and boxes that miss a
+    root."""
+    pairs = list(random_acyclic_quivers(19, 300, 6))
+    for spec, box in pairs:
+        boxed = whole_vector_walk(spec, box)
+        assert (boxed is not None) == box_holds_every_root(spec, box), (spec, box)
+        if boxed is not None:
+            assert spec.positive_roots == boxed, (spec, box)
+        elif not spec.is_dynkin:
+            with pytest.raises(BackendError, match=NOT_DYNKIN):
+                spec.positive_roots
+    assert any(len(set(spec.arrows)) < len(spec.arrows) for spec, _ in pairs)
+    assert {b for _, box in pairs for b in box} == {1, 2, 3}
+    assert sum(whole_vector_walk(spec, box) is None for spec, box in pairs) >= 50
+    assert sum(box_holds_every_root(spec, box) and spec.vertices >= 4 for spec, box in pairs) >= 20
+
+
+def test_dynkin_test_equals_the_boxed_walk():
+    """On seeded random acyclic quivers with 1-8 vertices and multi-arrows,
+    ``is_dynkin`` holds exactly when the whole-vector walk stays in the box
+    with 6 at every vertex (the largest entry of a positive root of a
+    Dynkin quiver on at most 8 vertices, E8's; on any other quiver the
+    walk is unbounded), and the unbounded walk of ``positive_roots`` gives
+    the same roots."""
+    start = time.perf_counter()
+    specs = [spec for spec, _ in random_acyclic_quivers(22, 1500, 8)]
+    dynkin = []
     for spec in specs:
-        assert spec.positive_roots == whole_vector_walk(spec), spec
-    assert any(len(set(spec.arrows)) < len(spec.arrows) for spec in specs)
-    assert {b for spec in specs for b in spec.dim_bound} == {1, 2, 3}
-    assert sum(spec.truncated for spec in specs) >= 50
-    assert sum(not spec.truncated and spec.vertices >= 4 for spec in specs) >= 20
+        boxed = whole_vector_walk(spec, (6,) * spec.vertices)
+        assert spec.is_dynkin == (boxed is not None), spec
+        if boxed is not None:
+            dynkin.append(spec)
+            assert spec.positive_roots == boxed, spec
+    assert 500 <= len(dynkin) <= 1000 and sum(spec.vertices >= 7 for spec in dynkin) >= 100
+    assert sum(len(set(spec.arrows)) < len(spec.arrows) for spec in specs) >= 300
+    assert time.perf_counter() - start < 20.0
 
 
-CONSTRUCTION_SPECS = UNTRUNCATED_SPECS + list(HIGHEST_ROOT_SPECS.values())
+CONSTRUCTION = UNTRUNCATED + [(HIGHEST_ROOT_SPECS[name], root) for name, root in HIGHEST_ROOTS.items()]
+CONSTRUCTION_SPECS = [spec for spec, _ in CONSTRUCTION]
 
 
 def test_construction_and_the_censuses_build_no_table(monkeypatch):
@@ -592,7 +675,7 @@ def test_construction_and_the_censuses_build_no_table(monkeypatch):
     assert a3._memo == {} and "indecs" not in vars(a3)
 
 
-@pytest.mark.parametrize("spec", CONSTRUCTION_SPECS, ids=spec_id)
+@pytest.mark.parametrize("spec", boxed_params(CONSTRUCTION))
 def test_euler_matrix_equals_the_euler_form(spec):
     backend = build_backend(spec)
     roots = backend.roots
@@ -602,7 +685,7 @@ def test_euler_matrix_equals_the_euler_form(spec):
             assert backend.hom_matrix[i][j] - backend.ext_matrix[i][j] == spec.euler_form(d, e), (d, e)
 
 
-@pytest.mark.parametrize("spec", UNTRUNCATED_SPECS, ids=spec_id)
+@pytest.mark.parametrize("spec", boxed_params(UNTRUNCATED))
 def test_roots_are_the_dimension_vectors_of_the_table(spec):
     backend = build_backend(spec)
     assert len(backend.indecs) == len(backend.roots)
@@ -686,13 +769,14 @@ def test_middle_terms_equal_the_searched_ones(spec, bound):
     QuiverSpec(3, A3_LINEAR, 3),
     QuiverSpec(4, ((0, 1), (1, 2), (2, 3)), 2),
     QuiverSpec(4, D4_INTO_CENTRE, 2),
-    QuiverSpec(2, KRONECKER, 2, (2, 2)),
+    QuiverSpec(2, KRONECKER, 2),
 ], ids=spec_id)
 def test_ringel_cokernel_has_the_euler_form_dimension(spec):
     """dim coker of Ringel's map = hom - <dim A, dim B> = ext_dim, on every
-    pair of indecomposables (the truncated Kronecker table included, built
-    by the oracle)."""
-    backend = FullScanBackend(spec) if spec.truncated else build_backend(spec)
+    pair of indecomposables (the Kronecker table cut by the box (2, 2)
+    included, built by the oracle)."""
+    dynkin = spec.is_dynkin
+    backend = build_backend(spec) if dynkin else FullScanBackend(spec, (2, 2))
     for i in backend.all_ids():
         for j in backend.all_ids():
             a, b = backend.indecs[i], backend.indecs[j]
@@ -702,14 +786,14 @@ def test_ringel_cokernel_has_the_euler_form_dimension(spec):
             ext = nrows - nla.rank(nla.array(ringel, nrows, ncols), backend.p)  # dim coker
             assert ext == backend.hom_dim((i,), (j,)) - backend.spec.euler_form(a.dims, b.dims)
             assert ext == backend.ext_dim((i,), (j,))
-            if spec.truncated:
+            if not dynkin:
                 continue  # a middle term may lie outside the table
             mids = backend.middle_terms((i,), (j,))
             assert tuple(sorted((i, j))) in mids
             assert (len(mids) == 1) == (ext == 0)
 
 
-@pytest.mark.parametrize("spec", UNTRUNCATED_SPECS, ids=spec_id)
+@pytest.mark.parametrize("spec", boxed_params(UNTRUNCATED))
 def test_ringel_matrix_has_nullity_hom_and_corank_ext(spec):
     """On every pair of table entries, the one Ringel matrix (which
     ``_rep_hom_basis``, ``_rep_hom_dim`` and ``middle_terms`` share) has
