@@ -17,7 +17,7 @@ from .derived import (SubcatSeq, dobj, shift, derived_hom_dim,
                       aisle_from_torsion, is_narrow_sequence, theta_membership,
                       mu, restrict, star_membership, window_objects,
                       enumerate_narrow_sequences)
-from .refined import (RefinedTSeq, TStructRecord, xi, psi, gap, validate_refined,
+from .refined import (RefinedTSeq, TStructRecord, xi, psi, gap, narrow_cut, validate_refined,
                       enumerate_refined,
                       star_oracle_membership, enumerate_tstructures,
                       verify_roundtrips)

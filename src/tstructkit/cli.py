@@ -99,7 +99,7 @@ def cmd_enumerate(args, out=None) -> int:
     rows = []
     if args.backend.startswith("quiver:"):
         backend = _load_quiver(args.backend, args.field)
-        for rec in refined.enumerate_tstructures(backend, lo, hi, backend_id=args.backend):
+        for rec in refined.enumerate_tstructures(backend, lo, hi):
             d = rec.to_json_dict()
             rows.append({"backend": args.backend, "window": [lo, hi],
                          "form": "narrow-sequence", "parameters": d["sequence"],
@@ -306,10 +306,27 @@ def cmd_classify(args, out=None) -> int:
 
 
 def _classify_quiver(backend, data):
+    """Decide a sequence by ``refined.narrow_cut``, which decides sequences
+    with zero below-tail; a below-tail B is reduced to that case.
+
+    A narrow sequence's constant tail is wide: where N(k-1) = N(k) = N(k+1)
+    = B, the narrow conditions close B under extensions, under cokernels of
+    maps B -> B and under kernels of maps B -> B.  So a B that is not wide
+    gives "not narrow".  For a wide B, u is narrow iff u0 is, where u0 is
+    zero below lo - 1 and has B at lo - 1.  The conditions at degree k read
+    N(k-1), N(k) and N(k+1), which agree for u and u0 from lo - 1 on, so
+    they differ only at degrees below lo: there u compares B with B, which
+    holds because B is wide, and u0 compares B or 0 with 0, which holds
+    trivially.  For B = 0, u0 is u on a window one degree wider, so every
+    sequence is decided as its u0."""
     seq = derived.SubcatSeq.from_json_dict(data)
     for entry in (*data["entries"], data["below"], data["above"]):
         core.check_ids(backend, entry)  # the raw lists: a frozenset merges true into 1
-    ok, report = derived.is_narrow_sequence(backend, seq)
+    report = [] if core.classify_subcat(backend, seq.below).is_wide else [
+        f"N({seq.lo - 1}) is the below-tail, which is not wide"]
+    report += refined.narrow_cut(backend, derived.SubcatSeq(
+        seq.lo - 1, seq.hi, (seq.below, *seq.entries), (), seq.above))[1]
+    ok = not report
     return {"valid_narrow_sequence": ok, "form": "narrow-sequence" if ok else None,
             "is_aisle": ok and not seq.below, "violations": report}
 

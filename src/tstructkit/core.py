@@ -19,10 +19,12 @@ the tilting test (``is_tilting_in``) are read off the Hom and Ext matrices
 of the table, with no closure and no representation; ``enumerate_subcats``
 filters every subset by those flags.  The wide closure (``wide_closure``)
 that ``refined.xi``, ``derived.restrict`` and
-``derived.enumerate_narrow_sequences`` read is such a formula too.  The
-closure scans serve ``derived.is_narrow_sequence``'s extension test
-(``is_closed``) and stay as the oracles that ``verify`` compares the flags
-and the wide closure with.
+``derived.enumerate_narrow_sequences`` read is such a formula too, and so
+``xi``'s narrowness decider (``refined.narrow_cut``), which quiver
+``classify`` calls, reads no closure either.  The closure scans serve
+``derived.is_narrow_sequence``'s extension test (``is_closed``), a search
+that only ``verify`` runs, and stay as the oracles that ``verify``
+compares the flags and the wide closure with.
 
 Memo rule for this layer and the two built on it (derived, refined): every
 result that depends on the closure predicates or on ``perp`` is stored in

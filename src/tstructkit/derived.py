@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import core, faults
-from .quiver import BackendError, Obj
+from .quiver import BackendError, Obj, _is_int
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,10 @@ class SubcatSeq:
 
     @staticmethod
     def from_json_dict(d):
-        return SubcatSeq(int(d["lo"]), int(d["hi"]),
+        for key in ("lo", "hi"):
+            if not _is_int(d[key]):
+                raise BackendError(f"window bound {key!r} is not an integer: {d[key]!r}")
+        return SubcatSeq(d["lo"], d["hi"],
                          tuple(frozenset(e) for e in d["entries"]),
                          frozenset(d["below"]), frozenset(d["above"]))
 
@@ -131,7 +134,9 @@ def is_narrow_sequence(backend, seq: SubcatSeq):
     next level, and a kernel condition against the previous level.  The
     window is extended by two degrees so each constant tail is exercised
     against itself once.  Returns (ok, list of violation strings); an id
-    outside the table is refused (``core.check_ids``)."""
+    outside the table is refused (``core.check_ids``).  The exact decider
+    is ``refined.narrow_cut``; this bounded search is its cross-check in
+    ``verify``."""
     for s in (*seq.entries, seq.below, seq.above):
         core.check_ids(backend, s)
     report = []

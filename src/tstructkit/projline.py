@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .quiver import BackendError
+from .quiver import BackendError, _is_int
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -91,6 +91,8 @@ class P1Narrow:
         if self.tag not in (ZERO, TOR, LINE, GEN, ALL):
             raise BackendError(f"unknown narrow tag {self.tag!r}")
         object.__setattr__(self, "points", frozenset(self.points))
+        if not _is_int(self.n):
+            raise BackendError(f"twist level 'n' is not an integer: {self.n!r}")
         if self.tag == TOR and not self.points:
             raise BackendError("torsion narrow subcategory needs a nonempty support")
 
@@ -120,6 +122,8 @@ class P1Wide:
         if self.tag not in (ZERO, TOR, LINE, ALL):
             raise BackendError(f"unknown wide tag {self.tag!r}")
         object.__setattr__(self, "points", frozenset(self.points))
+        if not _is_int(self.n):
+            raise BackendError(f"twist level 'n' is not an integer: {self.n!r}")
         if self.tag == TOR and not self.points:
             object.__setattr__(self, "tag", ZERO)
 
@@ -145,8 +149,7 @@ def p1_all() -> P1Narrow:
 
 
 def narrow_from_json(d) -> P1Narrow:
-    tag = d["tag"]
-    return P1Narrow(tag, frozenset(d.get("points", ())), int(d.get("n", 0)))
+    return P1Narrow(d["tag"], frozenset(d.get("points", ())), d.get("n", 0))
 
 
 def p1_membership(x: SheafObj, s: P1Narrow) -> bool:

@@ -223,9 +223,6 @@ class Morphism:
     target: Obj
     mats: tuple  # per vertex v: target dims[v] row tuples of source dims[v] ints
 
-    def mat(self, v):
-        return self.mats[v]
-
 
 def _memoized(method):
     """Memoise a QuiverBackend method in ``self._memo``, keyed on

@@ -48,14 +48,15 @@ def test_verify_p1_and_dedekind_pass():
 # SHA-256 of `verify --mutate FAULT` stdout on a2, window 0:1
 MUTATE_STDOUT_SHA256 = {
     "drop-extension-closure": "6baa79a6b2d9700fa8ab8f3c9bdaa43808a2399b8fcb5bdf9178f1a1cec19524",
-    "skip-kernel-condition": "2f2e5a7354a30431418a43d7ab47d68011ab84588344108658d5a744b7d3788f",
+    "skip-kernel-condition": "ab72f9889d84708f9e08a0d08f19269ebcafa8ecf6585a9f174a2561996dd99e",
     "swap-ext-direction": "fab09bc82d256df97317354b2268100b868292eaa105fd02d4af6850e92d1839",
-    "perp-ignores-ext": "1b1d1d2a2793cbf9bd3df1dd20df34a197851428ce71b853ae54fccd0fc71494",
+    "perp-ignores-ext": "286234cdbff6ad2e9c0eb79dff7c18f03c6d90103fde41b4b0212ad4c534db70",
     "wide-closure-skips-kernels": "f61a2c30614d9a4bb458e45ea24894d4695137ab5e48cb09f3e77f177101e063",
 }
 
 # the checks each fault turns red in that output, so a changed hash shows
-# which line flipped
+# which line flipped; a3 on the window 0:1 turns the same checks red, and
+# only its set of FAIL lines is pinned, since its witnesses name the decider
 MUTATE_FAILING_CHECKS = {
     "drop-extension-closure": {"narrow-flags-match-direct-extension-scan"},
     "skip-kernel-condition": {"constant-non-wide-sequences-rejected", "aisle-refinement-roundtrips"},
@@ -69,13 +70,15 @@ MUTATE_FAILING_CHECKS = {
 
 @pytest.mark.parametrize("fault", FAULT_NAMES)
 def test_every_fault_turns_verify_red(fault):
-    code, out, err = run_cli("verify", "--backend", f"quiver:{A2}",
-                             "--window", "0:1", "--mutate", fault)
-    assert code == 1, (fault, out, err)
-    failing = {line[len("FAIL "):].split(":", 1)[0]
-               for line in out.splitlines() if line.startswith("FAIL ")}
-    assert failing == MUTATE_FAILING_CHECKS[fault], out
-    assert hashlib.sha256(out.encode()).hexdigest() == MUTATE_STDOUT_SHA256[fault], out
+    for quiver in (A2, "demos/quivers/a3.json"):
+        code, out, err = run_cli("verify", "--backend", f"quiver:{quiver}",
+                                 "--window", "0:1", "--mutate", fault)
+        assert code == 1, (quiver, fault, out, err)
+        failing = {line[len("FAIL "):].split(":", 1)[0]
+                   for line in out.splitlines() if line.startswith("FAIL ")}
+        assert failing == MUTATE_FAILING_CHECKS[fault], (quiver, out)
+        if quiver == A2:
+            assert hashlib.sha256(out.encode()).hexdigest() == MUTATE_STDOUT_SHA256[fault], out
 
 
 def test_usage_errors_exit_2():
@@ -240,7 +243,65 @@ def test_classify_refuses_ids_outside_the_table(tmp_path, entries, shown):
     assert f"integers in 0..2, got {shown}" in json.loads(err)["error"], err
 
 
+@pytest.mark.parametrize("backend, data, error", [
+    (f"quiver:{A2}", {"lo": 0.9, "hi": 0, "entries": [[1, 2]], "below": [], "above": [0, 1, 2]},
+     "window bound 'lo' is not an integer: 0.9"),
+    (f"quiver:{A2}", {"lo": 0, "hi": False, "entries": [[1, 2]], "below": [], "above": [0, 1, 2]},
+     "window bound 'hi' is not an integer: False"),
+    ("p1", {"entries": {"0": {"tag": "line", "n": 1.7}}}, "twist level 'n' is not an integer: 1.7"),
+    ("p1", {"entries": {"0": {"tag": "line", "n": True}}}, "twist level 'n' is not an integer: True"),
+], ids=["lo-float", "hi-bool", "n-float", "n-bool"])
+def test_classify_refuses_window_bounds_and_twists_that_are_not_integers(backend, data, error,
+                                                                         tmp_path):
+    """A float or a bool is not read as the integer it rounds or hashes to."""
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli("classify", "--backend", backend, str(path))
+    assert code == 2 and out == "", (out, err)
+    assert json.loads(err)["error"].endswith(error), err
+
+
 E6 = "demos/quivers/e6.json"
+
+# one indecomposable of E6 at degree 0, the zero below-tail or itself below
+E6_SEQUENCES = {
+    "zero-below": {"lo": 0, "hi": 0, "entries": [[0]], "below": [], "above": [0]},
+    "wide-below": {"lo": 0, "hi": 0, "entries": [[0]], "below": [0], "above": [0]},
+}
+
+
+def test_classify_e6_in_seconds(tmp_path):
+    """The decider reads the Hom and Ext matrices, so classify on E6
+    builds no representation."""
+    for name, data in E6_SEQUENCES.items():
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps(data))
+        proc = run_cli_process("classify", "--backend", f"quiver:{E6}", str(path), timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        verdict = json.loads(proc.stdout)
+        assert verdict["valid_narrow_sequence"] and verdict["is_aisle"] == (name == "zero-below")
+
+
+def test_classify_quiver_calls_no_search(tmp_path, monkeypatch):
+    """With the extension and kernel searches and the table of
+    representations refused, the a2 and E6 verdicts are unchanged."""
+    from tstructkit.quiver import QuiverBackend
+
+    def refuse(*args):
+        raise AssertionError("search called")
+
+    for name in ("part_sets", "middle_terms", "_build_table"):
+        monkeypatch.setattr(QuiverBackend, name, refuse)
+    cases = [(A2, A2_SEQUENCES["valid"], (True, True)), (A2, A2_SEQUENCES["invalid"], (False, False)),
+             (E6, E6_SEQUENCES["zero-below"], (True, True)), (E6, E6_SEQUENCES["wide-below"], (True, False))]
+    for quiver, data, want in cases:
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps(data))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["classify", "--backend", f"quiver:{quiver}", str(path)]) == 0
+        verdict = json.loads(out.getvalue())
+        assert (verdict["valid_narrow_sequence"], verdict["is_aisle"]) == want, (quiver, verdict)
 
 
 def test_verify_on_e6_refuses_the_subset_scan_in_seconds():
@@ -317,7 +378,7 @@ STDOUT_SHA256 = {
     ("verify", "a2", "0:1"): "11169c515a86b2cbabdaf47793613e6983faa09d722e27ee71135df022b9be29",
     ("verify", "a3", "0:1"): "11169c515a86b2cbabdaf47793613e6983faa09d722e27ee71135df022b9be29",
     ("classify", "a2", "valid"): "eb5a7a15fe7cb89b2b625fa2067d57c2161d9977455d1aceaaec7fcae4f6e600",
-    ("classify", "a2", "invalid"): "299c531c785c1dc2c988de6f1a1c39607e8c39156913ba012960b6c7978d0f02",
+    ("classify", "a2", "invalid"): "77f6453aabab3590cd2edffe26c2ed05933a23a96d3b8e380b14f474b955d003",
 }
 
 

@@ -153,7 +153,7 @@ def _retracts_up_to_scalar(backend, f, g):
     scalars = set()
     for v, d in enumerate(backend.obj_dims(f.source)):
         if d:
-            comp = _mm(g.mat(v), f.mat(v), d, backend.p)
+            comp = _mm(g.mats[v], f.mats[v], d, backend.p)
             c = comp[0][0]
             scalars.add(c)
             if comp != tuple(tuple(c * (r == k) for k in range(d)) for r in range(d)):
@@ -182,7 +182,7 @@ def splits_by_search(backend, S, I):
         mdims = backend.obj_dims(m)
         for f in every_morphism(backend, (I,), m):
             if is_mono(backend, f) and not any(
-                    all(np.array_equal(nla.mm(nla.array(g.mat(v), d, e), nla.array(f.mat(v), e, d), p),
+                    all(np.array_equal(nla.mm(nla.array(g.mats[v], d, e), nla.array(f.mats[v], e, d), p),
                                        np.eye(d, dtype=np.int64))
                         for v, (d, e) in enumerate(zip(dims, mdims)))
                     for g in every_morphism(backend, m, (I,))):

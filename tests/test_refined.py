@@ -1,15 +1,19 @@
+import itertools
+import random
+import re
 import time
+from collections import Counter
 
 import pytest
 
 from conftest import quotients_leaving, scan_census, tilting_torsion_classes
-from tstructkit import core, derived
+from tstructkit import cli, core, derived
 from tstructkit.derived import (SubcatSeq, aisle_from_torsion,
                                 enumerate_narrow_sequences, full_subcat,
                                 theta_membership, window_objects)
-from tstructkit.quiver import QuiverSpec, build_backend
+from tstructkit.quiver import BackendError, QuiverSpec, build_backend
 from tstructkit.refined import (RefinedTSeq, TStructRecord, enumerate_refined,
-                                enumerate_tstructures, gap, psi,
+                                enumerate_tstructures, gap, narrow_cut, psi,
                                 star_oracle_membership, validate_refined,
                                 verify_roundtrips, xi)
 
@@ -51,6 +55,31 @@ def test_no_wide_closure_outside_verify_searches(a2_ids, monkeypatch):
     assert (r.at(-1), r.at(0), r.at(1)) == (frozenset(), seq.at(0), full_subcat(a2))
 
 
+def test_xi_widens_the_window_where_the_tail_jumps(a2):
+    """The shift aisle, zero at degree 0 and everything from degree 1 on,
+    is cut on the window 0:1: its tail at 1 is not the wide closure of its
+    value at 0, and the cut there is the tilting class of everything in its
+    gap over the zero f(0)."""
+    everything = full_subcat(a2)
+    u = SubcatSeq(0, 0, (frozenset(),), frozenset(), everything)
+    r = xi(a2, u)
+    assert (r.lo, r.hi, r.f, r.tf) == (0, 1, (frozenset(), everything), (frozenset(), everything))
+    assert validate_refined(a2, r) == (True, [])
+    v = psi(a2, r)
+    assert all(v.at(k) == u.at(k) for k in range(-2, 4))
+
+
+def test_xi_refuses_what_psi_never_glues(a2, a2_ids):
+    """psi glues only zero below-tails, so the constant wide sequence {S1}
+    is refused, and so is a sequence whose cut glues to another one."""
+    S1 = frozenset({a2_ids["S1"]})
+    with pytest.raises(BackendError, match=r"xi needs a narrow sequence; .*another N\(-1\)"):
+        xi(a2, SubcatSeq(0, 0, (S1,), S1, S1))
+    bad = SubcatSeq(0, 1, (frozenset({0, 1}), frozenset({0, 1})), frozenset(), full_subcat(a2))
+    with pytest.raises(BackendError, match="xi needs a narrow sequence; t_f"):
+        xi(a2, bad)
+
+
 def test_gap(a2, a2_ids):
     S1, S2, P1 = a2_ids["S1"], a2_ids["S2"], a2_ids["P1"]
     assert gap(a2, full_subcat(a2), frozenset({S2})) == frozenset({P1})
@@ -62,7 +91,7 @@ def test_validate_refined_negative_witness(a2, a2_ids):
     everything = full_subcat(a2)
     # t_f(1) = {S1} is not perpendicular to f(0): Hom(S1, S1) != 0
     bad = RefinedTSeq(0, 1, (everything, everything),
-                      (frozenset({P1, S1}), frozenset({S1})), frozenset())
+                      (frozenset({P1, S1}), frozenset({S1})))
     ok, report = validate_refined(a2, bad)
     assert not ok and report
 
@@ -90,12 +119,11 @@ def test_verify_roundtrips_a2(a2):
 
 
 def test_enumerate_tstructures_records(a2):
-    recs = enumerate_tstructures(a2, 0, 1, backend_id="quiver:a2")
+    recs = enumerate_tstructures(a2, 0, 1)
     assert len(recs) == len(enumerate_refined(a2, 0, 1))
     d = recs[0].to_json_dict()
-    assert d["backend"] == "quiver:a2"
     assert d["checks"] == {"narrow-sequence": True, "is-aisle": True}
-    assert set(d) == {"backend", "window", "sequence", "refined", "checks"}
+    assert set(d) == {"sequence", "refined", "checks"}
 
 
 def test_star_oracle_agrees_with_theta_on_small_window(a2, monkeypatch):
@@ -250,7 +278,7 @@ def test_enumerate_tstructures_equals_the_narrow_scan(spec, lo, hi):
     b = build_backend(spec)
     got = [rec.to_json_dict() for rec in enumerate_tstructures(b, lo, hi)]
     checks = (("narrow-sequence", True), ("is-aisle", True))
-    want = [TStructRecord("quiver", (lo, hi), u, xi(b, u), checks).to_json_dict()
+    want = [TStructRecord(u, xi(b, u), checks).to_json_dict()
             for u in enumerate_narrow_sequences(b, lo, hi)]
     assert got == want
 
@@ -274,3 +302,89 @@ def test_glued_enumeration_beyond_the_scan(spec, lo, hi, count):
     assert time.perf_counter() - t0 < 5
     assert len({rec.sequence.key() for rec in recs}) == len(recs) == count
     assert wide_chain_count(b, lo, hi) == count
+
+
+def classify_verdict(b, u):
+    """``classify``'s verdict on u, with its violations."""
+    verdict = cli._classify_quiver(b, u.to_json_dict())
+    return verdict["valid_narrow_sequence"], verdict["violations"]
+
+
+def nested_chains(ids, length):
+    """Every chain S_1 <= ... <= S_length of subsets of ids: each id picks
+    the first member it lies in, or none."""
+    for first in itertools.product(range(length + 1), repeat=len(ids)):
+        yield [frozenset(i for i, k in zip(ids, first) if k <= n) for n in range(length)]
+
+
+def agree_with_the_search(b, u):
+    """Assert that the decider of ``xi`` and ``classify`` (``narrow_cut``)
+    and the bounded search ``is_narrow_sequence`` agree on u, that every
+    violation names a degree, and that an accepted zero-below u is glued
+    back from its cut; returns the verdict."""
+    want = derived.is_narrow_sequence(b, u)[0]
+    got, violations = classify_verdict(b, u)
+    assert got == want and got != bool(violations), (u.key(), violations)
+    assert all(re.search(r"\(-?\d+\)|degree -?\d+", v) for v in violations), violations
+    if not u.below:
+        r, report = narrow_cut(b, u)
+        assert report == violations, u.key()
+        if want:
+            v = psi(b, r)
+            assert all(v.at(k) == u.at(k) for k in range(u.lo - 2, r.hi + 3)), u.key()
+    return want
+
+
+@pytest.mark.parametrize("spec", [QuiverSpec(3, A3_LINEAR, 2), QuiverSpec(3, A3_INTO_MIDDLE, 3)],
+                         ids=["a3-f2", "a3-into-middle-f3"])
+def test_decider_agrees_with_the_search_on_every_zero_below_triple(spec):
+    """Every nested (N(0), N(1), above-tail) on the window 0:1, below-tail
+    zero: 4^6 sequences, among them those whose tail jumps at 2."""
+    b = build_backend(spec)
+    t0 = time.perf_counter()
+    verdicts = Counter(agree_with_the_search(b, SubcatSeq(0, 1, (n0, n1), frozenset(), above))
+                       for n0, n1, above in nested_chains(b.all_ids(), 3))
+    assert verdicts == {True: 140, False: 3956}
+    assert time.perf_counter() - t0 < 10
+
+
+def test_decider_agrees_with_the_search_on_every_below_entry_above_triple():
+    """Every nested (below-tail, N(0), above-tail) on the window 0:0: the
+    nonzero below-tails go through ``classify``'s wide-tail reduction."""
+    b = build_backend(QuiverSpec(3, A3_LINEAR, 2))
+    t0 = time.perf_counter()
+    verdicts = Counter(agree_with_the_search(b, SubcatSeq(0, 0, (n0,), below, above))
+                       for below, n0, above in nested_chains(b.all_ids(), 3))
+    assert verdicts == {True: 126, False: 3970}
+    assert time.perf_counter() - t0 < 10
+
+
+@pytest.mark.parametrize("spec", [
+    A4,
+    QuiverSpec(4, ((0, 3), (1, 3), (2, 3)), 2),
+    QuiverSpec(4, ((3, 0), (3, 1), (3, 2)), 2),
+], ids=["a4", "d4-centre-sink", "d4-centre-source"])
+def test_decider_agrees_with_the_search_on_a_seeded_sample(spec):
+    """Every narrow sequence of the scan on 0:1, each again with a seeded
+    nonzero wide below-tail inside N(0), and seeded random nested sequences,
+    a third of them with a nonzero below-tail.  Random draws are mostly not
+    narrow, so the test asks for a least number of each verdict."""
+    b = build_backend(spec)
+    t0 = time.perf_counter()
+    rng = random.Random(f"decider-{spec.arrows}")
+    wides = [w for w in core.wide_census(b) if w]
+    sample = []
+    for u in enumerate_narrow_sequences(b, 0, 1):
+        sample.append(u)
+        below = [w for w in wides if w <= u.at(0)]
+        if below:
+            sample.append(SubcatSeq(0, 1, u.entries, rng.choice(below), u.above))
+    ids = b.all_ids()
+    for _ in range(300):
+        first = [rng.randrange(5) for _ in ids]
+        below, n0, n1, above = (frozenset(i for i, k in zip(ids, first) if k <= n)
+                                for n in range(4))
+        sample.append(SubcatSeq(0, 1, (n0, n1), below if rng.random() < 1 / 3 else (), above))
+    verdicts = Counter(agree_with_the_search(b, u) for u in sample)
+    assert min(verdicts[True], verdicts[False]) >= 300, verdicts
+    assert time.perf_counter() - t0 < 30
