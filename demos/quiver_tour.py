@@ -9,8 +9,8 @@ built from.
 Run with:  python3 demos/quiver_tour.py
 """
 
-from tstructkit.core import (classify_subcat, closure, enumerate_subcats,
-                             is_tilting_in, perp, torsion_decompose)
+from tstructkit.core import (closure, enumerate_subcats, is_tilting_in, mask_of,
+                             members, perp, torsion_decompose)
 from tstructkit.quiver import QuiverSpec, build_backend
 
 
@@ -42,27 +42,28 @@ def main():
           show(backend, closure(backend, {P1, S1}, ("cokernels", "extensions"))))
 
     # The censuses behind the classification: 5 torsion classes, 5 wide
-    # subcategories, 6 narrow ones.
+    # subcategories, 6 narrow ones.  The computing functions take and return
+    # subcategories as int masks, bit i set for id i.
     for flag in ("is_torsion_class", "is_wide", "is_narrow"):
         hits = enumerate_subcats(backend, (flag,))
         print(f"\n{flag}: {len(hits)}")
         for s in hits:
-            print("  ", show(backend, s))
+            print("  ", show(backend, members(s)))
 
     # Perpendicular subcategories and torsion decompositions.
     print("\nleft perp of {S2} (Hom and Ext vanish) =",
-          show(backend, perp(backend, {S2}, "left", "all")))
+          show(backend, members(perp(backend, mask_of({S2}), "left", "all"))))
     tor, free = torsion_decompose(backend, (P1,), frozenset({S1}))
     print("torsion decomposition of P1 against {S1}:",
           show(backend, set(tor)), "+", show(backend, set(free)))
 
     # {P1, S1} is a tilting torsion class: every indecomposable embeds
     # into a finite sum of its objects; {S1} alone is not.
-    whole = frozenset(backend.all_ids())
+    whole = mask_of(backend.all_ids())
     print("\n{P1, S1} tilting in the whole category:",
-          is_tilting_in(backend, frozenset({P1, S1}), whole))
+          is_tilting_in(backend, mask_of({P1, S1}), whole))
     print("{S1} tilting in the whole category:",
-          is_tilting_in(backend, frozenset({S1}), whole))
+          is_tilting_in(backend, mask_of({S1}), whole))
 
 
 if __name__ == "__main__":

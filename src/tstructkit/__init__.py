@@ -11,18 +11,18 @@ roundtrips and star-product oracles.
 
 from .quiver import QuiverSpec, Rep, Morphism, QuiverBackend, BackendError, build_backend
 from .core import (Subcat, SubcatFlags, classify_subcat, closure, is_closed, perp,
-                   torsion_decompose, ext_injectives, is_tilting_in,
+                   torsion_decompose, is_tilting_in, mask_of, members, subcat,
                    enumerate_subcats, wide_census, tilting_census, generated_torsion)
-from .derived import (SubcatSeq, dobj, shift, derived_hom_dim,
+from .derived import (SubcatSeq, dobj, derived_hom_dim,
                       aisle_from_torsion, is_narrow_sequence, theta_membership,
-                      mu, restrict, star_membership, window_objects,
+                      mu, star_membership, window_objects,
                       enumerate_narrow_sequences)
 from .refined import (RefinedTSeq, TStructRecord, xi, psi, gap, narrow_cut, validate_refined,
                       enumerate_refined,
                       star_oracle_membership, enumerate_tstructures,
                       verify_roundtrips)
-from .projline import (SheafObj, P1Narrow, P1Wide, P1SeqForm, P1Invalid,
-                       line_bundle, skyscraper, p1_membership, p1_wide_closure,
+from .projline import (SheafObj, P1Narrow, P1SeqForm, P1Invalid,
+                       line_bundle, skyscraper, p1_membership,
                        classify_p1_sequence, p1_is_aisle, p1_enumerate_sequences,
                        enumerate_p1_narrow, euler_form)
 from .dedekind import (FGGroup, SpecClosedSet, TorsionFreeClass, CoNarrowSeq,

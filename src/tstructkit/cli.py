@@ -132,18 +132,18 @@ def cmd_enumerate(args, out=None) -> int:
 # verify
 
 def _quiver_checks(backend, lo, hi):
-    narrows = [frozenset(s) for s in core.enumerate_subcats(backend, ("is_narrow",))]
+    narrows = core.enumerate_subcats(backend, ("is_narrow",))
     flags = operator.attrgetter("is_narrow", "is_wide")
     mismatch = [s for s in backend.subsets()
                 if _scan_flags(backend, s) != flags(core.classify_subcat(backend, s))]
     yield ("narrow-flags-match-direct-extension-scan", not mismatch,
            sorted(mismatch[0]) if mismatch else None)
     bad = [s for s in narrows
-           if not core.classify_subcat(backend, s).is_wide
+           if not core.subcat_flags(backend, s).is_wide
            and derived.is_narrow_sequence(
-               backend, derived.SubcatSeq(0, 0, (s,), s, s))[0]]
+               backend, derived.SubcatSeq.from_masks(0, 0, (s,), s, s))[0]]
     yield ("constant-non-wide-sequences-rejected", not bad,
-           sorted(map(sorted, bad)) or None)
+           sorted(list(core.members(s)) for s in bad) or None)
     ids = backend.all_ids()
     hom_ok = all(derived.derived_hom_dim(backend, {0: (i,)}, {0: (j,)}) == backend.hom_matrix[i][j]
                  and derived.derived_hom_dim(backend, {0: (i,)}, {1: (j,)}) == backend.ext_matrix[i][j]
@@ -151,15 +151,15 @@ def _quiver_checks(backend, lo, hi):
     yield ("derived-hom-counts-hom-and-ext", hom_ok, None)
     perp_ok = True
     for s in narrows:
-        direct = frozenset(i for i in ids
-                           if all(backend.hom_matrix[i][t] == 0 and backend.ext_matrix[i][t] == 0
-                                  for t in s))
+        direct = core.mask_of(i for i in ids
+                              if all(backend.hom_matrix[i][t] == 0 and backend.ext_matrix[i][t] == 0
+                                     for t in core.members(s)))
         if core.perp(backend, s, "left", "all") != direct:
             perp_ok = False
     yield ("perpendicular-includes-ext-vanishing", perp_ok, None)
     wide_ok = True
     for s in narrows:
-        w = core.closure(backend, s, core.WIDE_RULES)
+        w = core.closure(backend, core.subcat(s), core.WIDE_RULES)
         for a in core.candidates(w):
             for b in core.candidates(w):
                 for ker, _, _ in backend.part_sets(a, b):
@@ -294,7 +294,7 @@ def cmd_classify(args, out=None) -> int:
         if quiver:
             verdict = _classify_quiver(backend, data)
         elif args.backend == "p1":
-            verdict = _classify_p1(data)
+            verdict = _classify_p1(data, args.points)
         elif args.backend == "dedekind":
             verdict = _classify_dedekind(args, data)
         else:
@@ -331,10 +331,10 @@ def _classify_quiver(backend, data):
             "is_aisle": ok and not seq.below, "violations": report}
 
 
-def _classify_p1(data):
-    entries = {int(k): projline.narrow_from_json(v) for k, v in data["entries"].items()}
-    below = projline.narrow_from_json(data["below"]) if "below" in data else None
-    above = projline.narrow_from_json(data["above"]) if "above" in data else None
+def _classify_p1(data, points):
+    entries = {int(k): projline.narrow_from_json(v, points) for k, v in data["entries"].items()}
+    below = projline.narrow_from_json(data["below"], points) if "below" in data else None
+    above = projline.narrow_from_json(data["above"], points) if "above" in data else None
     got = projline.classify_p1_sequence(entries, below, above)
     if isinstance(got, projline.P1Invalid):
         return {"valid_narrow_sequence": False, "form": None, "is_aisle": False,

@@ -1,11 +1,17 @@
 """Subcategory calculus over a finite hereditary backend.
 
-Subcategories of a finite backend are additively-closed sets of
-indecomposable ids (frozensets).  The closure scans (``closure``,
-``is_closed``) try direct sums of at most ``MULT_BOUND`` of the subcategory's
-indecomposables: morphisms one per line through 0 (``c * f`` has the
-kernel, image and cokernel of ``f``), not exhaustively; extensions by the
-backend's ``middle_terms``, which builds one middle term per Ext^1 class.
+A subcategory of a finite backend is an additively-closed set of
+indecomposable ids.  The functions that compute with subcategories read and
+return it as an int mask, bit i set for id i (``mask_of``, ``members``,
+``subcat``): ``perp``, one AND per member, and everything built on it.  The
+closure scans and the functions that take ids from a caller
+(``classify_subcat``, ``torsion_decompose``) read frozensets.
+
+The closure scans (``closure``, ``is_closed``) try direct sums of at most
+``MULT_BOUND`` of the subcategory's indecomposables: morphisms one per line
+through 0 (``c * f`` has the kernel, image and cokernel of ``f``), not
+exhaustively; extensions by the backend's ``middle_terms``, which builds one
+middle term per Ext^1 class.
 
 The search depths (``MULT_BOUND``, ``MAX_SCAN_INDECS``) are module
 constants, not parameters.  Memo keys do not carry them, so a caller that
@@ -18,12 +24,11 @@ subcategory (``generated_torsion``, which ``refined.psi`` glues with) and
 the tilting test (``is_tilting_in``) are read off the Hom and Ext matrices
 of the table, with no closure and no representation; ``enumerate_subcats``
 filters every subset by those flags.  The wide closure (``wide_closure``)
-that ``refined.xi``, ``derived.restrict`` and
-``derived.enumerate_narrow_sequences`` read is such a formula too, and so
-``xi``'s narrowness decider (``refined.narrow_cut``), which quiver
-``classify`` calls, reads no closure either.  The closure scans serve
-``derived.is_narrow_sequence``'s extension test (``is_closed``), a search
-that only ``verify`` runs, and stay as the oracles that ``verify``
+that ``refined.xi`` and ``derived.enumerate_narrow_sequences`` read is such
+a formula too, and so ``xi``'s narrowness decider (``refined.narrow_cut``),
+which quiver ``classify`` calls, reads no closure either.  The closure scans
+serve ``derived.is_narrow_sequence``'s extension test (``is_closed``), a
+search that only ``verify`` runs, and stay as the oracles that ``verify``
 compares the flags and the wide closure with.
 
 Memo rule for this layer and the two built on it (derived, refined): every
@@ -36,6 +41,7 @@ QuiverBackend).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -54,8 +60,46 @@ MULT_BOUND = 2  # summands of each object the closure scans try
 MAX_SCAN_INDECS = 14  # largest table enumerate_subcats scans (2^n subsets)
 
 
+def mask_of(ids) -> int:
+    """The mask of a collection of ids: bit i set for id i."""
+    mask = 0
+    for i in ids:
+        mask |= 1 << i
+    return mask
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def members(mask: int) -> tuple:
+    """The ids of a mask, increasing.  Subcategories sort by this tuple,
+    not by mask value, and the JSON lists it."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def subcat(mask: int) -> Subcat:
+    """The frozenset of a mask's ids, one object shared by every record
+    built from that mask."""
+    return frozenset(members(mask))
+
+
+def full_mask(backend) -> int:
+    return (1 << len(backend.roots)) - 1
+
+
 def obj_in(S: Subcat, obj: Obj) -> bool:
     return all(i in S for i in obj)
+
+
+def obj_in_mask(S: int, obj: Obj) -> bool:
+    for i in obj:
+        if not S >> i & 1:
+            return False
+    return True
 
 
 def candidates(S: Subcat, bound: int | None = None):
@@ -148,11 +192,19 @@ class SubcatFlags:
 
 
 def classify_subcat(backend, S) -> SubcatFlags:
-    """Closure flags of an additively-closed subset, from the Hom and Ext
-    matrices: S is wide iff S = wide_closure(S), narrow iff
-    S = generated_torsion(P, wide_closure(P)) for P the Ext-projectives of
-    S (the p in S with Ext(p, x) = 0 for every x in S), and a torsion class
-    iff it is the torsion class it generates in the whole table.
+    """Closure flags of an additively-closed set of ids: ``check_ids``
+    refuses an id outside the table (before the mask is formed: a frozenset
+    merges True into 1), then ``subcat_flags`` reads the mask."""
+    check_ids(backend, S)
+    return subcat_flags(backend, mask_of(S))
+
+
+def subcat_flags(backend, S: int) -> SubcatFlags:
+    """Closure flags of the mask S, from the Hom and Ext matrices: S is wide
+    iff S = wide_closure(S), narrow iff S = generated_torsion(P,
+    wide_closure(P)) for P the Ext-projectives of S (the p in S with
+    Ext(p, x) = 0 for every x in S), and a torsion class iff it is the
+    torsion class it generates in the whole table.
 
     Proof.  Both sides of each test are sets of indecomposables, and every
     category here is closed under summands.  Wide: see ``wide_closure``.
@@ -177,21 +229,30 @@ def classify_subcat(backend, S) -> SubcatFlags:
     torsion-class flag coincides with the nullity flag.  The closure scans
     (``is_closed`` with ("extensions", "cokernels"), then ("kernels",))
     decide the narrow and wide flags by search; ``verify`` compares them.
-    The raw ids are checked by ``check_ids`` before the memo is read: a
-    frozenset merges True into 1.
     """
-    check_ids(backend, S)
-    S = frozenset(S)
     key = ("classify", S)
     cache = memo(backend)
     if key not in cache:
-        ext = backend.ext_matrix
-        ext_proj = [p for p in S if not any(ext[p][x] for x in S)]
+        ext_proj = _ext_free(S, backend.homext_rows, backend.hom_rows)
         narrow = generated_torsion(backend, ext_proj, wide_closure(backend, ext_proj)) == S
         wide = narrow and wide_closure(backend, S) == S
-        nullity = generated_torsion(backend, S, backend.all_ids()) == S
+        nullity = generated_torsion(backend, S, full_mask(backend)) == S
         cache[key] = SubcatFlags(narrow, wide, nullity, nullity)
     return cache[key]
+
+
+def _ext_free(S: int, homext, hom) -> int:
+    """The members i of S whose Ext mask misses S: with the row masks, the
+    Ext-projectives of S (Ext(i, x) = 0 for x in S); with the column masks,
+    its Ext-injectives (Ext(x, i) = 0).  Hom and Ext between indecomposables
+    are the positive and negative parts of the Euler form
+    (``quiver._hom_ext_of_dynkin``), never both nonzero, so the Ext mask is
+    the Hom-or-Ext mask without the Hom mask."""
+    out = 0
+    for i in members(S):
+        if not homext[i] & ~hom[i] & S:
+            out |= 1 << i
+    return out
 
 
 def check_ids(backend, ids):
@@ -204,9 +265,9 @@ def check_ids(backend, ids):
                                f"got {json.dumps(i, default=repr)}")
 
 
-def wide_closure(backend, S) -> Subcat:
-    """The least wide subcategory W(S) holding S: perp(perp(S, right),
-    left), both perps with Hom and Ext.  So S is wide iff
+def wide_closure(backend, S: int) -> int:
+    """The least wide subcategory W(S) holding the mask S: perp(perp(S,
+    right), left), both perps with Hom and Ext.  So S is wide iff
     wide_closure(S) = S.
 
     Proof.  Every category here is closed under summands, and Hom and Ext
@@ -227,38 +288,30 @@ def wide_closure(backend, S) -> Subcat:
     return perp(backend, perp(backend, S, "right", "all"), "left", "all")
 
 
-def perp(backend, S, side, degrees="all", universe=None) -> Subcat:
-    """Indecomposables with vanishing Hom (and Ext, if degrees='all')
-    against every object of S; side='left' vanishes maps into S,
-    side='right' vanishes maps out of S."""
+def perp(backend, S: int, side, degrees="all", universe=None) -> int:
+    """The mask of the indecomposables of universe (a mask; every id if
+    None) with vanishing Hom (and Ext, if degrees='all') against every
+    member of the mask S; side='left' vanishes maps into S, side='right'
+    vanishes maps out of S.  That is universe & ~(the OR of the backend's
+    column masks, or row masks, of S's members)."""
     if side not in ("left", "right"):
         raise BackendError("side must be 'left' or 'right'")
     if degrees not in ("all", "zero_only"):
         raise BackendError("degrees must be 'all' or 'zero_only'")
-    if faults.is_active("perp-ignores-ext"):
-        degrees = "zero_only"
-    ids = backend.all_ids() if universe is None else sorted(universe)
-    out = set()
-    for i in ids:
-        good = True
-        for s in S:
-            if side == "left":
-                h = backend.hom_matrix[i][s]
-                e = backend.ext_matrix[i][s]
-            else:
-                h = backend.hom_matrix[s][i]
-                e = backend.ext_matrix[s][i]
-            if h or (degrees == "all" and e):
-                good = False
-                break
-        if good:
-            out.add(i)
-    return frozenset(out)
+    if degrees == "all" and not faults.is_active("perp-ignores-ext"):
+        masks = backend.homext_cols if side == "left" else backend.homext_rows
+    else:
+        masks = backend.hom_cols if side == "left" else backend.hom_rows
+    hit = 0
+    for s in members(S):
+        hit |= masks[s]
+    return (full_mask(backend) if universe is None else universe) & ~hit
 
 
-def generated_torsion(backend, X, W) -> Subcat:
-    """The torsion class of the wide subcategory W generated by X within W:
-    W cap perp0(X^perp0 cap W), both perps with Hom alone.
+def generated_torsion(backend, X: int, W: int) -> int:
+    """The torsion class of the wide subcategory W generated by X within W
+    (all three masks): W cap perp0(X^perp0 cap W), both perps with Hom
+    alone.
 
     Proof.  W is closed under kernels, cokernels and extensions, so it is an
     abelian length category whose short exact sequences are those of the
@@ -277,29 +330,31 @@ def generated_torsion(backend, X, W) -> Subcat:
     summand by summand, so both perps are read off ``hom_matrix`` over the
     indecomposables of W.
     """
-    W = frozenset(W)
     free = perp(backend, X, "right", "zero_only", universe=W)
     return perp(backend, free, "left", "zero_only", universe=W)
 
 
-def _grow_cliques(ids, compatible, visit):
-    """Call visit on every set of ids that are pairwise compatible,
-    growing each in increasing id order so it is visited once."""
+def _grow_cliques(ids: int, compatible, visit, size=0):
+    """Call visit on every mask of ids that are pairwise compatible
+    (compatible[i] is the mask of the ids compatible with i) and has at
+    least size members, growing each in increasing id order so it is
+    visited once; a growth that cannot reach size members is cut."""
     def grow(chosen, rest):
-        visit(chosen)
-        for k, i in enumerate(rest):
-            grow(chosen + (i,), [j for j in rest[k + 1:] if compatible(i, j)])
-    grow((), list(ids))
-
-
-def _by_members(sets):
-    return sorted(sets, key=lambda s: tuple(sorted(s)))
+        if (chosen | rest).bit_count() < size:
+            return
+        if chosen.bit_count() >= size:
+            visit(chosen)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            grow(chosen | low, rest & compatible[low.bit_length() - 1])
+    grow(0, ids)
 
 
 def wide_census(backend) -> list:
-    """All wide subcategories, from the Hom and Ext matrices: the distinct
-    ``wide_closure(S)`` over the Hom-orthogonal sets S of indecomposables,
-    sorted by members.
+    """All wide subcategories as masks, from the Hom and Ext matrices: the
+    distinct ``wide_closure(S)`` over the Hom-orthogonal sets S of
+    indecomposables, sorted by members.
 
     Proof.  A quiver table belongs to a Dynkin quiver, whose
     indecomposables are exceptional: Ext^1(X, X) = 0 and End(X) = F_p.  So
@@ -313,18 +368,18 @@ def wide_census(backend) -> list:
     """
     cache = memo(backend)
     if "wide-census" not in cache:
-        hom = backend.hom_matrix
-        found = []
-        _grow_cliques(backend.all_ids(), lambda i, j: hom[i][j] == 0 and hom[j][i] == 0,
-                      lambda S: found.append(wide_closure(backend, S)))
-        cache["wide-census"] = _by_members(set(found))
+        full = full_mask(backend)
+        orthogonal = [full & ~(r | c) for r, c in zip(backend.hom_rows, backend.hom_cols)]
+        found = set()
+        _grow_cliques(full, orthogonal, lambda S: found.add(wide_closure(backend, S)))
+        cache["wide-census"] = sorted(found, key=members)
     return cache["wide-census"]
 
 
-def tilting_census(backend, W) -> list:
-    """The tilting torsion classes of the wide subcategory W, from the Hom
-    and Ext matrices: the distinct W cap perp0(R^perp0 cap W) over the
-    Ext-rigid sets R within W with rank(W) members, sorted by members.
+def tilting_census(backend, W: int) -> list:
+    """The tilting torsion classes of the wide subcategory W as masks, from
+    the Hom and Ext matrices: the distinct W cap perp0(R^perp0 cap W) over
+    the Ext-rigid sets R within W with rank(W) members, sorted by members.
     rank(W) is the number of Ext-projectives of W (P in W with Ext(P, W) = 0).
 
     Proof.  W is equivalent to the representations of an acyclic quiver with
@@ -339,28 +394,29 @@ def tilting_census(backend, W) -> list:
     a basic module with Ext^1(M, M) = 0 is tilting iff it has rank many
     summands (Bongartz 1981), so the basic tilting modules are the Ext-rigid
     sets R above.  Fac(R) is a torsion class, so it is the least one holding
-    R: ``generated_torsion(backend, R, W)``.
+    R: ``generated_torsion(backend, R, W)``.  An Ext-rigid set within W has
+    at most rank(W) members, so the growth visits those of rank(W) alone.
     """
-    W = frozenset(W)
     cache = memo(backend)
     key = ("tilting-census", W)
     if key not in cache:
-        ext = backend.ext_matrix
-        rank = sum(1 for p in W if not any(ext[p][x] for x in W))
-        found = []
-
-        def visit(R):
-            if len(R) == rank:
-                found.append(generated_torsion(backend, R, W))
-
-        _grow_cliques(sorted(i for i in W if ext[i][i] == 0),
-                      lambda i, j: ext[i][j] == 0 and ext[j][i] == 0, visit)
-        cache[key] = _by_members(set(found))
+        rank = _ext_free(W, backend.homext_rows, backend.hom_rows).bit_count()
+        rigid = {}  # each self-orthogonal id of W -> the ids of W it is Ext-orthogonal to
+        for i in members(W):
+            ext = (backend.homext_rows[i] & ~backend.hom_rows[i]
+                   | backend.homext_cols[i] & ~backend.hom_cols[i])
+            if not ext >> i & 1:
+                rigid[i] = W & ~ext
+        found = set()
+        _grow_cliques(mask_of(rigid), rigid,
+                      lambda R: found.add(generated_torsion(backend, R, W)), rank)
+        cache[key] = sorted(found, key=members)
     return cache[key]
 
 
 def torsion_decompose(backend, obj: Obj, T) -> tuple:
-    """Split obj as (torsion part in T, free part in T^perp0).
+    """Split obj as (torsion part in T, free part in T^perp0), for T a set
+    of ids.
 
     The torsion part is the trace of T in obj: the subrepresentation
     spanned by the images of all maps out of T's indecomposables.
@@ -382,18 +438,10 @@ def torsion_decompose(backend, obj: Obj, T) -> tuple:
     return torsion, free
 
 
-def ext_injectives(backend, C) -> Subcat:
-    """Indecomposables I of C with Ext(X, I) = 0 for every X in C."""
-    C = frozenset(C)
-    if not classify_subcat(backend, C).is_narrow:
-        raise BackendError("ext_injectives requires a narrow subcategory")
-    return frozenset(i for i in C if all(backend.ext_matrix[x][i] == 0 for x in C))
-
-
-def is_tilting_in(backend, N, W) -> bool:
+def is_tilting_in(backend, N: int, W: int) -> bool:
     """True iff every object of the wide subcategory W embeds into a finite
-    sum of objects of N: iff N holds every Ext-injective of W, an i in W
-    with Ext(x, i) = 0 for every x in W.
+    sum of objects of N (both masks): iff N holds every Ext-injective of W,
+    an i in W with Ext(x, i) = 0 for every x in W.
 
     Proof.  W is wide, so it is an abelian length category whose short
     exact sequences are the ambient ones with all three terms in W, and it
@@ -404,27 +452,24 @@ def is_tilting_in(backend, N, W) -> bool:
     monomorphism from an Ext-injective I into a sum of objects of N has its
     cokernel in W, so it splits, and I, indecomposable, is a summand of one
     of them (Krull-Schmidt): I lies in N.  Ext vanishes summand by summand,
-    so the test reads ``ext_matrix`` over the indecomposables of W.
+    so the test reads the Ext masks of the indecomposables of W.
     """
-    N = frozenset(N)
-    W = frozenset(W)
-    if not N <= W:
+    if N & ~W:
         raise BackendError("N must be contained in W")
-    ext = backend.ext_matrix
-    return all(i in N for i in W if not any(ext[x][i] for x in W))
+    return not _ext_free(W, backend.homext_cols, backend.hom_cols) & ~N
 
 
 def enumerate_subcats(backend, flags=()):
-    """All additively-closed subsets passing classify_subcat with every
-    requested flag, in bitmask order; a table of more than MAX_SCAN_INDECS
-    indecomposables is refused."""
+    """The masks of all additively-closed subsets passing ``subcat_flags``
+    with every requested flag, in bitmask order; a table of more than
+    MAX_SCAN_INDECS indecomposables is refused."""
     n = len(backend.roots)
     if n > MAX_SCAN_INDECS:
         raise BackendError(f"indecomposable table too large for subset enumeration: "
                            f"{n} indecomposables, above MAX_SCAN_INDECS = {MAX_SCAN_INDECS}")
     out = []
-    for S in backend.subsets():
-        fl = classify_subcat(backend, S)
+    for S in range(1 << n):
+        fl = subcat_flags(backend, S)
         if all(getattr(fl, f) for f in flags):
             out.append(S)
     return out

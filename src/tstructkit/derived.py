@@ -4,8 +4,8 @@ A derived object is a finitely supported map degree -> Obj (its homology);
 heredity makes this model complete.  Preaisles that are determined by their
 homologies are stored as windowed sequences of subcategories (SubcatSeq);
 this module validates the narrow-sequence axioms, converts between the two
-presentations, computes restrictions, and answers star
-product membership by exhaustive triangle search.
+presentations, and answers star product membership by exhaustive triangle
+search.
 
 The exactness conditions search sums of at most ``core.MULT_BOUND``
 indecomposables; the star search takes its left factor's objects from the
@@ -14,6 +14,7 @@ sums of at most ``STAR_SIZE_BOUND`` indecomposables.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -33,10 +34,6 @@ def dobj_key(x: dict):
     return tuple(sorted(x.items()))
 
 
-def shift(x: dict, n: int) -> dict:
-    return {k + n: v for k, v in x.items()}
-
-
 def derived_hom_dim(backend, x: dict, y: dict) -> int:
     """dim Hom in the derived category: degreewise Hom plus one-step Ext."""
     x, y = dobj(x), dobj(y)
@@ -54,7 +51,10 @@ def derived_hom_dim(backend, x: dict, y: dict) -> int:
 @dataclass(frozen=True)
 class SubcatSeq:
     """A nondecreasing Z-indexed sequence of subcategories, stored on a
-    window [lo, hi] with constant tails below and above."""
+    window [lo, hi] with constant tails below and above.  The fields are
+    frozensets of ids; ``masks`` holds the same subcategories as masks, for
+    the computing layers, formed once: from the fields on first use, or
+    given by ``from_masks``."""
 
     lo: int
     hi: int
@@ -69,6 +69,23 @@ class SubcatSeq:
         object.__setattr__(self, "below", frozenset(self.below))
         object.__setattr__(self, "above", frozenset(self.above))
 
+    @classmethod
+    def from_masks(cls, lo, hi, entries, below, above):
+        """The record of the masks on [lo, hi], trusted to fit it."""
+        seq, put = object.__new__(cls), object.__setattr__
+        put(seq, "lo", lo)
+        put(seq, "hi", hi)
+        put(seq, "entries", tuple(map(core.subcat, entries)))
+        put(seq, "below", core.subcat(below))
+        put(seq, "above", core.subcat(above))
+        put(seq, "masks", (below, *entries, above))
+        return seq
+
+    @functools.cached_property
+    def masks(self) -> tuple:
+        """The masks of below, the entries and above, in that order."""
+        return tuple(map(core.mask_of, (self.below, *self.entries, self.above)))
+
     def at(self, k: int) -> frozenset:
         if k < self.lo:
             return self.below
@@ -76,15 +93,18 @@ class SubcatSeq:
             return self.above
         return self.entries[k - self.lo]
 
+    def mask_at(self, k: int) -> int:
+        if k < self.lo:
+            return self.masks[0]
+        return self.masks[k - self.lo + 1] if k <= self.hi else self.masks[-1]
+
     def key(self):
-        return (self.lo, self.hi, tuple(tuple(sorted(e)) for e in self.entries),
-                tuple(sorted(self.below)), tuple(sorted(self.above)))
+        below, *entries, above = map(core.members, self.masks)
+        return self.lo, self.hi, tuple(entries), below, above
 
     def to_json_dict(self):
-        def enc(s):
-            return sorted(s)
-        return {"lo": self.lo, "hi": self.hi, "below": enc(self.below),
-                "entries": [enc(e) for e in self.entries], "above": enc(self.above)}
+        below, *entries, above = (list(core.members(m)) for m in self.masks)
+        return {"lo": self.lo, "hi": self.hi, "below": below, "entries": entries, "above": above}
 
     @staticmethod
     def from_json_dict(d):
@@ -163,8 +183,10 @@ def is_narrow_sequence(backend, seq: SubcatSeq):
 
 def theta_membership(backend, seq: SubcatSeq, x: dict) -> bool:
     """Membership in the homology-determined preaisle of a sequence."""
-    x = dobj(x)
-    return all(core.obj_in(seq.at(k), xk) for k, xk in x.items())
+    for k, xk in dobj(x).items():
+        if not core.obj_in_mask(seq.mask_at(k), xk):
+            return False
+    return True
 
 
 def window_objects(backend, lo: int, hi: int, size_bound: int = 2, ids=None):
@@ -203,27 +225,6 @@ def mu(backend, seq_or_member, lo=None, hi=None):
                 entries[k - lo].update(xk)
     entries = tuple(frozenset(e) for e in entries)
     return SubcatSeq(lo, hi, entries, frozenset(), entries[-1])
-
-
-# ---------------------------------------------------------------------------
-# restrictions
-
-def restrict(backend, seq: SubcatSeq, k=None, l=None) -> SubcatSeq:
-    """The restriction of a preaisle to degrees [k, l]: zero below k, the
-    original values on [k, l], the wide closure of the value at l
-    (``core.wide_closure``) above."""
-    if k is not None and l is not None and k > l:
-        raise BackendError("restriction needs k <= l")
-
-    def value(n):
-        if k is not None and n < k:
-            return frozenset()
-        if l is not None and n > l:
-            return core.wide_closure(backend, seq.at(l))
-        return seq.at(n)
-
-    entries = tuple(value(n) for n in range(seq.lo, seq.hi + 1))
-    return SubcatSeq(seq.lo, seq.hi, entries, value(seq.lo - 1), value(seq.hi + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +273,7 @@ def star_membership(backend, left, right, x: dict, lo=None, hi=None, envelope=No
         hi = lseq.hi if hi is None else hi
 
         def lpred(k, obj):
-            return core.obj_in(lseq.at(k), obj)
+            return core.obj_in_mask(lseq.mask_at(k), obj)
     else:
         lpred = left
         if lo is None or hi is None:
@@ -284,7 +285,7 @@ def star_membership(backend, left, right, x: dict, lo=None, hi=None, envelope=No
             return theta_membership(backend, rseq, b)
 
         def envelope(k, obj):
-            return core.obj_in(rseq.at(k), obj)
+            return core.obj_in_mask(rseq.mask_at(k), obj)
     else:
         rmember = right
         if envelope is None:
@@ -352,22 +353,21 @@ def enumerate_narrow_sequences(backend, lo: int, hi: int):
     refuses a table beyond ``core.MAX_SCAN_INDECS``; each entry holds the
     wide closure (``core.wide_closure``) of the one below it, and so holds
     that entry too."""
-    narrow_subsets = core._by_members(core.enumerate_subcats(backend, ("is_narrow",)))
+    narrow_subsets = sorted(core.enumerate_subcats(backend, ("is_narrow",)), key=core.members)
     results = []
 
     def rec(chain):
         if len(chain) == hi - lo + 1:
             # the above-tail is the least the chain allows, W(N(hi)); a tail
             # that jumps past it at hi + 1 needs a wider window
-            seq = SubcatSeq(lo, hi, tuple(chain), frozenset(),
-                            core.wide_closure(backend, chain[-1]))
+            seq = SubcatSeq.from_masks(lo, hi, chain, 0, core.wide_closure(backend, chain[-1]))
             ok, _ = is_narrow_sequence(backend, seq)
             if ok:
                 results.append(seq)
             return
-        floor = core.wide_closure(backend, chain[-1] if chain else ())
+        floor = core.wide_closure(backend, chain[-1] if chain else 0)
         for s in narrow_subsets:
-            if floor <= s:
+            if not floor & ~s:
                 rec(chain + [s])
 
     rec([])

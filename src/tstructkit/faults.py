@@ -8,8 +8,6 @@ by default and only the CLI --mutate flag (or a test) turns one on.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 FAULT_NAMES = (
     "drop-extension-closure",    # closure/closedness checks ignore the extensions rule
     "skip-kernel-condition",     # narrow-sequence validator skips the kernel condition
@@ -38,11 +36,3 @@ def is_active(name: str) -> bool:
 def snapshot() -> frozenset:
     return frozenset(_active)
 
-
-@contextmanager
-def injected(name: str):
-    activate(name)
-    try:
-        yield
-    finally:
-        _active.discard(name)

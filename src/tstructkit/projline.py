@@ -10,6 +10,7 @@ are represented by closed-form tags rather than object sets.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 
 from .quiver import BackendError, _is_int
@@ -90,6 +91,7 @@ class P1Narrow:
     def __post_init__(self):
         if self.tag not in (ZERO, TOR, LINE, GEN, ALL):
             raise BackendError(f"unknown narrow tag {self.tag!r}")
+        _check_points(self.points)
         object.__setattr__(self, "points", frozenset(self.points))
         if not _is_int(self.n):
             raise BackendError(f"twist level 'n' is not an integer: {self.n!r}")
@@ -106,26 +108,6 @@ class P1Narrow:
         if self.tag in (LINE, GEN):
             out["n"] = self.n
         return out
-
-
-@dataclass(frozen=True)
-class P1Wide:
-    """A wide subcategory of coh P1; same tags except Gen, whose wide
-    closure is the whole category.  Empty torsion support normalizes to
-    the zero tag."""
-
-    tag: str
-    points: frozenset = frozenset()
-    n: int = 0
-
-    def __post_init__(self):
-        if self.tag not in (ZERO, TOR, LINE, ALL):
-            raise BackendError(f"unknown wide tag {self.tag!r}")
-        object.__setattr__(self, "points", frozenset(self.points))
-        if not _is_int(self.n):
-            raise BackendError(f"twist level 'n' is not an integer: {self.n!r}")
-        if self.tag == TOR and not self.points:
-            object.__setattr__(self, "tag", ZERO)
 
 
 def p1_zero() -> P1Narrow:
@@ -148,8 +130,23 @@ def p1_all() -> P1Narrow:
     return P1Narrow(ALL)
 
 
-def narrow_from_json(d) -> P1Narrow:
-    return P1Narrow(d["tag"], frozenset(d.get("points", ())), d.get("n", 0))
+def _check_points(labels, points=None):
+    """Refuse a point label that is not an int in 0..points-1 (any int >= 0
+    when points is None; a bool is not a label)."""
+    for x in labels:
+        if not (_is_int(x) and 0 <= x and (points is None or x < points)):
+            bound = "" if points is None else f" in 0..{points - 1}"
+            raise BackendError(f"point labels in 'points' are integers{bound}, "
+                               f"got {json.dumps(x, default=repr)}")
+
+
+def narrow_from_json(d, points: int) -> P1Narrow:
+    """The narrow subcategory of a JSON entry, on a P1 with the given number
+    of closed points.  The raw labels are checked before the frozenset is
+    formed: it would merge true into 1."""
+    labels = d.get("points", ())
+    _check_points(labels, points)
+    return P1Narrow(d["tag"], frozenset(labels), d.get("n", 0))
 
 
 def p1_membership(x: SheafObj, s: P1Narrow) -> bool:
@@ -181,16 +178,6 @@ def p1_narrow_contains(big: P1Narrow, small: P1Narrow) -> bool:
         return big.tag == GEN and small.n >= big.n
     # small is GEN
     return big.tag == GEN and small.n >= big.n
-
-
-def p1_wide_closure(s: P1Narrow) -> P1Wide:
-    """Smallest wide subcategory containing a narrow one: only Gen grows,
-    to the whole category."""
-    if s.tag == GEN:
-        return P1Wide(ALL)
-    if s.tag == ALL:
-        return P1Wide(ALL)
-    return P1Wide(s.tag, s.points, s.n)
 
 
 def enumerate_p1_narrow(points: int, deg_lo: int, deg_hi: int):

@@ -278,6 +278,11 @@ class QuiverBackend:
                 pe[s] -= e[t]
         euler = [[sum(map(operator.mul, d, pe)) for pe in pulled] for d in self.roots]
         self.hom_matrix, self.ext_matrix = _hom_ext_of_dynkin(euler)
+        # the per-id masks that core.perp ORs (bit j for id j): the ids with
+        # nonzero Hom from each id (rows) and into it (cols), and the same
+        # for Hom or Ext, which is nonzero exactly where the Euler form is
+        self.hom_rows, self.hom_cols = _row_col_masks(self.hom_matrix)
+        self.homext_rows, self.homext_cols = _row_col_masks(euler)
         # back substitution steps of _ids_from_homs: each id, latest in the
         # path order first, with the later ids it has maps to
         self._hom_steps = [(i, [(j, h) for j, h in enumerate(self.hom_matrix[i]) if h and j != i])
@@ -721,6 +726,19 @@ def _hom_ext_of_dynkin(euler):
     """
     return (tuple(tuple(e if e > 0 else 0 for e in row) for row in euler),
             tuple(tuple(-e if e < 0 else 0 for e in row) for row in euler))
+
+
+def _row_col_masks(matrix):
+    """Bit j of rows[i], and bit i of cols[j], is set where matrix[i][j]
+    is nonzero."""
+    rows = [0] * len(matrix)
+    cols = [0] * len(matrix)
+    for i, row in enumerate(matrix):
+        for j, e in enumerate(row):
+            if e:
+                rows[i] |= 1 << j
+                cols[j] |= 1 << i
+    return rows, cols
 
 
 def _path_order(hom):

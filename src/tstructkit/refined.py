@@ -11,6 +11,7 @@ cut is valid and glues back to it (``narrow_cut``).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -24,7 +25,10 @@ class RefinedTSeq:
 
     f is zero below the window and constant equal to f(hi) above it; tf is
     zero outside the window.  That is no restriction: above the window t_f
-    lies in the gap f(hi) cap perp f(hi), which is zero."""
+    lies in the gap f(hi) cap perp f(hi), which is zero.  The fields are
+    frozensets of ids; ``masks`` holds f and tf as masks, for the computing
+    layers, formed once: from the fields on first use, or given by
+    ``from_masks``."""
 
     lo: int
     hi: int
@@ -37,6 +41,22 @@ class RefinedTSeq:
         object.__setattr__(self, "f", tuple(frozenset(x) for x in self.f))
         object.__setattr__(self, "tf", tuple(frozenset(x) for x in self.tf))
 
+    @classmethod
+    def from_masks(cls, lo, hi, f, tf):
+        """The record of the masks f and tf on [lo, hi], trusted to fit it."""
+        r, put = object.__new__(cls), object.__setattr__
+        put(r, "lo", lo)
+        put(r, "hi", hi)
+        put(r, "f", tuple(map(core.subcat, f)))
+        put(r, "tf", tuple(map(core.subcat, tf)))
+        put(r, "masks", (tuple(f), tuple(tf)))
+        return r
+
+    @functools.cached_property
+    def masks(self) -> tuple:
+        """(f, tf) as tuples of masks."""
+        return tuple(map(core.mask_of, self.f)), tuple(map(core.mask_of, self.tf))
+
     def f_at(self, n):
         if n < self.lo:
             return frozenset()
@@ -47,20 +67,30 @@ class RefinedTSeq:
     def tf_at(self, n):
         return self.tf[n - self.lo] if self.lo <= n <= self.hi else frozenset()
 
+    def f_mask(self, n):
+        if n < self.lo:
+            return 0
+        return self.masks[0][n - self.lo] if n <= self.hi else self.masks[0][-1]
+
+    def tf_mask(self, n):
+        return self.masks[1][n - self.lo] if self.lo <= n <= self.hi else 0
+
     def key(self):
-        return (self.lo, self.hi, tuple(tuple(sorted(x)) for x in self.f),
-                tuple(tuple(sorted(x)) for x in self.tf))
+        f, tf = self.masks
+        return self.lo, self.hi, tuple(map(core.members, f)), tuple(map(core.members, tf))
 
     def to_json_dict(self):
         # "tf_above" is the zero tail of t_f, kept so the JSON keeps its shape
+        f, tf = self.masks
         return {"lo": self.lo, "hi": self.hi,
-                "f": [sorted(x) for x in self.f],
-                "tf": [sorted(x) for x in self.tf],
+                "f": [list(core.members(x)) for x in f],
+                "tf": [list(core.members(x)) for x in tf],
                 "tf_above": []}
 
 
-def gap(backend, w_cur, w_prev) -> frozenset:
-    """The perpendicular gap: w_cur cap perp(w_prev) (Hom and Ext vanishing)."""
+def gap(backend, w_cur: int, w_prev: int) -> int:
+    """The perpendicular gap of two masks: w_cur cap perp(w_prev) (Hom and
+    Ext vanishing)."""
     return core.perp(backend, w_prev, "left", "all", universe=w_cur)
 
 
@@ -84,16 +114,19 @@ def narrow_cut(backend, u: derived.SubcatSeq):
     names each degree where u decreases.  Every step reads only the Hom
     and Ext matrices."""
     core.check_ids(backend, frozenset().union(*u.entries, u.below, u.above))
-    if u.above != core.wide_closure(backend, u.at(u.hi)):
-        u = derived.SubcatSeq(u.lo, u.hi + 1, (*u.entries, u.above), u.below, u.above)
-    f = [core.wide_closure(backend, u.at(n)) for n in range(u.lo, u.hi + 1)]
-    r = RefinedTSeq(u.lo, u.hi, f, [gap(backend, u.at(n), w)
-                                    for n, w in zip(range(u.lo, u.hi + 1), [frozenset(), *f])])
-    glued = psi(backend, r)
+    lo, hi = u.lo, u.hi
+    below, *entries, above = u.masks
+    if above != core.wide_closure(backend, entries[-1]):
+        hi += 1
+        entries.append(above)
+    seq = [below, *entries, above]  # N(lo - 1) .. N(hi + 1)
+    f = [core.wide_closure(backend, e) for e in entries]
+    r = RefinedTSeq.from_masks(lo, hi, f, [gap(backend, e, w) for e, w in zip(entries, [0, *f])])
+    glued = [0, *_glue(backend, r), f[-1]]
     report = [f"monotonicity fails at degree {k}: N({k}) not within N({k + 1})"
-              for k in range(u.lo - 1, u.hi + 1) if not u.at(k) <= u.at(k + 1)]
+              for k, (a, b) in enumerate(zip(seq, seq[1:]), lo - 1) if a & ~b]
     report += validate_refined(backend, r)[1] + [
-        f"the cut glues to another N({k})" for k in range(u.lo - 1, u.hi + 2) if glued.at(k) != u.at(k)]
+        f"the cut glues to another N({k})" for k, (a, b) in enumerate(zip(glued, seq), lo - 1) if a != b]
     return r, report
 
 
@@ -119,9 +152,13 @@ def psi(backend, r: RefinedTSeq) -> derived.SubcatSeq:
     taken inside f(k), keeping only what lies in f(k): f(k) is wide, so the
     proof of ``generated_torsion`` applies.  The tests check it against that
     closure, searched over bounded sums inside f(k)."""
-    entries = tuple(core.generated_torsion(backend, r.tf_at(k) | r.f_at(k - 1), r.f_at(k))
-                    for k in range(r.lo, r.hi + 1))
-    return derived.SubcatSeq(r.lo, r.hi, entries, frozenset(), r.f[-1])
+    return derived.SubcatSeq.from_masks(r.lo, r.hi, _glue(backend, r), 0, r.f_mask(r.hi))
+
+
+def _glue(backend, r: RefinedTSeq) -> list:
+    """The masks of psi(r) on the window of r."""
+    f, tf = r.masks
+    return [core.generated_torsion(backend, t | prev, w) for t, w, prev in zip(tf, f, (0, *f))]
 
 
 def validate_refined(backend, r: RefinedTSeq):
@@ -132,15 +169,15 @@ def validate_refined(backend, r: RefinedTSeq):
     wide, and a non-wide f(n) is reported first."""
     report = []
     for n in range(r.lo, r.hi + 1):
-        w = r.f_at(n)
-        if not core.classify_subcat(backend, w).is_wide:
+        w = r.f_mask(n)
+        if not core.subcat_flags(backend, w).is_wide:
             report.append(f"f({n}) is not wide")
-        if not r.f_at(n - 1) <= w:
+        if r.f_mask(n - 1) & ~w:
             report.append(f"f is decreasing at degree {n}")
     for n in range(r.lo, r.hi + 1):
-        t = r.tf_at(n)
-        g = gap(backend, r.f_at(n), r.f_at(n - 1))
-        if not t <= g:
+        t = r.tf_mask(n)
+        g = gap(backend, r.f_mask(n), r.f_mask(n - 1))
+        if t & ~g:
             report.append(f"t_f({n}) is not inside f({n}) cap perp f({n - 1})")
             continue
         if core.generated_torsion(backend, t, g) != t:
@@ -150,37 +187,48 @@ def validate_refined(backend, r: RefinedTSeq):
     return (not report), report
 
 
-def enumerate_refined(backend, lo, hi):
-    """All refined t-sequences on the window (zero below, constant above),
-    in deterministic order.  The wide subcategories and the tilting torsion
-    classes of each gap come from ``core.wide_census`` and
-    ``core.tilting_census``."""
+def _chains(backend, lo, hi):
+    """Yield each nondecreasing chain f(lo) .. f(hi) of wide subcategories
+    (``core.wide_census``), a tuple of masks, with the list of the tilting
+    torsion classes of each of its gaps f(n) cap perp f(n-1)
+    (``core.tilting_census``)."""
     wides = core.wide_census(backend)
-    results = []
 
     def rec(chain):
         if len(chain) == hi - lo + 1:
-            gaps = [gap(backend, w, prev) for w, prev in zip(chain, [frozenset()] + chain)]
-            for tfs in itertools.product(*(core.tilting_census(backend, g) for g in gaps)):
-                results.append(RefinedTSeq(lo, hi, chain, tfs))
+            yield chain, [core.tilting_census(backend, gap(backend, w, prev))
+                          for w, prev in zip(chain, (0, *chain))]
             return
-        prev = chain[-1] if chain else frozenset()
+        prev = chain[-1] if chain else 0
         for w in wides:
-            if prev <= w:
-                rec(chain + [w])
+            if not prev & ~w:
+                yield from rec((*chain, w))
 
-    rec([])
-    results.sort(key=lambda r: r.key())
+    return rec(())
+
+
+def enumerate_refined(backend, lo, hi):
+    """All refined t-sequences on the window (zero below, constant above),
+    sorted by their keys: a chain of ``_chains`` with one tilting torsion
+    class per gap."""
+    results = [RefinedTSeq.from_masks(lo, hi, chain, tfs)
+               for chain, censuses in _chains(backend, lo, hi)
+               for tfs in itertools.product(*censuses)]
+    results.sort(key=RefinedTSeq.key)
     return results
 
 
 # ---------------------------------------------------------------------------
 # the star-product oracle for psi
 
-def _level_seq(backend, r: RefinedTSeq, m: int) -> derived.SubcatSeq:
-    """The one-level preaisle: zero below m, t_f(m) at m, the gap above."""
-    g = gap(backend, r.f_at(m), r.f_at(m - 1))
-    return derived.SubcatSeq(m, m, (r.tf_at(m),), frozenset(), g)
+def _level(backend, r: RefinedTSeq, m: int):
+    """The one-level preaisle as a degreewise predicate: zero below m,
+    t_f(m) at m, the gap above."""
+    t, g = r.tf_mask(m), gap(backend, r.f_mask(m), r.f_mask(m - 1))
+
+    def member(k, obj):
+        return core.obj_in_mask(0 if k < m else t if k == m else g, obj)
+    return member
 
 
 def star_oracle_membership(backend, r: RefinedTSeq, n: int, m: int, x: dict,
@@ -206,8 +254,10 @@ def star_oracle_membership(backend, r: RefinedTSeq, n: int, m: int, x: dict,
     ``validate_refined`` checks, and never the glue formula: the recursive
     factor is still decided by a leaf call, and only choices that
     provably fail it are skipped."""
+    t = r.f_mask(n - 1)
+
     def in_t(y):  # zero homologies lie in every subcategory: no need to normalise
-        return all(core.obj_in(r.f_at(n - 1), yk) for yk in y.values())
+        return all(core.obj_in_mask(t, yk) for yk in y.values())
 
     if m < n:
         return in_t(x)
@@ -217,7 +267,7 @@ def star_oracle_membership(backend, r: RefinedTSeq, n: int, m: int, x: dict,
     key = (n, m, derived.dobj_key(x))
     if key in memo:
         return memo[key]
-    left = _level_seq(backend, r, m)
+    left = _level(backend, r, m)
 
     if m == n:  # the right factor is T(n-1): answered here, not by a call
         rmember = in_t
@@ -225,10 +275,10 @@ def star_oracle_membership(backend, r: RefinedTSeq, n: int, m: int, x: dict,
         def rmember(b):
             return star_oracle_membership(backend, r, n, m - 1, b, memo)
 
-    f_prev = r.f_at(m - 1)
+    f_prev = r.f_mask(m - 1)
 
     def envelope(k, obj):
-        return core.obj_in(f_prev, obj)
+        return core.obj_in_mask(f_prev, obj)
 
     hi = max([m, r.hi] + list(x)) + 1
     ans = derived.star_membership(backend, left, rmember, x, lo=min(n, r.lo), hi=hi,
@@ -258,10 +308,19 @@ def enumerate_tstructures(backend, lo, hi):
     bijection onto the narrow sequences with zero below-tail and wide
     above-tail (``verify_roundtrips`` checks both directions), and each of
     those is an aisle at finite length.  The narrow-sequence scan
-    (``derived.enumerate_narrow_sequences`` with ``xi``) is the oracle."""
+    (``derived.enumerate_narrow_sequences`` with ``xi``) is the oracle.
+
+    psi's value at degree k reads t_f(k), f(k-1) and f(k) alone, so it is
+    glued once per chain and tilting class of the gap at k, and the records
+    of a chain pair the products of the two."""
     checks = (("narrow-sequence", True), ("is-aisle", True))
-    records = [TStructRecord(psi(backend, r), r, checks)
-               for r in enumerate_refined(backend, lo, hi)]
+    records = []
+    for chain, censuses in _chains(backend, lo, hi):
+        glued = [[core.generated_torsion(backend, t | prev, w) for t in ts]
+                 for ts, w, prev in zip(censuses, chain, (0, *chain))]
+        for tfs, entries in zip(itertools.product(*censuses), itertools.product(*glued)):
+            records.append(TStructRecord(derived.SubcatSeq.from_masks(lo, hi, entries, 0, chain[-1]),
+                                         RefinedTSeq.from_masks(lo, hi, chain, tfs), checks))
     records.sort(key=lambda rec: rec.sequence.key())
     return records
 

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import itertools
 import os
@@ -7,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from tstructkit import core, dedekind as dd, fplinalg as la
-from tstructkit.quiver import QuiverSpec, _apply, build_backend
+from tstructkit import core, dedekind as dd, derived, faults, fplinalg as la
+from tstructkit.quiver import BackendError, QuiverSpec, _apply, build_backend
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -74,23 +75,100 @@ def kernel_realizations(backend, S, target_id):
 
 
 def tilting_torsion_classes(backend, w):
-    """All tilting torsion classes inside the wide subcategory w, in
-    deterministic order: the subsets t of w that are the torsion class they
-    generate in w (``core.generated_torsion``) and pass ``core.is_tilting_in``.
-    The scan is the oracle of ``core.tilting_census``; it memoises in
-    ``core.memo``, so its answers follow the active fault set."""
+    """All tilting torsion classes inside the wide subcategory w, as masks
+    sorted by members: the subsets t of the mask w that are the torsion
+    class they generate in w (``core.generated_torsion``) and pass
+    ``core.is_tilting_in``.  The scan is the oracle of
+    ``core.tilting_census``; it memoises in ``core.memo``, so its answers
+    follow the active fault set."""
     cache = core.memo(backend)
     key = ("tilttors", w)
     if key not in cache:
-        ids = sorted(w)
+        ids = core.members(w)
         found = []
         for r in range(len(ids) + 1):
             for combo in itertools.combinations(ids, r):
-                t = frozenset(combo)
+                t = core.mask_of(combo)
                 if core.generated_torsion(backend, t, w) == t and core.is_tilting_in(backend, t, w):
                     found.append(t)
-        cache[key] = core._by_members(found)
+        cache[key] = sorted(found, key=core.members)
     return cache[key]
+
+
+# ---------------------------------------------------------------------------
+# the frozenset forms of the mask functions of core, kept as their oracles
+
+def set_perp(backend, S, side, degrees="all", universe=None) -> frozenset:
+    """``core.perp`` over frozensets, entry by entry of the Hom and Ext
+    matrices; the fault ``perp-ignores-ext`` drops Ext as in the program."""
+    if faults.is_active("perp-ignores-ext"):
+        degrees = "zero_only"
+    ids = backend.all_ids() if universe is None else sorted(universe)
+    out = set()
+    for i in ids:
+        good = True
+        for s in S:
+            if side == "left":
+                h = backend.hom_matrix[i][s]
+                e = backend.ext_matrix[i][s]
+            else:
+                h = backend.hom_matrix[s][i]
+                e = backend.ext_matrix[s][i]
+            if h or (degrees == "all" and e):
+                good = False
+                break
+        if good:
+            out.add(i)
+    return frozenset(out)
+
+
+def set_generated_torsion(backend, X, W) -> frozenset:
+    """``core.generated_torsion`` over frozensets."""
+    W = frozenset(W)
+    free = set_perp(backend, X, "right", "zero_only", universe=W)
+    return set_perp(backend, free, "left", "zero_only", universe=W)
+
+
+def set_wide_closure(backend, S) -> frozenset:
+    """``core.wide_closure`` over frozensets."""
+    return set_perp(backend, set_perp(backend, S, "right", "all"), "left", "all")
+
+
+# ---------------------------------------------------------------------------
+# helpers that only the tests call
+
+def shift(x: dict, n: int) -> dict:
+    """The derived object x[n]: homology x_k moved to degree k + n."""
+    return {k + n: v for k, v in x.items()}
+
+
+def restrict(backend, seq, k=None, l=None):
+    """The restriction of a preaisle to degrees [k, l]: zero below k, the
+    original values on [k, l], the wide closure of the value at l
+    (``core.wide_closure``) above."""
+    if k is not None and l is not None and k > l:
+        raise BackendError("restriction needs k <= l")
+
+    def value(n):
+        if k is not None and n < k:
+            return frozenset()
+        if l is not None and n > l:
+            return core.subcat(core.wide_closure(backend, seq.mask_at(l)))
+        return seq.at(n)
+
+    entries = tuple(value(n) for n in range(seq.lo, seq.hi + 1))
+    return derived.SubcatSeq(seq.lo, seq.hi, entries, value(seq.lo - 1), value(seq.hi + 1))
+
+
+@contextlib.contextmanager
+def injected(name):
+    """Run the block with the named fault active; the fault registry is
+    empty after it."""
+    faults.activate(name)
+    try:
+        yield
+    finally:
+        faults.clear()
 
 
 def left_perp_zero(objs, family):

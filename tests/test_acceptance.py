@@ -7,13 +7,13 @@ the suite is readable both as a checklist and as a test run.
 
 import time
 
-from conftest import kernel_realizations, left_perp_zero, run_cli_process, scan_flags
+from conftest import kernel_realizations, left_perp_zero, restrict, run_cli_process, scan_flags, shift
 
 from tstructkit import core, dedekind as dd, derived, projline as pl, refined
-from tstructkit.core import candidates, closure, enumerate_subcats, obj_in, perp
+from tstructkit.core import candidates, closure, enumerate_subcats, mask_of, obj_in, perp, subcat
 from tstructkit.derived import (SubcatSeq, derived_hom_dim,
                                 enumerate_narrow_sequences,
-                                is_narrow_sequence, mu, restrict,
+                                is_narrow_sequence, mu,
                                 star_membership, theta_membership,
                                 window_objects)
 from tstructkit.faults import FAULT_NAMES
@@ -34,8 +34,8 @@ def test_criterion_1_quiver_census_and_aisles(a2, capfd):
     ok &= len(enumerate_subcats(a2, ("is_torsion_class",))) == 5
     narrow_scan = [S for S in a2.subsets() if scan_flags(a2, S)[0]]
     wide_scan = [S for S in a2.subsets() if scan_flags(a2, S)[1]]
-    ok &= len(narrow_scan) == 6 and enumerate_subcats(a2, ("is_narrow",)) == narrow_scan
-    ok &= len(wide_scan) == 5 and enumerate_subcats(a2, ("is_wide",)) == wide_scan
+    ok &= len(narrow_scan) == 6 and enumerate_subcats(a2, ("is_narrow",)) == list(map(mask_of, narrow_scan))
+    ok &= len(wide_scan) == 5 and enumerate_subcats(a2, ("is_wide",)) == list(map(mask_of, wide_scan))
     seqs = enumerate_narrow_sequences(a2, 0, 2)
     ok &= len(seqs) == 25
     for seq in seqs:
@@ -124,7 +124,7 @@ def test_criterion_5_dedekind_classification(capfd):
 def test_criterion_6_structure_theorems_shadowed(a2, capfd):
     ok = True
     # narrow subcategories are image-closed
-    narrows = [frozenset(s) for s in enumerate_subcats(a2, ("is_narrow",))]
+    narrows = [subcat(s) for s in enumerate_subcats(a2, ("is_narrow",))]
     ok &= all(core.is_closed(a2, n, ("images",)) for n in narrows)
     # along a narrow sequence the wide closure of a level sits in the next
     wide_rules = ("cokernels", "kernels", "extensions")
@@ -140,16 +140,15 @@ def test_criterion_6_structure_theorems_shadowed(a2, capfd):
                 star_membership(a2, left, right, x, 0, 2)
     # constant sequences at a wide subcategory have degreewise perpendicular
     for w in enumerate_subcats(a2, ("is_wide",)):
-        w = frozenset(w)
-        p = perp(a2, w, "left", "all")
+        p = subcat(perp(a2, w, "left", "all"))
         for i in a2.all_ids():
             vanish = all(derived_hom_dim(a2, {k: (i,)}, {j: (t,)}) == 0
-                         for k in (0, 1) for j in (0, 1, 2) for t in w)
+                         for k in (0, 1) for j in (0, 1, 2) for t in subcat(w))
             ok &= vanish == (i in p)
     # torsion aisles admit adjoint truncation triangles
     for t in enumerate_subcats(a2, ("is_torsion_class",)):
-        t = frozenset(t)
-        free_cls = perp(a2, t, "right", "zero_only")
+        free_cls = subcat(perp(a2, t, "right", "zero_only"))
+        t = subcat(t)
         for i in a2.all_ids():
             tor, free = core.torsion_decompose(a2, (i,), t)
             ok &= obj_in(t, tor) and obj_in(free_cls, free)
@@ -182,7 +181,7 @@ def test_criterion_7_negative_controls(a1, a2, capfd):
     # membership is closed under sums, shifts up, and window extensions
     members = [x for x in window_objects(a1, 0, 2, size_bound=2) if member(x)]
     for x in members:
-        ok &= member(derived.shift(x, 1))
+        ok &= member(shift(x, 1))
         for y in members:
             merged = dict(x)
             for k, v in y.items():

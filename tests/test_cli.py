@@ -261,6 +261,21 @@ def test_classify_refuses_window_bounds_and_twists_that_are_not_integers(backend
     assert json.loads(err)["error"].endswith(error), err
 
 
+@pytest.mark.parametrize("label, shown", [(True, "true"), (1.5, "1.5"), (7, "7")],
+                         ids=["bool", "float", "past-the-points"])
+def test_classify_p1_refuses_point_labels_outside_the_points(tmp_path, label, shown):
+    """With --points 2 the closed points are 0 and 1: JSON true would hash
+    as point 1, 1.5 is no label, and 7 is past the last point; each is a
+    usage error naming ``points``."""
+    path = tmp_path / "p1.json"
+    path.write_text(json.dumps({"entries": {"0": {"tag": "tor", "points": [label]},
+                                            "1": {"tag": "all"}}}))
+    code, out, err = run_cli("classify", "--backend", "p1", "--points", "2", str(path))
+    assert code == 2 and out == "", (out, err)
+    assert json.loads(err)["error"].endswith(
+        f"point labels in 'points' are integers in 0..1, got {shown}"), err
+
+
 E6 = "demos/quivers/e6.json"
 
 # one indecomposable of E6 at degree 0, the zero below-tail or itself below

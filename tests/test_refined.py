@@ -3,10 +3,11 @@ import random
 import re
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from conftest import quotients_leaving, scan_census, tilting_torsion_classes
+from conftest import quotients_leaving, restrict, scan_census, tilting_torsion_classes
 from tstructkit import cli, core, derived
 from tstructkit.derived import (SubcatSeq, aisle_from_torsion,
                                 enumerate_narrow_sequences, full_subcat,
@@ -51,7 +52,7 @@ def test_no_wide_closure_outside_verify_searches(a2_ids, monkeypatch):
     assert verify_roundtrips(a3, 0, 2)["failures"] == []
     a2 = build_backend(QuiverSpec(2, ((0, 1),), 2))
     seq = aisle_from_torsion(a2, {a2_ids["P1"], a2_ids["S1"]})
-    r = derived.restrict(a2, seq, 0, 0)
+    r = restrict(a2, seq, 0, 0)
     assert (r.at(-1), r.at(0), r.at(1)) == (frozenset(), seq.at(0), full_subcat(a2))
 
 
@@ -82,8 +83,9 @@ def test_xi_refuses_what_psi_never_glues(a2, a2_ids):
 
 def test_gap(a2, a2_ids):
     S1, S2, P1 = a2_ids["S1"], a2_ids["S2"], a2_ids["P1"]
-    assert gap(a2, full_subcat(a2), frozenset({S2})) == frozenset({P1})
-    assert gap(a2, full_subcat(a2), frozenset()) == full_subcat(a2)
+    everything = core.full_mask(a2)
+    assert gap(a2, everything, core.mask_of({S2})) == core.mask_of({P1})
+    assert gap(a2, everything, 0) == everything
 
 
 def test_validate_refined_negative_witness(a2, a2_ids):
@@ -98,11 +100,11 @@ def test_validate_refined_negative_witness(a2, a2_ids):
 
 def test_tilting_torsion_classes(a2, a2_ids):
     S1, S2, P1 = a2_ids["S1"], a2_ids["S2"], a2_ids["P1"]
-    whole = tilting_torsion_classes(a2, full_subcat(a2))
-    assert frozenset({P1, S1}) in whole
-    assert full_subcat(a2) in whole
-    assert frozenset({S1}) not in whole  # S2 does not embed into S1-sums
-    assert tilting_torsion_classes(a2, frozenset({S1})) == [frozenset({S1})]
+    whole = tilting_torsion_classes(a2, core.full_mask(a2))
+    assert core.mask_of({P1, S1}) in whole
+    assert core.full_mask(a2) in whole
+    assert core.mask_of({S1}) not in whole  # S2 does not embed into S1-sums
+    assert tilting_torsion_classes(a2, core.mask_of({S1})) == [core.mask_of({S1})]
 
 
 def test_enumerate_refined_matches_aisle_count(a2):
@@ -175,13 +177,11 @@ A3_LINEAR = ((0, 1), (1, 2))
 A3_INTO_MIDDLE = ((0, 1), (2, 1))
 
 
-def by_members(sets):
-    return sorted(sets, key=lambda s: tuple(sorted(s)))
-
-
 def scan_wides(spec):
-    """The wide subcategories by the closure scans, sorted by members."""
-    return by_members(S for S, (_, wide) in scan_census(spec).items() if wide)
+    """The masks of the wide subcategories by the closure scans, sorted by
+    members."""
+    return sorted((core.mask_of(S) for S, (_, wide) in scan_census(spec).items() if wide),
+                  key=core.members)
 
 
 A4 = QuiverSpec(4, ((0, 1), (1, 2), (2, 3)), 2)
@@ -220,6 +220,21 @@ def test_enumerate_refined_equals_the_scan(spec, lo, hi, count, monkeypatch):
     monkeypatch.setattr(core, "tilting_census", tilting_torsion_classes)
     want = [r.key() for r in enumerate_refined(build_backend(spec), lo, hi)]
     assert got == want and len(got) == count
+
+
+def test_e6_enumeration_within_two_seconds():
+    """``enumerate_tstructures`` on demos/quivers/e6.json over the window
+    0:1: 60 718 t-structures in under 2 s, on a fresh backend.  A run takes
+    about 1.2 s on a 2-core shared host, where one run in several reads
+    half as much again, so the best of up to three runs is timed."""
+    spec = QuiverSpec.from_json(Path(__file__).resolve().parent.parent / "demos" / "quivers" / "e6.json")
+    took = []
+    while len(took) < 3 and min(took, default=2.0) >= 2.0:
+        b = build_backend(spec)
+        start = time.perf_counter()
+        assert len(enumerate_tstructures(b, 0, 1)) == 60718
+        took.append(time.perf_counter() - start)
+    assert min(took) < 2.0, took
 
 
 def test_enumerate_refined_on_a4():
@@ -286,10 +301,10 @@ def test_enumerate_tstructures_equals_the_narrow_scan(spec, lo, hi):
 def wide_chain_count(backend, lo, hi):
     """Sum over chains of wide subcategories on the window of the product of
     the per-gap tilting counts (the top gap f(hi) cap perp f(hi) is zero)."""
-    ways = {frozenset(): 1}  # chains ending at f(lo - 1) = 0
+    ways = {0: 1}  # chains ending at f(lo - 1) = 0
     for _ in range(lo, hi + 1):
         ways = {w: sum(n * len(core.tilting_census(backend, gap(backend, w, prev)))
-                       for prev, n in ways.items() if prev <= w)
+                       for prev, n in ways.items() if not prev & ~w)
                 for w in core.wide_census(backend)}
     return sum(ways.values())
 
@@ -372,7 +387,7 @@ def test_decider_agrees_with_the_search_on_a_seeded_sample(spec):
     b = build_backend(spec)
     t0 = time.perf_counter()
     rng = random.Random(f"decider-{spec.arrows}")
-    wides = [w for w in core.wide_census(b) if w]
+    wides = [core.subcat(w) for w in core.wide_census(b) if w]
     sample = []
     for u in enumerate_narrow_sequences(b, 0, 1):
         sample.append(u)
