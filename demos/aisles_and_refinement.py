@@ -10,6 +10,7 @@ pipeline and then counts everything on a window.
 Run with:  python3 demos/aisles_and_refinement.py
 """
 
+from tstructkit.core import members
 from tstructkit.derived import (aisle_from_torsion,
                                 enumerate_narrow_sequences,
                                 is_narrow_sequence, mu, theta_membership)
@@ -42,8 +43,8 @@ def main():
     r = xi(backend, u)
     print("\nrefined sequence:")
     for k in range(u.lo, u.hi + 1):
-        print(f"  degree {k}: wide = {sorted(r.f_at(k))}, "
-              f"torsion part = {sorted(r.tf_at(k))}")
+        print(f"  degree {k}: wide = {list(members(r.f_mask(k)))}, "
+              f"torsion part = {list(members(r.tf_mask(k)))}")
     print("gluing the refinement back yields the aisle:",
           psi(backend, r).key() == u.key())
 

@@ -75,54 +75,62 @@ def _load_quiver(selector: str, field=None):
 # enumerate
 
 def _emit(rows, fmt, out):
-    """rows: list of dicts with identical keys, already ordered."""
+    """Write rows, any iterable of dicts with identical keys, already
+    ordered.  JSON and CSV are written a row at a time, as each row is read;
+    the JSON is ``json.dumps({"records": list(rows)}, sort_keys=True,
+    indent=2)`` to the byte, each row's own dump indented four more spaces.
+    The table format reads every row before it writes one, to size its
+    columns, and so holds them all."""
     if fmt == "json":
-        out.write(json.dumps({"records": rows}, sort_keys=True, indent=2) + "\n")
+        out.write('{\n  "records": [')
+        empty = True
+        for row in rows:
+            text = json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n    ")
+            out.write(("\n    " if empty else ",\n    ") + text)
+            empty = False
+        out.write("]\n}\n" if empty else "\n  ]\n}\n")
         return
     cols = ["backend", "window", "form", "parameters", "is_aisle"]
-    flat = [{c: json.dumps(r.get(c), sort_keys=True) if not isinstance(r.get(c), str)
-             else r.get(c) for c in cols} for r in rows]
+    flat = ({c: json.dumps(r.get(c), sort_keys=True) if not isinstance(r.get(c), str)
+             else r.get(c) for c in cols} for r in rows)
     if fmt == "csv":
         out.write(",".join(cols) + "\n")
         for r in flat:
             out.write(",".join('"%s"' % r[c].replace('"', '""') for c in cols) + "\n")
         return
+    flat = list(flat)
     widths = {c: max([len(c)] + [len(r[c]) for r in flat]) for c in cols}
     out.write("  ".join(c.ljust(widths[c]) for c in cols).rstrip() + "\n")
     for r in flat:
         out.write("  ".join(r[c].ljust(widths[c]) for c in cols).rstrip() + "\n")
 
 
+def _enumerate_rows(args, lo, hi):
+    """The rows ``enumerate`` prints, formed one at a time as they are read,
+    from records computed before the first; None for an unknown backend."""
+    window = [lo, hi]
+    if args.backend.startswith("quiver:"):
+        records = refined.enumerate_tstructures(_load_quiver(args.backend, args.field), lo, hi)
+        return ({"backend": args.backend, "window": window, "form": "narrow-sequence",
+                 "parameters": d["sequence"], "refined": d["refined"], "checks": d["checks"],
+                 "is_aisle": True} for d in map(refined.TStructRecord.to_json_dict, records))
+    if args.backend == "p1":
+        forms = projline.p1_enumerate_sequences(args.points, lo, hi, *_parse_window(args.degrees))
+        return ({"backend": "p1", "window": window, "form": form.form,
+                 "parameters": form.to_json_dict(), "is_aisle": projline.p1_is_aisle(form)}
+                for form in forms)
+    if args.backend == "dedekind":
+        records, degenerate = dedekind.ded_enumerate_tstructures(_parse_primes(args.primes), lo, hi)
+        return ({"backend": "dedekind", "window": window, "form": "pivot",
+                 "parameters": cn.to_json_dict(), "is_aisle": True, "degenerate": flag}
+                for flag, group in ((False, records), (True, degenerate)) for cn in group)
+    return None
+
+
 def cmd_enumerate(args, out=None) -> int:
     out = sys.stdout if out is None else out
-    lo, hi = _parse_window(args.window)
-    rows = []
-    if args.backend.startswith("quiver:"):
-        backend = _load_quiver(args.backend, args.field)
-        for rec in refined.enumerate_tstructures(backend, lo, hi):
-            d = rec.to_json_dict()
-            rows.append({"backend": args.backend, "window": [lo, hi],
-                         "form": "narrow-sequence", "parameters": d["sequence"],
-                         "refined": d["refined"], "checks": d["checks"],
-                         "is_aisle": True})
-    elif args.backend == "p1":
-        dlo, dhi = _parse_window(args.degrees)
-        for form in projline.p1_enumerate_sequences(args.points, lo, hi, dlo, dhi):
-            rows.append({"backend": "p1", "window": [lo, hi],
-                         "form": form.form, "parameters": form.to_json_dict(),
-                         "is_aisle": projline.p1_is_aisle(form)})
-    elif args.backend == "dedekind":
-        primes = _parse_primes(args.primes)
-        records, degenerate = dedekind.ded_enumerate_tstructures(primes, lo, hi)
-        for cn in records:
-            rows.append({"backend": "dedekind", "window": [lo, hi],
-                         "form": "pivot", "parameters": cn.to_json_dict(),
-                         "is_aisle": True, "degenerate": False})
-        for cn in degenerate:
-            rows.append({"backend": "dedekind", "window": [lo, hi],
-                         "form": "pivot", "parameters": cn.to_json_dict(),
-                         "is_aisle": True, "degenerate": True})
-    else:
+    rows = _enumerate_rows(args, *_parse_window(args.window))
+    if rows is None:
         return _fail_usage(f"unknown backend {args.backend!r}")
     _emit(rows, args.format, out)
     return 0
@@ -141,7 +149,7 @@ def _quiver_checks(backend, lo, hi):
     bad = [s for s in narrows
            if not core.subcat_flags(backend, s).is_wide
            and derived.is_narrow_sequence(
-               backend, derived.SubcatSeq.from_masks(0, 0, (s,), s, s))[0]]
+               backend, derived.SubcatSeq(0, 0, (s, s, s)))[0]]
     yield ("constant-non-wide-sequences-rejected", not bad,
            sorted(list(core.members(s)) for s in bad) or None)
     ids = backend.all_ids()
@@ -319,16 +327,14 @@ def _classify_quiver(backend, data):
     holds because B is wide, and u0 compares B or 0 with 0, which holds
     trivially.  For B = 0, u0 is u on a window one degree wider, so every
     sequence is decided as its u0."""
-    seq = derived.SubcatSeq.from_json_dict(data)
-    for entry in (*data["entries"], data["below"], data["above"]):
-        core.check_ids(backend, entry)  # the raw lists: a frozenset merges true into 1
-    report = [] if core.classify_subcat(backend, seq.below).is_wide else [
+    seq = derived.SubcatSeq.from_json_dict(data, backend)
+    below = seq.masks[0]
+    report = [] if core.subcat_flags(backend, below).is_wide else [
         f"N({seq.lo - 1}) is the below-tail, which is not wide"]
-    report += refined.narrow_cut(backend, derived.SubcatSeq(
-        seq.lo - 1, seq.hi, (seq.below, *seq.entries), (), seq.above))[1]
+    report += refined.narrow_cut(backend, derived.SubcatSeq(seq.lo - 1, seq.hi, (0, *seq.masks)))[1]
     ok = not report
     return {"valid_narrow_sequence": ok, "form": "narrow-sequence" if ok else None,
-            "is_aisle": ok and not seq.below, "violations": report}
+            "is_aisle": ok and not below, "violations": report}
 
 
 def _classify_p1(data, points):

@@ -82,8 +82,8 @@ def members(mask: int) -> tuple:
 
 @functools.lru_cache(maxsize=1 << 16)
 def subcat(mask: int) -> Subcat:
-    """The frozenset of a mask's ids, one object shared by every record
-    built from that mask."""
+    """The frozenset of a mask's ids, one object shared by every caller
+    that asks for that mask."""
     return frozenset(members(mask))
 
 
@@ -192,11 +192,9 @@ class SubcatFlags:
 
 
 def classify_subcat(backend, S) -> SubcatFlags:
-    """Closure flags of an additively-closed set of ids: ``check_ids``
-    refuses an id outside the table (before the mask is formed: a frozenset
-    merges True into 1), then ``subcat_flags`` reads the mask."""
-    check_ids(backend, S)
-    return subcat_flags(backend, mask_of(S))
+    """Closure flags of an additively-closed set of ids: ``subcat_flags`` of
+    their mask, which ``check_ids`` forms."""
+    return subcat_flags(backend, check_ids(backend, S))
 
 
 def subcat_flags(backend, S: int) -> SubcatFlags:
@@ -255,14 +253,16 @@ def _ext_free(S: int, homext, hom) -> int:
     return out
 
 
-def check_ids(backend, ids):
-    """Refuse any id that is not an int in 0..n-1 for a table of n
-    indecomposables (a bool is not an id)."""
+def check_ids(backend, ids) -> int:
+    """The mask of ids, refusing any id that is not an int in 0..n-1 for a
+    table of n indecomposables.  A bool is not an id: the check reads the
+    ids before the mask, in which True would be id 1."""
     n = len(backend.roots)
     for i in ids:
         if not (_is_int(i) and 0 <= i < n):
             raise BackendError(f"indecomposable ids are integers in 0..{n - 1}, "
                                f"got {json.dumps(i, default=repr)}")
+    return mask_of(ids)
 
 
 def wide_closure(backend, S: int) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from . import core, faults
@@ -51,47 +52,29 @@ def derived_hom_dim(backend, x: dict, y: dict) -> int:
 @dataclass(frozen=True)
 class SubcatSeq:
     """A nondecreasing Z-indexed sequence of subcategories, stored on a
-    window [lo, hi] with constant tails below and above.  The fields are
-    frozensets of ids; ``masks`` holds the same subcategories as masks, for
-    the computing layers, formed once: from the fields on first use, or
-    given by ``from_masks``."""
+    window [lo, hi] with constant tails below and above: ``masks`` is
+    (below, N(lo), ..., N(hi), above), one mask per subcategory."""
 
     lo: int
     hi: int
-    entries: tuple  # one Subcat per degree lo..hi
-    below: frozenset
-    above: frozenset
+    masks: tuple
 
     def __post_init__(self):
-        if self.hi < self.lo or len(self.entries) != self.hi - self.lo + 1:
+        if self.hi < self.lo or len(self.masks) != self.hi - self.lo + 3:
             raise BackendError("window and entries length disagree")
-        object.__setattr__(self, "entries", tuple(frozenset(e) for e in self.entries))
-        object.__setattr__(self, "below", frozenset(self.below))
-        object.__setattr__(self, "above", frozenset(self.above))
 
-    @classmethod
-    def from_masks(cls, lo, hi, entries, below, above):
-        """The record of the masks on [lo, hi], trusted to fit it."""
-        seq, put = object.__new__(cls), object.__setattr__
-        put(seq, "lo", lo)
-        put(seq, "hi", hi)
-        put(seq, "entries", tuple(map(core.subcat, entries)))
-        put(seq, "below", core.subcat(below))
-        put(seq, "above", core.subcat(above))
-        put(seq, "masks", (below, *entries, above))
-        return seq
+    @property
+    def entries(self) -> tuple:
+        """N(lo), ..., N(hi) as frozensets of ids."""
+        return tuple(map(core.subcat, self.masks[1:-1]))
 
-    @functools.cached_property
-    def masks(self) -> tuple:
-        """The masks of below, the entries and above, in that order."""
-        return tuple(map(core.mask_of, (self.below, *self.entries, self.above)))
+    @property
+    def below(self) -> frozenset:
+        return core.subcat(self.masks[0])
 
-    def at(self, k: int) -> frozenset:
-        if k < self.lo:
-            return self.below
-        if k > self.hi:
-            return self.above
-        return self.entries[k - self.lo]
+    @property
+    def above(self) -> frozenset:
+        return core.subcat(self.masks[-1])
 
     def mask_at(self, k: int) -> int:
         if k < self.lo:
@@ -107,27 +90,26 @@ class SubcatSeq:
         return {"lo": self.lo, "hi": self.hi, "below": below, "entries": entries, "above": above}
 
     @staticmethod
-    def from_json_dict(d):
+    def from_json_dict(d, backend):
+        """The record of a JSON dict whose ids index the backend's table:
+        ``core.check_ids`` refuses any other id in the raw lists (a bool too,
+        which a mask would merge into id 1) before it forms their masks."""
         for key in ("lo", "hi"):
             if not _is_int(d[key]):
                 raise BackendError(f"window bound {key!r} is not an integer: {d[key]!r}")
-        return SubcatSeq(d["lo"], d["hi"],
-                         tuple(frozenset(e) for e in d["entries"]),
-                         frozenset(d["below"]), frozenset(d["above"]))
-
-
-def full_subcat(backend) -> frozenset:
-    return frozenset(backend.all_ids())
+        *entries, below, above = (core.check_ids(backend, ids)
+                                  for ids in (*d["entries"], d["below"], d["above"]))
+        return SubcatSeq(d["lo"], d["hi"], (below, *entries, above))
 
 
 def aisle_from_torsion(backend, T) -> SubcatSeq:
     """The Happel-style aisle: zero below degree 0, the torsion class at 0,
     the whole category above."""
-    T = frozenset(T)
-    if not core.classify_subcat(backend, T).is_torsion_class:
+    t = core.check_ids(backend, T)
+    if not core.subcat_flags(backend, t).is_torsion_class:
         raise BackendError("subcategory is not a torsion class")
-    allc = full_subcat(backend)
-    return SubcatSeq(0, 1, (T, allc), frozenset(), allc)
+    allc = core.full_mask(backend)
+    return SubcatSeq(0, 1, (0, t, allc, allc))
 
 
 # ---------------------------------------------------------------------------
@@ -157,22 +139,25 @@ def is_narrow_sequence(backend, seq: SubcatSeq):
     outside the table is refused (``core.check_ids``).  The exact decider
     is ``refined.narrow_cut``; this bounded search is its cross-check in
     ``verify``."""
-    for s in (*seq.entries, seq.below, seq.above):
-        core.check_ids(backend, s)
+    core.check_ids(backend, core.members(functools.reduce(operator.or_, seq.masks)))
     report = []
     degrees = range(seq.lo - 2, seq.hi + 3)
     for k in degrees:
-        if not seq.at(k) <= seq.at(k + 1):
+        if seq.mask_at(k) & ~seq.mask_at(k + 1):
             report.append(f"monotonicity fails at degree {k}: N({k}) not within N({k + 1})")
+
+    def at(k):  # the scans read frozensets
+        return core.subcat(seq.mask_at(k))
+
     for k in degrees:
-        if not core.is_closed(backend, seq.at(k), ("extensions",)):
+        if not core.is_closed(backend, at(k), ("extensions",)):
             report.append(f"N({k}) is not closed under extensions")
-        if not _part_condition(backend, seq.at(k + 1), seq.at(k), "cokernel"):
+        if not _part_condition(backend, at(k + 1), at(k), "cokernel"):
             report.append(f"cokernel condition fails at degree {k}: "
                           f"a map from N({k + 1}) into N({k}) has cokernel outside N({k})")
         if faults.is_active("skip-kernel-condition"):
             continue
-        if not _part_condition(backend, seq.at(k), seq.at(k - 1), "kernel"):
+        if not _part_condition(backend, at(k), at(k - 1), "kernel"):
             report.append(f"kernel condition fails at degree {k}: "
                           f"a map from N({k}) into N({k - 1}) has kernel outside N({k})")
     return (not report), report
@@ -218,13 +203,12 @@ def mu(backend, seq_or_member, lo=None, hi=None):
     if lo is None or hi is None:
         raise BackendError("mu of a membership oracle needs an explicit window")
     member = seq_or_member
-    entries = [set() for _ in range(lo, hi + 1)]
+    entries = [0] * (hi - lo + 1)
     for x in window_objects(backend, lo, hi):
         if member(x):
             for k, xk in x.items():
-                entries[k - lo].update(xk)
-    entries = tuple(frozenset(e) for e in entries)
-    return SubcatSeq(lo, hi, entries, frozenset(), entries[-1])
+                entries[k - lo] |= core.mask_of(xk)
+    return SubcatSeq(lo, hi, (0, *entries, entries[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +344,7 @@ def enumerate_narrow_sequences(backend, lo: int, hi: int):
         if len(chain) == hi - lo + 1:
             # the above-tail is the least the chain allows, W(N(hi)); a tail
             # that jumps past it at hi + 1 needs a wider window
-            seq = SubcatSeq.from_masks(lo, hi, chain, 0, core.wide_closure(backend, chain[-1]))
+            seq = SubcatSeq(lo, hi, (0, *chain, core.wide_closure(backend, chain[-1])))
             ok, _ = is_narrow_sequence(backend, seq)
             if ok:
                 results.append(seq)

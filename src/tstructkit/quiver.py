@@ -67,17 +67,12 @@ class QuiverSpec:
                 raise BackendError(f"quiver file lacks the required key {key!r}")
         return QuiverSpec(vertices=data["vertices"], arrows=data["arrows"], field=data.get("field", 2))
 
-    def euler_form(self, d, e):
-        """<d, e> = sum_v d_v e_v - sum_{s->t} d_s e_t, which is
-        hom(M, N) - ext(M, N) for representations of dimension vectors d, e."""
-        return sum(map(operator.mul, d, e)) - sum(d[s] * e[t] for s, t in self.arrows)
-
     @property
     def is_dynkin(self):
-        """Whether the Tits form q(x) = euler_form(x, x) = x^T T x / 2 is
-        positive definite, T = 2I - (A + A^T) with A[s][t] the number of
-        arrows s -> t; by Sylvester's criterion, whether every leading
-        principal minor of T is > 0.  Fraction-free (Bareiss) elimination
+        """Whether the Tits form q(x) = sum_v x_v^2 - sum_{s->t} x_s x_t =
+        x^T T x / 2 is positive definite, T = 2I - (A + A^T) with A[s][t]
+        the number of arrows s -> t; by Sylvester's criterion, whether every
+        leading principal minor of T is > 0.  Fraction-free (Bareiss) elimination
         keeps them integral: step k sets M[i][j] = (M[i][j] M[k][k] -
         M[i][k] M[k][j]) / prev for i, j > k, prev the previous pivot (1 at
         first), an exact division; before it M[k][k] is the minor of order
@@ -111,7 +106,7 @@ class QuiverSpec:
 
         A walk: start from the simple roots and step d -> d + e_v whenever
         the new vector has connected support and Tits form q <= 1,
-        q(x) = euler_form(x, x).
+        q as in ``is_dynkin``.
 
         Each step reads d, q(d) and the arrows at v alone.  Write n_v(d)
         for the sum of d_u over the arrows between v and another vertex u,
@@ -307,9 +302,9 @@ class QuiverBackend:
         (a) its support is connected in the underlying graph: a rep whose
             support splits into two parts with no arrow between them is the
             direct sum of its restrictions to the parts;
-        (b) its Tits form q(d) = euler_form(d, d) is at most 1.  Over F_q an
-            absolutely indecomposable rep has a root as its dimension
-            vector, and every root has q <= 1 (Kac 1980, *Infinite root
+        (b) its Tits form q(d) (``QuiverSpec.is_dynkin``) is at most 1.
+            Over F_q an absolutely indecomposable rep has a root as its
+            dimension vector, and every root has q <= 1 (Kac 1980, *Infinite root
             systems, representations of graphs and invariant theory*).  An
             indecomposable M that is not absolutely indecomposable splits
             over F_{q^r} into r >= 2 Galois conjugates of one absolutely

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from . import core, derived
@@ -21,70 +22,38 @@ from .quiver import BackendError
 
 @dataclass(frozen=True)
 class RefinedTSeq:
-    """Windowed refined t-sequence.
+    """Windowed refined t-sequence: f and tf hold the masks of f(lo) ..
+    f(hi) and t_f(lo) .. t_f(hi).
 
     f is zero below the window and constant equal to f(hi) above it; tf is
     zero outside the window.  That is no restriction: above the window t_f
-    lies in the gap f(hi) cap perp f(hi), which is zero.  The fields are
-    frozensets of ids; ``masks`` holds f and tf as masks, for the computing
-    layers, formed once: from the fields on first use, or given by
-    ``from_masks``."""
+    lies in the gap f(hi) cap perp f(hi), which is zero."""
 
     lo: int
     hi: int
-    f: tuple   # wide Subcat per degree lo..hi
+    f: tuple   # wide subcategory per degree lo..hi
     tf: tuple  # tilting torsion class per degree lo..hi
 
     def __post_init__(self):
         if self.hi < self.lo or len(self.f) != self.hi - self.lo + 1 or len(self.tf) != len(self.f):
             raise BackendError("window and entry lengths disagree")
-        object.__setattr__(self, "f", tuple(frozenset(x) for x in self.f))
-        object.__setattr__(self, "tf", tuple(frozenset(x) for x in self.tf))
-
-    @classmethod
-    def from_masks(cls, lo, hi, f, tf):
-        """The record of the masks f and tf on [lo, hi], trusted to fit it."""
-        r, put = object.__new__(cls), object.__setattr__
-        put(r, "lo", lo)
-        put(r, "hi", hi)
-        put(r, "f", tuple(map(core.subcat, f)))
-        put(r, "tf", tuple(map(core.subcat, tf)))
-        put(r, "masks", (tuple(f), tuple(tf)))
-        return r
-
-    @functools.cached_property
-    def masks(self) -> tuple:
-        """(f, tf) as tuples of masks."""
-        return tuple(map(core.mask_of, self.f)), tuple(map(core.mask_of, self.tf))
-
-    def f_at(self, n):
-        if n < self.lo:
-            return frozenset()
-        if n > self.hi:
-            return self.f[-1]
-        return self.f[n - self.lo]
-
-    def tf_at(self, n):
-        return self.tf[n - self.lo] if self.lo <= n <= self.hi else frozenset()
 
     def f_mask(self, n):
         if n < self.lo:
             return 0
-        return self.masks[0][n - self.lo] if n <= self.hi else self.masks[0][-1]
+        return self.f[n - self.lo] if n <= self.hi else self.f[-1]
 
     def tf_mask(self, n):
-        return self.masks[1][n - self.lo] if self.lo <= n <= self.hi else 0
+        return self.tf[n - self.lo] if self.lo <= n <= self.hi else 0
 
     def key(self):
-        f, tf = self.masks
-        return self.lo, self.hi, tuple(map(core.members, f)), tuple(map(core.members, tf))
+        return self.lo, self.hi, tuple(map(core.members, self.f)), tuple(map(core.members, self.tf))
 
     def to_json_dict(self):
         # "tf_above" is the zero tail of t_f, kept so the JSON keeps its shape
-        f, tf = self.masks
         return {"lo": self.lo, "hi": self.hi,
-                "f": [list(core.members(x)) for x in f],
-                "tf": [list(core.members(x)) for x in tf],
+                "f": [list(core.members(x)) for x in self.f],
+                "tf": [list(core.members(x)) for x in self.tf],
                 "tf_above": []}
 
 
@@ -113,7 +82,7 @@ def narrow_cut(backend, u: derived.SubcatSeq):
     reported as a glued value that differs at lo - 1.  The report also
     names each degree where u decreases.  Every step reads only the Hom
     and Ext matrices."""
-    core.check_ids(backend, frozenset().union(*u.entries, u.below, u.above))
+    core.check_ids(backend, core.members(functools.reduce(operator.or_, u.masks)))
     lo, hi = u.lo, u.hi
     below, *entries, above = u.masks
     if above != core.wide_closure(backend, entries[-1]):
@@ -121,7 +90,7 @@ def narrow_cut(backend, u: derived.SubcatSeq):
         entries.append(above)
     seq = [below, *entries, above]  # N(lo - 1) .. N(hi + 1)
     f = [core.wide_closure(backend, e) for e in entries]
-    r = RefinedTSeq.from_masks(lo, hi, f, [gap(backend, e, w) for e, w in zip(entries, [0, *f])])
+    r = RefinedTSeq(lo, hi, tuple(f), tuple(gap(backend, e, w) for e, w in zip(entries, [0, *f])))
     glued = [0, *_glue(backend, r), f[-1]]
     report = [f"monotonicity fails at degree {k}: N({k}) not within N({k + 1})"
               for k, (a, b) in enumerate(zip(seq, seq[1:]), lo - 1) if a & ~b]
@@ -152,13 +121,12 @@ def psi(backend, r: RefinedTSeq) -> derived.SubcatSeq:
     taken inside f(k), keeping only what lies in f(k): f(k) is wide, so the
     proof of ``generated_torsion`` applies.  The tests check it against that
     closure, searched over bounded sums inside f(k)."""
-    return derived.SubcatSeq.from_masks(r.lo, r.hi, _glue(backend, r), 0, r.f_mask(r.hi))
+    return derived.SubcatSeq(r.lo, r.hi, (0, *_glue(backend, r), r.f_mask(r.hi)))
 
 
 def _glue(backend, r: RefinedTSeq) -> list:
     """The masks of psi(r) on the window of r."""
-    f, tf = r.masks
-    return [core.generated_torsion(backend, t | prev, w) for t, w, prev in zip(tf, f, (0, *f))]
+    return [core.generated_torsion(backend, t | prev, w) for t, w, prev in zip(r.tf, r.f, (0, *r.f))]
 
 
 def validate_refined(backend, r: RefinedTSeq):
@@ -211,7 +179,7 @@ def enumerate_refined(backend, lo, hi):
     """All refined t-sequences on the window (zero below, constant above),
     sorted by their keys: a chain of ``_chains`` with one tilting torsion
     class per gap."""
-    results = [RefinedTSeq.from_masks(lo, hi, chain, tfs)
+    results = [RefinedTSeq(lo, hi, chain, tfs)
                for chain, censuses in _chains(backend, lo, hi)
                for tfs in itertools.product(*censuses)]
     results.sort(key=RefinedTSeq.key)
@@ -319,8 +287,8 @@ def enumerate_tstructures(backend, lo, hi):
         glued = [[core.generated_torsion(backend, t | prev, w) for t in ts]
                  for ts, w, prev in zip(censuses, chain, (0, *chain))]
         for tfs, entries in zip(itertools.product(*censuses), itertools.product(*glued)):
-            records.append(TStructRecord(derived.SubcatSeq.from_masks(lo, hi, entries, 0, chain[-1]),
-                                         RefinedTSeq.from_masks(lo, hi, chain, tfs), checks))
+            records.append(TStructRecord(derived.SubcatSeq(lo, hi, (0, *entries, chain[-1])),
+                                         RefinedTSeq(lo, hi, chain, tfs), checks))
     records.sort(key=lambda rec: rec.sequence.key())
     return records
 

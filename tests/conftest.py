@@ -137,6 +137,17 @@ def set_wide_closure(backend, S) -> frozenset:
 # ---------------------------------------------------------------------------
 # helpers that only the tests call
 
+def full_subcat(backend) -> frozenset:
+    return frozenset(backend.all_ids())
+
+
+def seq_of(backend, lo, hi, entries, below, above):
+    """The ``derived.SubcatSeq`` on [lo, hi] with entries N(lo), ..., N(hi)
+    and the tails below and above, each given as a collection of ids:
+    ``core.check_ids`` forms each mask and refuses an id outside the table."""
+    return derived.SubcatSeq(lo, hi, tuple(core.check_ids(backend, s) for s in (below, *entries, above)))
+
+
 def shift(x: dict, n: int) -> dict:
     """The derived object x[n]: homology x_k moved to degree k + n."""
     return {k + n: v for k, v in x.items()}
@@ -151,13 +162,12 @@ def restrict(backend, seq, k=None, l=None):
 
     def value(n):
         if k is not None and n < k:
-            return frozenset()
+            return 0
         if l is not None and n > l:
-            return core.subcat(core.wide_closure(backend, seq.mask_at(l)))
-        return seq.at(n)
+            return core.wide_closure(backend, seq.mask_at(l))
+        return seq.mask_at(n)
 
-    entries = tuple(value(n) for n in range(seq.lo, seq.hi + 1))
-    return derived.SubcatSeq(seq.lo, seq.hi, entries, value(seq.lo - 1), value(seq.hi + 1))
+    return derived.SubcatSeq(seq.lo, seq.hi, tuple(value(n) for n in range(seq.lo - 1, seq.hi + 2)))
 
 
 @contextlib.contextmanager

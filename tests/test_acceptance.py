@@ -130,11 +130,11 @@ def test_criterion_6_structure_theorems_shadowed(a2, capfd):
     wide_rules = ("cokernels", "kernels", "extensions")
     for seq in enumerate_narrow_sequences(a2, 0, 2):
         for k in range(0, 3):
-            ok &= closure(a2, seq.at(k), wide_rules) <= seq.at(k + 1)
+            ok &= closure(a2, subcat(seq.mask_at(k)), wide_rules) <= subcat(seq.mask_at(k + 1))
     # a preaisle is the star of its one-degree slices
     for seq in enumerate_narrow_sequences(a2, 0, 1):
         left = restrict(a2, seq, 1, 1)
-        right = SubcatSeq(0, 0, (seq.at(0),), frozenset(), frozenset())
+        right = SubcatSeq(0, 0, (0, seq.mask_at(0), 0))
         for x in window_objects(a2, 0, 1, size_bound=2):
             ok &= theta_membership(a2, seq, x) == \
                 star_membership(a2, left, right, x, 0, 2)

@@ -161,11 +161,44 @@ def test_enumerate_dedekind_counts():
     assert sum(r["degenerate"] for r in rows) == 2
 
 
+# SHA-256 of `enumerate` stdout on a3, window 0:1, in the csv and table formats
+A3_FORMAT_SHA256 = {
+    "csv": "fc139e87aa6bf78fd9a36cc1d11b65fa9329333dde5d86f3cb777b1dbf9a2dc5",
+    "table": "93ff84812fbeefc4418e353a10dbc6e90724fb41b9f8f1e55f030e80b57912c5",
+}
+
+
 def test_enumerate_table_and_csv_run():
     for fmt in ("table", "csv"):
         code, out, err = run_cli("enumerate", "--backend", f"quiver:{A2}",
                                  "--window", "0:1", "--format", fmt)
         assert code == 0 and out, err
+        code, out, err = run_cli("enumerate", "--backend", "quiver:demos/quivers/a3.json",
+                                 "--window", "0:1", "--format", fmt)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == A3_FORMAT_SHA256[fmt], err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--backend", f"quiver:{A2}", "--window", "0:2"),
+    ("--backend", "quiver:demos/quivers/a3.json", "--window", "0:1"),
+    ("--backend", "p1", "--points", "3", "--window=-2:2", "--degrees=-2:2"),
+    ("--backend", "dedekind", "--primes", "2,3"),
+], ids=["a2-0:2", "a3-0:1", "p1", "dedekind"])
+def test_streamed_json_equals_one_dump(argv):
+    """``_emit`` writes the rows of a generator one at a time, and the
+    bytes are those of one ``json.dumps`` of the whole list."""
+    args = cli.build_parser().parse_args(["enumerate", *argv])
+    rows = list(cli._enumerate_rows(args, *cli._parse_window(args.window)))
+    out = io.StringIO()
+    cli._emit((row for row in rows), "json", out)
+    assert rows and out.getvalue() == json.dumps({"records": rows}, sort_keys=True, indent=2) + "\n"
+
+
+def test_streamed_json_of_no_rows():
+    out = io.StringIO()
+    cli._emit(iter(()), "json", out)
+    assert out.getvalue() == '{\n  "records": []\n}\n'
+    assert out.getvalue() == json.dumps({"records": []}, sort_keys=True, indent=2) + "\n"
 
 
 def test_output_is_deterministic_across_jobs():
@@ -338,6 +371,22 @@ def test_enumerate_e6_demo():
     rows = json.loads(proc.stdout)["records"]
     assert len(rows) == 4878
     assert sum(r["parameters"]["above"] == list(range(36)) for r in rows) == 418
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
+        "b0b71844724a16493f50aba53750506733baacb10643cfcd83505b18c6207360"
+
+
+def test_enumerate_e6_streams_in_bounded_memory():
+    """``enumerate`` writes each row as it forms it, so on E6 0:0 (6 MB of
+    JSON) the process peaks below 45 MB; formatting the whole document in
+    one string peaks near 73 MB (CPython 3.11, x86-64).  The CLI runs as a
+    grandchild, so that the child's ``RUSAGE_CHILDREN`` sees it alone."""
+    script = ("import resource, subprocess, sys\n"
+              "subprocess.run([sys.executable, '-m', 'tstructkit.cli', 'enumerate', '--backend', "
+              f"'quiver:{E6}', '--window', '0:0'], stdout=subprocess.DEVNULL, check=True)\n"
+              "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    proc = run_python_process("-c", script, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 45 * 1024, f"max RSS {int(proc.stdout) / 1024:.1f} MB"
 
 
 # SHA-256 of each command's --help text at 80 columns, recorded before the

@@ -10,8 +10,8 @@ import pytest
 
 import numpy_fplinalg as nla
 from conftest import (HIGHEST_ROOT_SPECS, id_by_dims, injected, is_mono, kernel_realizations,
-                      scan_census, set_generated_torsion, set_perp, set_wide_closure, torsion_scan)
-from tstructkit import core, derived
+                      scan_census, seq_of, set_generated_torsion, set_perp, set_wide_closure, torsion_scan)
+from tstructkit import core, derived, refined
 from tstructkit.derived import enumerate_narrow_sequences
 from tstructkit.core import (classify_subcat, closure, enumerate_subcats,
                              generated_torsion, is_closed, is_tilting_in, mask_of,
@@ -359,17 +359,27 @@ def test_wide_closure_equals_the_closure_search():
 def test_api_refuses_ids_outside_the_table(ids, shown):
     """A2 has ids 0..2: -1 would index from the end, 7 past it, and True
     hashes as 1.  ``classify_subcat`` refuses on a fresh backend and again
-    once {1} is memoised, which must not answer for {True}."""
+    once {1} is memoised, which must not answer for {True}.  The ids of a
+    record become masks in ``core.check_ids``, from a test's frozensets or
+    from JSON, which refuses all three; a mask can still hold 7, and the
+    readers of a record refuse it."""
     a2 = build_backend(QuiverSpec(2, ((0, 1),), 2))
     with pytest.raises(BackendError, match=f"integers in 0..2, got {shown}$"):
         classify_subcat(a2, ids)
     classify_subcat(a2, {1})
     with pytest.raises(BackendError, match=f"integers in 0..2, got {shown}$"):
         classify_subcat(a2, ids)
-    for seq in (derived.SubcatSeq(0, 0, (ids,), frozenset(), frozenset({0, 1, 2})),
-                derived.SubcatSeq(0, 0, (frozenset(),), frozenset(), ids)):
+    for entry, above in ((ids, frozenset({0, 1, 2})), (frozenset(), ids)):
         with pytest.raises(BackendError, match=f"integers in 0..2, got {shown}$"):
-            derived.is_narrow_sequence(a2, seq)
+            seq_of(a2, 0, 0, (entry,), frozenset(), above)
+        with pytest.raises(BackendError, match=f"integers in 0..2, got {shown}$"):
+            derived.SubcatSeq.from_json_dict(
+                {"lo": 0, "hi": 0, "entries": [list(entry)], "below": [], "above": list(above)}, a2)
+    if shown == "7":
+        for masks in ((0, 1 << 7, 0b111), (0, 0, 1 << 7)):
+            for reader in (derived.is_narrow_sequence, refined.narrow_cut):
+                with pytest.raises(BackendError, match=f"integers in 0..2, got {shown}$"):
+                    reader(a2, derived.SubcatSeq(0, 0, masks))
 
 
 def test_narrow_flag_where_the_bound_2_scan_misses_a_cokernel():

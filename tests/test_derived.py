@@ -3,11 +3,11 @@ import math
 
 import pytest
 
-from conftest import injected, restrict, shift, tilting_torsion_classes
+from conftest import full_subcat, injected, restrict, seq_of, shift, tilting_torsion_classes
 from tstructkit import core, refined
 from tstructkit.derived import (SubcatSeq, aisle_from_torsion,
                                 derived_hom_dim, dobj, dobj_key,
-                                enumerate_narrow_sequences, full_subcat,
+                                enumerate_narrow_sequences,
                                 is_narrow_sequence, mu,
                                 star_membership, theta_membership,
                                 window_objects)
@@ -46,32 +46,32 @@ def test_derived_hom_counts_hom_and_ext(a2, a2_ids):
 
 def test_seq_json_roundtrip(a2, a2_ids):
     seq = aisle_from_torsion(a2, {a2_ids["P1"], a2_ids["S1"]})
-    back = SubcatSeq.from_json_dict(seq.to_json_dict())
+    back = SubcatSeq.from_json_dict(seq.to_json_dict(), a2)
     assert back.key() == seq.key()
 
 
-def test_seq_rejects_bad_window():
+def test_seq_rejects_bad_window(a2):
     with pytest.raises(BackendError):
-        SubcatSeq(1, 0, (), frozenset(), frozenset())
+        seq_of(a2, 1, 0, (), frozenset(), frozenset())
 
 
 def test_aisle_from_torsion_is_narrow(a2, a2_ids):
     seq = aisle_from_torsion(a2, {a2_ids["P1"], a2_ids["S1"]})
     ok, report = is_narrow_sequence(a2, seq)
     assert ok, report
-    assert seq.at(-1) == frozenset()
-    assert seq.at(0) == frozenset({a2_ids["P1"], a2_ids["S1"]})
-    assert seq.at(5) == full_subcat(a2)
+    assert core.subcat(seq.mask_at(-1)) == frozenset()
+    assert core.subcat(seq.mask_at(0)) == frozenset({a2_ids["P1"], a2_ids["S1"]})
+    assert core.subcat(seq.mask_at(5)) == full_subcat(a2)
 
 
 def test_constant_sequences(a2, a2_ids):
     S1, P1 = a2_ids["S1"], a2_ids["P1"]
     wide = frozenset({S1})
-    seq = SubcatSeq(0, 0, (wide,), wide, wide)
+    seq = seq_of(a2, 0, 0, (wide,), wide, wide)
     ok, _ = is_narrow_sequence(a2, seq)
     assert ok  # constant at a wide subcategory
     nw = frozenset({P1, S1})
-    seq = SubcatSeq(0, 0, (nw,), nw, nw)
+    seq = seq_of(a2, 0, 0, (nw,), nw, nw)
     ok, report = is_narrow_sequence(a2, seq)
     assert not ok  # kernel of P1 -> S1 escapes into the lower level
     assert any("kernel" in r for r in report)
@@ -79,8 +79,8 @@ def test_constant_sequences(a2, a2_ids):
 
 def test_nonmonotone_rejected(a2, a2_ids):
     S1 = a2_ids["S1"]
-    seq = SubcatSeq(0, 1, (full_subcat(a2), frozenset({S1})),
-                    frozenset(), full_subcat(a2))
+    seq = seq_of(a2, 0, 1, (full_subcat(a2), frozenset({S1})),
+                 frozenset(), full_subcat(a2))
     ok, report = is_narrow_sequence(a2, seq)
     assert not ok and any("monoton" in r for r in report)
 
@@ -104,10 +104,10 @@ def test_restrict(a2, a2_ids):
     S1, P1 = a2_ids["P1"], a2_ids["S1"]
     seq = aisle_from_torsion(a2, {a2_ids["P1"], a2_ids["S1"]})
     r = restrict(a2, seq, 0, 0)
-    assert r.at(-1) == frozenset()
-    assert r.at(0) == seq.at(0)
+    assert r.mask_at(-1) == 0
+    assert r.mask_at(0) == seq.mask_at(0)
     # above the cut the value is the wide closure of the level-0 value
-    assert r.at(1) == full_subcat(a2)
+    assert core.subcat(r.mask_at(1)) == full_subcat(a2)
 
 
 def test_window_objects_counts(a2):
@@ -139,7 +139,7 @@ def test_star_membership_basics(a2, a2_ids):
     assert star_membership(a2, left, right, {0: (S1,)}, 0, 1)
     assert star_membership(a2, left, right, {}, 0, 1)
     # an object below the window of both factors is not in the product
-    zero_left = SubcatSeq(0, 0, (frozenset(),), frozenset(), frozenset())
+    zero_left = seq_of(a2, 0, 0, (frozenset(),), frozenset(), frozenset())
     assert not star_membership(a2, zero_left, zero_left, {0: (S1,)}, 0, 1)
 
 
@@ -149,7 +149,7 @@ def test_subcat_seq_right_factor_is_its_own_envelope(a2):
     (on the one-degree slices of criterion 6)."""
     for seq in enumerate_narrow_sequences(a2, 0, 1):
         left = restrict(a2, seq, 1, 1)
-        right = SubcatSeq(0, 0, (seq.at(0),), frozenset(), frozenset())
+        right = SubcatSeq(0, 0, (0, seq.mask_at(0), 0))
         for x in window_objects(a2, 0, 1, size_bound=2):
             assert star_membership(a2, left, right, x, 0, 2) == star_membership(
                 a2, left, lambda b: theta_membership(a2, right, b), x, 0, 2), (seq.key(), x)

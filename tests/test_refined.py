@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import quotients_leaving, restrict, scan_census, tilting_torsion_classes
+from conftest import (full_subcat, quotients_leaving, restrict, scan_census, seq_of,
+                      tilting_torsion_classes)
 from tstructkit import cli, core, derived
-from tstructkit.derived import (SubcatSeq, aisle_from_torsion,
-                                enumerate_narrow_sequences, full_subcat,
+from tstructkit.derived import (aisle_from_torsion,
+                                enumerate_narrow_sequences,
                                 theta_membership, window_objects)
 from tstructkit.quiver import BackendError, QuiverSpec, build_backend
 from tstructkit.refined import (RefinedTSeq, TStructRecord, enumerate_refined,
@@ -24,11 +25,11 @@ def test_xi_of_standard_aisle(a2, a2_ids):
     u = aisle_from_torsion(a2, {P1, S1})
     r = xi(a2, u)
     # wide closure of the torsion class {P1, S1} is everything
-    assert r.f_at(0) == full_subcat(a2)
-    assert r.f_at(1) == full_subcat(a2)
-    assert r.tf_at(0) == frozenset({P1, S1})
+    assert core.subcat(r.f_mask(0)) == full_subcat(a2)
+    assert core.subcat(r.f_mask(1)) == full_subcat(a2)
+    assert core.subcat(r.tf_mask(0)) == frozenset({P1, S1})
     # f(0) already everything, so no gap survives at level 1
-    assert r.tf_at(1) == frozenset()
+    assert core.subcat(r.tf_mask(1)) == frozenset()
 
 
 def test_psi_inverts_xi_on_standard_aisles(a2):
@@ -53,7 +54,7 @@ def test_no_wide_closure_outside_verify_searches(a2_ids, monkeypatch):
     a2 = build_backend(QuiverSpec(2, ((0, 1),), 2))
     seq = aisle_from_torsion(a2, {a2_ids["P1"], a2_ids["S1"]})
     r = restrict(a2, seq, 0, 0)
-    assert (r.at(-1), r.at(0), r.at(1)) == (frozenset(), seq.at(0), full_subcat(a2))
+    assert (r.mask_at(-1), r.mask_at(0), r.mask_at(1)) == (0, seq.mask_at(0), core.full_mask(a2))
 
 
 def test_xi_widens_the_window_where_the_tail_jumps(a2):
@@ -61,13 +62,13 @@ def test_xi_widens_the_window_where_the_tail_jumps(a2):
     is cut on the window 0:1: its tail at 1 is not the wide closure of its
     value at 0, and the cut there is the tilting class of everything in its
     gap over the zero f(0)."""
-    everything = full_subcat(a2)
-    u = SubcatSeq(0, 0, (frozenset(),), frozenset(), everything)
+    everything = core.full_mask(a2)
+    u = seq_of(a2, 0, 0, (frozenset(),), frozenset(), full_subcat(a2))
     r = xi(a2, u)
-    assert (r.lo, r.hi, r.f, r.tf) == (0, 1, (frozenset(), everything), (frozenset(), everything))
+    assert (r.lo, r.hi, r.f, r.tf) == (0, 1, (0, everything), (0, everything))
     assert validate_refined(a2, r) == (True, [])
     v = psi(a2, r)
-    assert all(v.at(k) == u.at(k) for k in range(-2, 4))
+    assert all(v.mask_at(k) == u.mask_at(k) for k in range(-2, 4))
 
 
 def test_xi_refuses_what_psi_never_glues(a2, a2_ids):
@@ -75,8 +76,8 @@ def test_xi_refuses_what_psi_never_glues(a2, a2_ids):
     is refused, and so is a sequence whose cut glues to another one."""
     S1 = frozenset({a2_ids["S1"]})
     with pytest.raises(BackendError, match=r"xi needs a narrow sequence; .*another N\(-1\)"):
-        xi(a2, SubcatSeq(0, 0, (S1,), S1, S1))
-    bad = SubcatSeq(0, 1, (frozenset({0, 1}), frozenset({0, 1})), frozenset(), full_subcat(a2))
+        xi(a2, seq_of(a2, 0, 0, (S1,), S1, S1))
+    bad = seq_of(a2, 0, 1, (frozenset({0, 1}), frozenset({0, 1})), frozenset(), full_subcat(a2))
     with pytest.raises(BackendError, match="xi needs a narrow sequence; t_f"):
         xi(a2, bad)
 
@@ -90,10 +91,10 @@ def test_gap(a2, a2_ids):
 
 def test_validate_refined_negative_witness(a2, a2_ids):
     S1, S2, P1 = a2_ids["S1"], a2_ids["S2"], a2_ids["P1"]
-    everything = full_subcat(a2)
+    everything = core.full_mask(a2)
     # t_f(1) = {S1} is not perpendicular to f(0): Hom(S1, S1) != 0
     bad = RefinedTSeq(0, 1, (everything, everything),
-                      (frozenset({P1, S1}), frozenset({S1})))
+                      (core.mask_of({P1, S1}), core.mask_of({S1})))
     ok, report = validate_refined(a2, bad)
     assert not ok and report
 
@@ -148,7 +149,7 @@ def test_star_oracle_agrees_with_theta_on_small_window(a2, monkeypatch):
         unpruned.extend(star_oracle_membership(a2, r, 0, 2, x, memo=memo) for x in objs)
         for (n, m, key), member in memo.items():
             if member:
-                assert all(core.obj_in(r.f_at(m), xk) for _, xk in key), (r.key(), n, m, key)
+                assert all(core.obj_in(core.subcat(r.f_mask(m)), xk) for _, xk in key), (r.key(), n, m, key)
     assert unpruned == pruned
 
 
@@ -262,10 +263,10 @@ def closure_psi(backend, r, closed):
         return closed[key]
 
     def value(k):
-        return glue(r.tf_at(k) | r.f_at(k - 1), r.f_at(k))
+        return glue(core.subcat(r.tf_mask(k) | r.f_mask(k - 1)), core.subcat(r.f_mask(k)))
 
     entries = tuple(value(k) for k in range(r.lo, r.hi + 1))
-    return SubcatSeq(r.lo, r.hi, entries, frozenset(), value(r.hi + 1))
+    return seq_of(backend, r.lo, r.hi, entries, frozenset(), value(r.hi + 1))
 
 
 @pytest.mark.parametrize("spec, lo, hi, count", [
@@ -346,7 +347,7 @@ def agree_with_the_search(b, u):
         assert report == violations, u.key()
         if want:
             v = psi(b, r)
-            assert all(v.at(k) == u.at(k) for k in range(u.lo - 2, r.hi + 3)), u.key()
+            assert all(v.mask_at(k) == u.mask_at(k) for k in range(u.lo - 2, r.hi + 3)), u.key()
     return want
 
 
@@ -357,7 +358,7 @@ def test_decider_agrees_with_the_search_on_every_zero_below_triple(spec):
     zero: 4^6 sequences, among them those whose tail jumps at 2."""
     b = build_backend(spec)
     t0 = time.perf_counter()
-    verdicts = Counter(agree_with_the_search(b, SubcatSeq(0, 1, (n0, n1), frozenset(), above))
+    verdicts = Counter(agree_with_the_search(b, seq_of(b, 0, 1, (n0, n1), frozenset(), above))
                        for n0, n1, above in nested_chains(b.all_ids(), 3))
     assert verdicts == {True: 140, False: 3956}
     assert time.perf_counter() - t0 < 10
@@ -368,7 +369,7 @@ def test_decider_agrees_with_the_search_on_every_below_entry_above_triple():
     nonzero below-tails go through ``classify``'s wide-tail reduction."""
     b = build_backend(QuiverSpec(3, A3_LINEAR, 2))
     t0 = time.perf_counter()
-    verdicts = Counter(agree_with_the_search(b, SubcatSeq(0, 0, (n0,), below, above))
+    verdicts = Counter(agree_with_the_search(b, seq_of(b, 0, 0, (n0,), below, above))
                        for below, n0, above in nested_chains(b.all_ids(), 3))
     assert verdicts == {True: 126, False: 3970}
     assert time.perf_counter() - t0 < 10
@@ -391,15 +392,15 @@ def test_decider_agrees_with_the_search_on_a_seeded_sample(spec):
     sample = []
     for u in enumerate_narrow_sequences(b, 0, 1):
         sample.append(u)
-        below = [w for w in wides if w <= u.at(0)]
+        below = [w for w in wides if w <= u.entries[0]]
         if below:
-            sample.append(SubcatSeq(0, 1, u.entries, rng.choice(below), u.above))
+            sample.append(seq_of(b, 0, 1, u.entries, rng.choice(below), u.above))
     ids = b.all_ids()
     for _ in range(300):
         first = [rng.randrange(5) for _ in ids]
         below, n0, n1, above = (frozenset(i for i, k in zip(ids, first) if k <= n)
                                 for n in range(4))
-        sample.append(SubcatSeq(0, 1, (n0, n1), below if rng.random() < 1 / 3 else (), above))
+        sample.append(seq_of(b, 0, 1, (n0, n1), below if rng.random() < 1 / 3 else (), above))
     verdicts = Counter(agree_with_the_search(b, u) for u in sample)
     assert min(verdicts[True], verdicts[False]) >= 300, verdicts
     assert time.perf_counter() - t0 < 30
