@@ -37,9 +37,9 @@ def main():
     # Closure under extensions alone already recovers the whole category
     # from the two simples; without kernels, {P1, S1} is stable.
     print("\nclosure({S1, S2}, extensions) =",
-          show(backend, closure(backend, {S1, S2}, ("extensions",))))
+          show(backend, members(closure(backend, mask_of({S1, S2}), ("extensions",)))))
     print("closure({P1, S1}, cokernels+extensions) =",
-          show(backend, closure(backend, {P1, S1}, ("cokernels", "extensions"))))
+          show(backend, members(closure(backend, mask_of({P1, S1}), ("cokernels", "extensions")))))
 
     # The censuses behind the classification: 5 torsion classes, 5 wide
     # subcategories, 6 narrow ones.  The computing functions take and return

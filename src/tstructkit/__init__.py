@@ -10,7 +10,7 @@ roundtrips and star-product oracles.
 """
 
 from .quiver import QuiverSpec, Rep, Morphism, QuiverBackend, BackendError, build_backend
-from .core import (Subcat, SubcatFlags, classify_subcat, closure, is_closed, perp,
+from .core import (SubcatFlags, classify_subcat, closure, is_closed, perp,
                    torsion_decompose, is_tilting_in, mask_of, members, subcat,
                    enumerate_subcats, wide_census, tilting_census, generated_torsion)
 from .derived import (SubcatSeq, dobj, derived_hom_dim,

@@ -142,10 +142,10 @@ def cmd_enumerate(args, out=None) -> int:
 def _quiver_checks(backend, lo, hi):
     narrows = core.enumerate_subcats(backend, ("is_narrow",))
     flags = operator.attrgetter("is_narrow", "is_wide")
-    mismatch = [s for s in backend.subsets()
-                if _scan_flags(backend, s) != flags(core.classify_subcat(backend, s))]
+    mismatch = [s for s in range(1 << len(backend.roots))
+                if _scan_flags(backend, s) != flags(core.subcat_flags(backend, s))]
     yield ("narrow-flags-match-direct-extension-scan", not mismatch,
-           sorted(mismatch[0]) if mismatch else None)
+           list(core.members(mismatch[0])) if mismatch else None)
     bad = [s for s in narrows
            if not core.subcat_flags(backend, s).is_wide
            and derived.is_narrow_sequence(
@@ -165,23 +165,17 @@ def _quiver_checks(backend, lo, hi):
         if core.perp(backend, s, "left", "all") != direct:
             perp_ok = False
     yield ("perpendicular-includes-ext-vanishing", perp_ok, None)
-    wide_ok = True
-    for s in narrows:
-        w = core.closure(backend, core.subcat(s), core.WIDE_RULES)
-        for a in core.candidates(w):
-            for b in core.candidates(w):
-                for ker, _, _ in backend.part_sets(a, b):
-                    if not core.obj_in(w, ker):
-                        wide_ok = False
-    yield ("wide-closures-are-kernel-closed", wide_ok, None)
+    closures = [core.closure(backend, s, core.WIDE_RULES) for s in narrows]
+    yield ("wide-closures-are-kernel-closed",
+           all(core.parts_within(backend, w, w, ("kernels",)) for w in closures), None)
     report = refined.verify_roundtrips(backend, lo, hi)
     yield ("aisle-refinement-roundtrips", not report["failures"],
            report["failures"][:1] or None)
 
 
-def _scan_flags(backend, s) -> tuple:
-    """(narrow, wide) by the bounded closure scans that the matrix flags of
-    ``classify_subcat`` replace."""
+def _scan_flags(backend, s: int) -> tuple:
+    """(narrow, wide) of the mask s by the bounded closure scans that the
+    matrix flags of ``subcat_flags`` replace."""
     narrow = core.is_closed(backend, s, ("extensions", "cokernels"))
     return narrow, narrow and core.is_closed(backend, s, ("kernels",))
 
@@ -379,6 +373,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code else 0
+    if args.backend == "p1" and args.points < 1:
+        return _fail_usage(f"--points must be at least 1 for the p1 backend, got {args.points}")
     faults.clear()
     if args.mutate:
         faults.activate(args.mutate)

@@ -1,17 +1,20 @@
 """Subcategory calculus over a finite hereditary backend.
 
 A subcategory of a finite backend is an additively-closed set of
-indecomposable ids.  The functions that compute with subcategories read and
-return it as an int mask, bit i set for id i (``mask_of``, ``members``,
-``subcat``): ``perp``, one AND per member, and everything built on it.  The
-closure scans and the functions that take ids from a caller
-(``classify_subcat``, ``torsion_decompose``) read frozensets.
+indecomposable ids.  Every function here reads and returns it as an int
+mask, bit i set for id i (``mask_of``, ``members`` and ``subcat`` convert),
+except the two that take ids from a caller (``classify_subcat``,
+``torsion_decompose``), which form the mask with ``check_ids``.
 
-The closure scans (``closure``, ``is_closed``) try direct sums of at most
-``MULT_BOUND`` of the subcategory's indecomposables: morphisms one per line
-through 0 (``c * f`` has the kernel, image and cokernel of ``f``), not
-exhaustively; extensions by the backend's ``middle_terms``, which builds one
-middle term per Ext^1 class.
+The closure scans (``closure``, ``is_closed``, ``parts_within``) try direct
+sums of at most ``MULT_BOUND`` of the subcategory's indecomposables:
+morphisms one per line through 0 (``c * f`` has the kernel, image and
+cokernel of ``f``), not exhaustively; extensions by the backend's
+``middle_terms``, which builds one middle term per Ext^1 class.  One scan,
+``_violations``, serves all three and reads no fault: ``closure`` and
+``is_closed`` drop the rules an injected fault switches off before they call
+it, and ``parts_within``, the kernel and cokernel conditions between two
+subcategories, keeps every rule.
 
 The search depths (``MULT_BOUND``, ``MAX_SCAN_INDECS``) are module
 constants, not parameters.  Memo keys do not carry them, so a caller that
@@ -27,16 +30,16 @@ filters every subset by those flags.  The wide closure (``wide_closure``)
 that ``refined.xi`` and ``derived.enumerate_narrow_sequences`` read is such
 a formula too, and so ``xi``'s narrowness decider (``refined.narrow_cut``),
 which quiver ``classify`` calls, reads no closure either.  The closure scans
-serve ``derived.is_narrow_sequence``'s extension test (``is_closed``), a
-search that only ``verify`` runs, and stay as the oracles that ``verify``
-compares the flags and the wide closure with.
+serve ``derived.is_narrow_sequence``, a search that only ``verify`` runs,
+and stay as the oracles that ``verify`` compares the flags and the wide
+closure with.
 
-Memo rule for this layer and the two built on it (derived, refined): every
-result that depends on the closure predicates or on ``perp`` is stored in
-``memo(backend)``, the backend's dict for the active fault set, so a value
-computed under one set of injected faults is never read under another.  The
-backend's own memo holds only pure representation-theoretic data (see
-QuiverBackend).
+Memo rule: every memo held on a backend is filled by functions decorated
+with ``quiver.memoized_in``, keyed on (function name, *args).  This layer
+and the two built on it (derived, refined) store in ``memo(backend)``, the
+backend's dict for the active fault set, so a value computed under one set
+of injected faults is never read under another; the backend's own memo
+holds only pure representation-theoretic data (see QuiverBackend).
 """
 
 from __future__ import annotations
@@ -48,9 +51,7 @@ from dataclasses import dataclass
 
 from . import faults
 from . import fplinalg as la
-from .quiver import BackendError, Obj, _is_int
-
-Subcat = frozenset
+from .quiver import BackendError, Obj, _is_int, memoized_in
 
 RULES = ("cokernels", "kernels", "extensions", "images")
 
@@ -81,7 +82,7 @@ def members(mask: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=1 << 16)
-def subcat(mask: int) -> Subcat:
+def subcat(mask: int) -> frozenset:
     """The frozenset of a mask's ids, one object shared by every caller
     that asks for that mask."""
     return frozenset(members(mask))
@@ -91,10 +92,6 @@ def full_mask(backend) -> int:
     return (1 << len(backend.roots)) - 1
 
 
-def obj_in(S: Subcat, obj: Obj) -> bool:
-    return all(i in S for i in obj)
-
-
 def obj_in_mask(S: int, obj: Obj) -> bool:
     for i in obj:
         if not S >> i & 1:
@@ -102,51 +99,53 @@ def obj_in_mask(S: int, obj: Obj) -> bool:
     return True
 
 
-def candidates(S: Subcat, bound: int | None = None):
-    """Direct sums of up to bound indecomposables of S, zero excluded; bound
-    defaults to MULT_BOUND, read at call time."""
-    ids = sorted(S)
-    out = []
-    for r in range(1, (MULT_BOUND if bound is None else bound) + 1):
-        for combo in itertools.combinations_with_replacement(ids, r):
-            out.append(tuple(combo))
-    return out
+def candidates(S: int):
+    """Direct sums of up to MULT_BOUND indecomposables of the mask S, zero
+    excluded; the bound is read at call time."""
+    ids = members(S)
+    return [combo for r in range(1, MULT_BOUND + 1)
+            for combo in itertools.combinations_with_replacement(ids, r)]
 
 
-def _violations(backend, S, rules, ambient):
+def _violations(backend, S: int, rules, ambient=None, target=None):
     """Yield (rule, produced Obj) for every one-step rule application whose
-    result leaves S.  With an ambient set, results escaping the ambient do
-    not count (they are not objects of the ambient subcategory)."""
+    result leaves its subcategory.  Maps run from the sums of S to the sums
+    of target (S if None): a kernel must lie in S, an image or a cokernel in
+    target.  A middle term of two sums of S must lie in S.  With an ambient
+    mask, results escaping the ambient do not count (they are not objects
+    of the ambient subcategory)."""
     bad = set(rules) - set(RULES)
     if bad:
         raise BackendError(f"unknown closure rules: {sorted(bad)}")
-    rules = set(rules)
-    if faults.is_active("drop-extension-closure"):
-        rules.discard("extensions")
-    if faults.is_active("wide-closure-skips-kernels"):
-        rules.discard("kernels")
+    target = S if target is None else target
+    parts = [(rule, at, within) for rule, at, within
+             in (("kernels", 0, S), ("cokernels", 2, target), ("images", 1, target))
+             if rule in rules]
+
+    def leaves(obj, within):
+        return (ambient is None or obj_in_mask(ambient, obj)) and not obj_in_mask(within, obj)
+
     cands = candidates(S)
-
-    def ok(obj):
-        return obj_in(S, obj)
-
-    def in_ambient(obj):
-        return ambient is None or obj_in(ambient, obj)
-
-    mor_rules = [r for r in ("kernels", "cokernels", "images") if r in rules]
-    if mor_rules:
+    if parts:
+        targets = candidates(target)
         for a in cands:
-            for b in cands:
-                for ker, img, cok in backend.part_sets(a, b):
-                    for rule, part in (("kernels", ker), ("cokernels", cok), ("images", img)):
-                        if rule in mor_rules and in_ambient(part) and not ok(part):
-                            yield rule, part
+            for b in targets:
+                for triple in backend.part_sets(a, b):
+                    for rule, at, within in parts:
+                        if leaves(triple[at], within):
+                            yield rule, triple[at]
     if "extensions" in rules:
         for sub in cands:
             for quot in cands:
                 for mid in backend.middle_terms(quot, sub):
-                    if in_ambient(mid) and not ok(mid):
+                    if leaves(mid, S):
                         yield "extensions", mid
+
+
+def _unfaulted(rules) -> list:
+    """The rules that no injected fault switches off."""
+    off = {"extensions": "drop-extension-closure", "kernels": "wide-closure-skips-kernels"}
+    return [rule for rule in rules if not (rule in off and faults.is_active(off[rule]))]
 
 
 def memo(backend) -> dict:
@@ -155,32 +154,37 @@ def memo(backend) -> dict:
     return by_faults.setdefault(faults.snapshot(), {})
 
 
-def is_closed(backend, S, rules, ambient=None):
-    S = frozenset(S)
-    key = ("closed", S, tuple(sorted(rules)),
-           None if ambient is None else frozenset(ambient))
-    cache = memo(backend)
-    if key not in cache:
-        cache[key] = not any(True for _ in _violations(backend, S, rules, ambient))
-    return cache[key]
+@memoized_in(memo)
+def is_closed(backend, S: int, rules, ambient=None) -> bool:
+    """Whether the mask S is closed under the selected rules (a tuple of
+    ``RULES`` names): no one-step application leaves S, counting only what
+    lies in the mask ambient if one is given."""
+    return next(_violations(backend, S, _unfaulted(rules), ambient), None) is None
 
 
-def closure(backend, seed, rules) -> Subcat:
-    """Least superset of seed closed under the selected rules."""
-    S = frozenset(seed)
-    key = ("closure", S, tuple(sorted(rules)))
-    cache = memo(backend)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+@memoized_in(memo)
+def closure(backend, seed: int, rules) -> int:
+    """The least superset of the mask seed closed under the selected rules
+    (a tuple of ``RULES`` names), as a mask."""
+    rules = _unfaulted(rules)
+    S = seed
     while True:
-        new = set(S)
-        for _, produced in _violations(backend, S, rules, None):
-            new.update(produced)
+        new = S
+        for _, produced in _violations(backend, S, rules):
+            new |= mask_of(produced)
         if new == S:
-            cache[key] = S
             return S
-        S = frozenset(new)
+        S = new
+
+
+@memoized_in(memo)
+def parts_within(backend, S: int, target: int, rules) -> bool:
+    """Whether every morphism from a sum of S to a sum of target has its
+    kernel in S (rule "kernels") and its image or cokernel in target
+    ("images", "cokernels"), for the selected rules (a tuple of ``RULES``
+    names): the kernel and cokernel conditions between two levels of a
+    narrow sequence.  Unlike ``is_closed`` it reads no fault."""
+    return next(_violations(backend, S, rules, None, target), None) is None
 
 
 @dataclass(frozen=True)
@@ -197,6 +201,7 @@ def classify_subcat(backend, S) -> SubcatFlags:
     return subcat_flags(backend, check_ids(backend, S))
 
 
+@memoized_in(memo)
 def subcat_flags(backend, S: int) -> SubcatFlags:
     """Closure flags of the mask S, from the Hom and Ext matrices: S is wide
     iff S = wide_closure(S), narrow iff S = generated_torsion(P,
@@ -228,15 +233,11 @@ def subcat_flags(backend, S: int) -> SubcatFlags:
     (``is_closed`` with ("extensions", "cokernels"), then ("kernels",))
     decide the narrow and wide flags by search; ``verify`` compares them.
     """
-    key = ("classify", S)
-    cache = memo(backend)
-    if key not in cache:
-        ext_proj = _ext_free(S, backend.homext_rows, backend.hom_rows)
-        narrow = generated_torsion(backend, ext_proj, wide_closure(backend, ext_proj)) == S
-        wide = narrow and wide_closure(backend, S) == S
-        nullity = generated_torsion(backend, S, full_mask(backend)) == S
-        cache[key] = SubcatFlags(narrow, wide, nullity, nullity)
-    return cache[key]
+    ext_proj = _ext_free(S, backend.homext_rows, backend.hom_rows)
+    narrow = generated_torsion(backend, ext_proj, wide_closure(backend, ext_proj)) == S
+    wide = narrow and wide_closure(backend, S) == S
+    nullity = generated_torsion(backend, S, full_mask(backend)) == S
+    return SubcatFlags(narrow, wide, nullity, nullity)
 
 
 def _ext_free(S: int, homext, hom) -> int:
@@ -351,6 +352,7 @@ def _grow_cliques(ids: int, compatible, visit, size=0):
     grow(0, ids)
 
 
+@memoized_in(memo)
 def wide_census(backend) -> list:
     """All wide subcategories as masks, from the Hom and Ext matrices: the
     distinct ``wide_closure(S)`` over the Hom-orthogonal sets S of
@@ -366,16 +368,14 @@ def wide_census(backend) -> list:
     is wide_closure(S): each wide subcategory is reached exactly once.
     The growth visits only Hom-orthogonal sets, one per wide subcategory.
     """
-    cache = memo(backend)
-    if "wide-census" not in cache:
-        full = full_mask(backend)
-        orthogonal = [full & ~(r | c) for r, c in zip(backend.hom_rows, backend.hom_cols)]
-        found = set()
-        _grow_cliques(full, orthogonal, lambda S: found.add(wide_closure(backend, S)))
-        cache["wide-census"] = sorted(found, key=members)
-    return cache["wide-census"]
+    full = full_mask(backend)
+    orthogonal = [full & ~(r | c) for r, c in zip(backend.hom_rows, backend.hom_cols)]
+    found = set()
+    _grow_cliques(full, orthogonal, lambda S: found.add(wide_closure(backend, S)))
+    return sorted(found, key=members)
 
 
+@memoized_in(memo)
 def tilting_census(backend, W: int) -> list:
     """The tilting torsion classes of the wide subcategory W as masks, from
     the Hom and Ext matrices: the distinct W cap perp0(R^perp0 cap W) over
@@ -397,21 +397,17 @@ def tilting_census(backend, W: int) -> list:
     R: ``generated_torsion(backend, R, W)``.  An Ext-rigid set within W has
     at most rank(W) members, so the growth visits those of rank(W) alone.
     """
-    cache = memo(backend)
-    key = ("tilting-census", W)
-    if key not in cache:
-        rank = _ext_free(W, backend.homext_rows, backend.hom_rows).bit_count()
-        rigid = {}  # each self-orthogonal id of W -> the ids of W it is Ext-orthogonal to
-        for i in members(W):
-            ext = (backend.homext_rows[i] & ~backend.hom_rows[i]
-                   | backend.homext_cols[i] & ~backend.hom_cols[i])
-            if not ext >> i & 1:
-                rigid[i] = W & ~ext
-        found = set()
-        _grow_cliques(mask_of(rigid), rigid,
-                      lambda R: found.add(generated_torsion(backend, R, W)), rank)
-        cache[key] = sorted(found, key=members)
-    return cache[key]
+    rank = _ext_free(W, backend.homext_rows, backend.hom_rows).bit_count()
+    rigid = {}  # each self-orthogonal id of W -> the ids of W it is Ext-orthogonal to
+    for i in members(W):
+        ext = (backend.homext_rows[i] & ~backend.hom_rows[i]
+               | backend.homext_cols[i] & ~backend.hom_cols[i])
+        if not ext >> i & 1:
+            rigid[i] = W & ~ext
+    found = set()
+    _grow_cliques(mask_of(rigid), rigid,
+                  lambda R: found.add(generated_torsion(backend, R, W)), rank)
+    return sorted(found, key=members)
 
 
 def torsion_decompose(backend, obj: Obj, T) -> tuple:
@@ -421,14 +417,14 @@ def torsion_decompose(backend, obj: Obj, T) -> tuple:
     The torsion part is the trace of T in obj: the subrepresentation
     spanned by the images of all maps out of T's indecomposables.
     """
-    T = frozenset(T)
-    if not classify_subcat(backend, T).is_torsion_class:
+    T = check_ids(backend, T)
+    if not subcat_flags(backend, T).is_torsion_class:
         raise BackendError("subcategory is not a torsion class")
     if not obj:
         return (), ()
     rep = backend.obj_rep(obj)
     cols = [[] for _ in range(backend.spec.vertices)]
-    for t in sorted(T):
+    for t in members(T):
         for f in backend.hom_basis((t,), obj):
             for v, m in enumerate(f):
                 cols[v].extend(zip(*m))

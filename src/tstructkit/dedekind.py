@@ -21,9 +21,10 @@ checks of ``verify`` and the search oracles of the tests.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 
-from .quiver import BackendError, _is_prime
+from .quiver import BackendError, _is_int, _is_prime
 
 DEFAULT_PRIMES = frozenset({2, 3})
 
@@ -204,7 +205,8 @@ MAXIMALS, ALLSPEC = "maximals", "all"
 @dataclass(frozen=True)
 class SpecClosedSet:
     """A specialization-closed subset of the spectrum: a set of closed
-    points (maximal ideals) or the whole spectrum."""
+    points (maximal ideals), labelled by primes and refused unless each
+    label is a prime int, or the whole spectrum."""
 
     tag: str
     primes: frozenset = frozenset()
@@ -212,7 +214,11 @@ class SpecClosedSet:
     def __post_init__(self):
         if self.tag not in (MAXIMALS, ALLSPEC):
             raise BackendError(f"unknown spectrum tag {self.tag!r}")
-        object.__setattr__(self, "primes", frozenset(int(p) for p in self.primes))
+        for p in self.primes:
+            if not (_is_int(p) and _is_prime(p)):
+                raise BackendError("support labels are prime integers, "
+                                   f"got {json.dumps(p, default=repr)}")
+        object.__setattr__(self, "primes", frozenset(self.primes))
 
     def key(self):
         return (self.tag, tuple(sorted(self.primes)))
@@ -252,7 +258,7 @@ def zero_class() -> TorsionFreeClass:
 
 
 def torsionfree_class(primes) -> TorsionFreeClass:
-    return TorsionFreeClass(SpecClosedSet(MAXIMALS, frozenset(primes)))
+    return TorsionFreeClass(SpecClosedSet(MAXIMALS, primes))
 
 
 def ded_membership(x: FGGroup, c: TorsionFreeClass, primes=DEFAULT_PRIMES) -> bool:

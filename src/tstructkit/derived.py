@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 
 from . import core, faults
-from .quiver import BackendError, Obj, _is_int
+from .quiver import BackendError, Obj, _is_int, memoized_in
 
 
 # ---------------------------------------------------------------------------
@@ -115,21 +115,6 @@ def aisle_from_torsion(backend, T) -> SubcatSeq:
 # ---------------------------------------------------------------------------
 # narrow-sequence validation
 
-def _part_condition(backend, source, target, part):
-    """part(f) in its subcategory for every morphism f: A -> B with A in
-    source and B in target: ker(f) in source for part 'kernel', coker(f)
-    in target for part 'cokernel'."""
-    cache = core.memo(backend)
-    key = (part, source, target)
-    if key not in cache:
-        holder, at = (source, 0) if part == "kernel" else (target, 2)
-        cache[key] = all(core.obj_in(holder, parts[at])
-                         for a in core.candidates(source)
-                         for b in core.candidates(target)
-                         for parts in backend.part_sets(a, b))
-    return cache[key]
-
-
 def is_narrow_sequence(backend, seq: SubcatSeq):
     """Validate the narrow-sequence axioms: monotonicity, plus the exactness
     condition split into extension closure, a cokernel condition against the
@@ -145,19 +130,15 @@ def is_narrow_sequence(backend, seq: SubcatSeq):
     for k in degrees:
         if seq.mask_at(k) & ~seq.mask_at(k + 1):
             report.append(f"monotonicity fails at degree {k}: N({k}) not within N({k + 1})")
-
-    def at(k):  # the scans read frozensets
-        return core.subcat(seq.mask_at(k))
-
     for k in degrees:
-        if not core.is_closed(backend, at(k), ("extensions",)):
+        if not core.is_closed(backend, seq.mask_at(k), ("extensions",)):
             report.append(f"N({k}) is not closed under extensions")
-        if not _part_condition(backend, at(k + 1), at(k), "cokernel"):
+        if not core.parts_within(backend, seq.mask_at(k + 1), seq.mask_at(k), ("cokernels",)):
             report.append(f"cokernel condition fails at degree {k}: "
                           f"a map from N({k + 1}) into N({k}) has cokernel outside N({k})")
         if faults.is_active("skip-kernel-condition"):
             continue
-        if not _part_condition(backend, at(k), at(k - 1), "kernel"):
+        if not core.parts_within(backend, seq.mask_at(k), seq.mask_at(k - 1), ("kernels",)):
             report.append(f"kernel condition fails at degree {k}: "
                           f"a map from N({k}) into N({k - 1}) has kernel outside N({k})")
     return (not report), report
@@ -316,15 +297,11 @@ def star_membership(backend, left, right, x: dict, lo=None, hi=None, envelope=No
     return dfs(kmin, (), {})
 
 
+@memoized_in(core.memo)
 def _all_multisets(backend):
-    cache = core.memo(backend)
-    if "multisets" not in cache:
-        ids = list(backend.all_ids())
-        out = [()]
-        for r in range(1, STAR_SIZE_BOUND + 1):
-            out.extend(itertools.combinations_with_replacement(ids, r))
-        cache["multisets"] = out
-    return cache["multisets"]
+    ids = backend.all_ids()
+    return [()] + [combo for r in range(1, STAR_SIZE_BOUND + 1)
+                   for combo in itertools.combinations_with_replacement(ids, r)]
 
 
 # ---------------------------------------------------------------------------

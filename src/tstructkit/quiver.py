@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import operator
 from dataclasses import dataclass
 
@@ -163,7 +164,7 @@ def _is_int(x):
 def _is_prime(n):
     if n < 2:
         return False
-    for d in range(2, int(n**0.5) + 1):
+    for d in range(2, math.isqrt(n) + 1):
         if n % d == 0:
             return False
     return True
@@ -219,21 +220,24 @@ class Morphism:
     mats: tuple  # per vertex v: target dims[v] row tuples of source dims[v] ints
 
 
-def _memoized(method):
-    """Memoise a QuiverBackend method in ``self._memo``, keyed on
-    (method name, *args).  This layer never reads the fault registry, so the
-    key carries no fault set and a faulted run reuses the same entries."""
-    name = method.__name__
+def memoized_in(store):
+    """Memoise a function of (owner, *args) in the dict ``store(owner)``,
+    keyed on (function name, *args): the one memo rule of every layer (see
+    QuiverBackend and the ``core`` module docstring)."""
+    def decorate(fn):
+        name = fn.__name__
 
-    @functools.wraps(method)
-    def memoized(self, *args):
-        key = (name, *args)
-        try:
-            return self._memo[key]
-        except KeyError:
-            out = self._memo[key] = method(self, *args)
-            return out
-    return memoized
+        @functools.wraps(fn)
+        def memoized(owner, *args):
+            key = (name,) + args
+            cache = store(owner)
+            try:
+                return cache[key]
+            except KeyError:
+                out = cache[key] = fn(owner, *args)
+                return out
+        return memoized
+    return decorate
 
 
 class QuiverBackend:
@@ -254,11 +258,12 @@ class QuiverBackend:
 
     After construction the instance is read-only: the table, once built,
     and the Hom/Ext matrices are fixed, and the one memo dictionary
-    ``_memo`` (filled by the ``_memoized`` methods) only accretes values of
-    pure functions of their arguments.  Hom bases are memoised between
-    indecomposables only (``_indec_homs``); those between objects are
-    assembled from them.  Closure-layer results that depend on injected
-    faults live in ``core.memo`` instead.
+    ``_memo`` (filled by ``memoized_in``, keyed on (method name, *args))
+    only accretes values of pure functions of their arguments.  This layer
+    never reads the fault registry, so the keys carry no fault set.  Hom
+    bases are memoised between indecomposables only (``_indec_homs``);
+    those between objects are assembled from them.  Closure-layer results
+    that depend on injected faults live in ``core.memo`` instead.
     """
 
     def __init__(self, spec: QuiverSpec):
@@ -408,7 +413,7 @@ class QuiverBackend:
             dims = tuple(d + e for d, e in zip(dims, self.roots[i]))
         return dims
 
-    @_memoized
+    @memoized_in(operator.attrgetter("_memo"))
     def obj_rep(self, obj: Obj) -> Rep:
         """The direct sum of the entries of obj, block diagonal in summand
         order: each arrow matrix stacks the strips of its summands."""
@@ -424,7 +429,7 @@ class QuiverBackend:
     def ext_dim(self, x: Obj, y: Obj) -> int:
         return sum(self.ext_matrix[i][j] for i in x for j in y)
 
-    @_memoized
+    @memoized_in(operator.attrgetter("_memo"))
     def decompose_rep(self, rep) -> Obj:
         """Multiset of indecomposable ids isomorphic to rep."""
         if rep.total_dim == 0:
@@ -453,7 +458,7 @@ class QuiverBackend:
     # ------------------------------------------------------------------
     # morphisms between objects
 
-    @_memoized
+    @memoized_in(operator.attrgetter("_memo"))
     def _indec_homs(self, i, j):
         """Basis of Hom(X_i, X_j) between two table entries; the only Hom
         bases memoised, so at most n^2 entries for n indecomposables."""
@@ -502,7 +507,7 @@ class QuiverBackend:
         kr, ir, cr = self.morphism_part_reps(f)
         return self.decompose_rep(kr), self.decompose_rep(ir), self.decompose_rep(cr)
 
-    @_memoized
+    @memoized_in(operator.attrgetter("_memo"))
     def part_sets(self, x: Obj, y: Obj):
         """Distinct (kernel, image, cokernel) triples over the nonzero
         morphisms x -> y, one per line (``morphisms``)."""
@@ -552,7 +557,7 @@ class QuiverBackend:
     # ------------------------------------------------------------------
     # extensions
 
-    @_memoized
+    @memoized_in(operator.attrgetter("_memo"))
     def middle_terms(self, quot: Obj, sub: Obj):
         """All M (up to iso) fitting 0 -> sub -> M -> quot -> 0, sorted.
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from tstructkit import core, dedekind as dd, derived, faults, fplinalg as la
-from tstructkit.quiver import BackendError, QuiverSpec, _apply, build_backend
+from tstructkit.quiver import BackendError, QuiverSpec, _apply, build_backend, memoized_in
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,21 +32,21 @@ def run_cli_process(*argv, text=True, timeout=None):
 
 
 def scan_flags(backend, S):
-    """(narrow, wide) by the bounded closure scans: S is narrow if it is
-    closed under extensions and cokernels, and wide if it is narrow and
-    closed under kernels too.  The oracle of ``classify_subcat``'s matrix
-    flags."""
+    """(narrow, wide) of the mask S by the bounded closure scans: S is
+    narrow if it is closed under extensions and cokernels, and wide if it
+    is narrow and closed under kernels too.  The oracle of
+    ``subcat_flags``' matrix flags."""
     narrow = core.is_closed(backend, S, ("extensions", "cokernels"))
     return narrow, narrow and core.is_closed(backend, S, ("kernels",))
 
 
 @functools.cache
 def scan_census(spec):
-    """``scan_flags`` of every subset, in bitmask order, on a fresh backend
+    """``scan_flags`` of every mask, in bitmask order, on a fresh backend
     of spec, computed once per session: the D4 scan takes several seconds
     and more than one test compares against it."""
     b = build_backend(spec)
-    return {S: scan_flags(b, S) for S in b.subsets()}
+    return {S: scan_flags(b, S) for S in range(1 << len(b.roots))}
 
 
 # ---------------------------------------------------------------------------
@@ -61,9 +61,8 @@ def is_epi(backend, f) -> bool:
 
 
 def kernel_realizations(backend, S, target_id):
-    """Epimorphisms between bounded sums of S whose kernel is the given
-    indecomposable; yields (source, target) witnesses."""
-    S = frozenset(S)
+    """Epimorphisms between bounded sums of the mask S whose kernel is the
+    given indecomposable; yields (source, target) witnesses."""
     for a in core.candidates(S):
         for b in core.candidates(S):
             for f in backend.morphisms(a, b):
@@ -74,6 +73,7 @@ def kernel_realizations(backend, S, target_id):
                     yield a, b
 
 
+@memoized_in(core.memo)
 def tilting_torsion_classes(backend, w):
     """All tilting torsion classes inside the wide subcategory w, as masks
     sorted by members: the subsets t of the mask w that are the torsion
@@ -81,18 +81,14 @@ def tilting_torsion_classes(backend, w):
     ``core.is_tilting_in``.  The scan is the oracle of
     ``core.tilting_census``; it memoises in ``core.memo``, so its answers
     follow the active fault set."""
-    cache = core.memo(backend)
-    key = ("tilttors", w)
-    if key not in cache:
-        ids = core.members(w)
-        found = []
-        for r in range(len(ids) + 1):
-            for combo in itertools.combinations(ids, r):
-                t = core.mask_of(combo)
-                if core.generated_torsion(backend, t, w) == t and core.is_tilting_in(backend, t, w):
-                    found.append(t)
-        cache[key] = sorted(found, key=core.members)
-    return cache[key]
+    ids = core.members(w)
+    found = []
+    for r in range(len(ids) + 1):
+        for combo in itertools.combinations(ids, r):
+            t = core.mask_of(combo)
+            if core.generated_torsion(backend, t, w) == t and core.is_tilting_in(backend, t, w):
+                found.append(t)
+    return sorted(found, key=core.members)
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +223,18 @@ def quotients(backend, obj):
 
 def quotients_leaving(backend, S, ambient=None):
     """Yield the quotients of the sums of at most ``core.MULT_BOUND`` members
-    of S that lie outside S; with an ambient set, only those inside it."""
+    of the mask S that lie outside S; with an ambient mask, only those
+    inside it."""
     for a in core.candidates(S):
         for q in quotients(backend, a):
-            if (ambient is None or core.obj_in(ambient, q)) and not core.obj_in(S, q):
+            if (ambient is None or core.obj_in_mask(ambient, q)) and not core.obj_in_mask(S, q):
                 yield q
 
 
 def torsion_scan(backend, S, ambient=None):
-    """Whether S is closed under quotients and extensions by the bounded
-    search, counting only what lies in ambient: the oracle of the torsion
-    tests read off the Hom matrix."""
+    """Whether the mask S is closed under quotients and extensions by the
+    bounded search, counting only what lies in the mask ambient: the oracle
+    of the torsion tests read off the Hom matrix."""
     return (next(quotients_leaving(backend, S, ambient), None) is None
             and core.is_closed(backend, S, ("extensions",), ambient))
 

@@ -134,6 +134,7 @@ def test_a_dim_bound_key_is_ignored(tmp_path):
     ({"vertices": 0, "arrows": []}, "vertices"),
     ({"vertices": 2, "arrows": [[0, 1]], "field": 2.0}, "field"),
     ({"vertices": 2}, "arrows"),
+    ({"vertices": 2, "arrows": [[0, 1]], "field": 2 ** 1024}, "field"),  # beyond a float
 ])
 def test_malformed_quiver_file_exits_2_naming_the_key(tmp_path, spec, key):
     path = tmp_path / "q.json"
@@ -255,6 +256,34 @@ def test_classify_dedekind(tmp_path):
     assert code == 0, err
     verdict = json.loads(out)
     assert verdict["is_aisle"] and verdict["form"]["pivot"] == 1
+
+
+@pytest.mark.parametrize("label, shown", [(2.7, "2.7"), (True, "true"), (4, "4"), (-3, "-3"),
+                                          (2 ** 1024, str(2 ** 1024))],
+                         ids=["float", "bool", "composite", "negative", "beyond-a-float"])
+def test_classify_dedekind_refuses_support_labels_that_are_not_primes(tmp_path, capsys, label,
+                                                                      shown):
+    """2.7 would round to 2, JSON true would hash as 1, and 4, -3 and
+    2^1024 (past a float, so tested by integer square root) are no primes:
+    each is a usage error naming what a label is."""
+    path = tmp_path / "dd.json"
+    path.write_text(json.dumps({"entries": {"0": "mod", "1": {"support": [label]}, "2": "zero"}}))
+    assert cli.main(["classify", *DEDEKIND_ARGS, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"].endswith(
+        f"support labels are prime integers, got {shown}"), err
+
+
+@pytest.mark.parametrize("points", [0, -2])
+@pytest.mark.parametrize("command", ["enumerate", "verify", "classify"])
+def test_p1_refuses_points_below_1_before_any_work(command, points, capsys):
+    """A line with no closed points is refused before anything is read or
+    computed: classify is given a file that does not exist."""
+    argv = [command, "--backend", "p1", "--points", str(points)]
+    assert cli.main(argv + (["/does/not/exist.json"] if command == "classify" else [])) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err) == {
+        "error": f"--points must be at least 1 for the p1 backend, got {points}"}, err
 
 
 def test_classify_garbage_input_exits_2(tmp_path):

@@ -172,20 +172,25 @@ def test_results_do_not_depend_on_fault_history():
     warm = build_backend(spec)  # not the session fixture: its memo is shared
 
     def answers(b):
+        subsets = range(1 << len(b.roots))
         return (len(enumerate_narrow_sequences(b, 0, 1)),
                 tilting_torsion_classes(b, core.full_mask(b)),
                 [r.key() for r in refined.enumerate_refined(b, 0, 1)],
-                sum(core.is_closed(b, S, ("extensions", "cokernels")) for S in b.subsets()),
-                sum(core.is_closed(b, S, ("kernels",)) for S in b.subsets()))
+                sum(core.is_closed(b, S, ("extensions", "cokernels")) for S in subsets),
+                sum(core.is_closed(b, S, ("kernels",)) for S in subsets),
+                sum(core.closure(b, S, core.WIDE_RULES).bit_count() for S in subsets),
+                sum(core.subcat_flags(b, S).is_narrow for S in subsets))
 
     # (fault, narrow sequences and refined t-sequences on the window 0:1,
     # subsets the scan finds closed under extensions and cokernels, and
-    # under kernels); every faulted row differs from the clean one
-    steps = [(None, 14, 14, 6, 7), ("drop-extension-closure", 14, 14, 7, 7),
-             ("perp-ignores-ext", 10, 15, 6, 7), ("wide-closure-skips-kernels", 14, 14, 6, 8),
-             (None, 14, 14, 6, 7)]
+    # under kernels, the total size of the wide-rule closures of every
+    # subset, and the subsets the matrix flag calls narrow); every faulted
+    # row differs from the clean one
+    steps = [(None, 14, 14, 6, 7, 15, 6), ("drop-extension-closure", 14, 14, 7, 7, 14, 6),
+             ("perp-ignores-ext", 10, 15, 6, 7, 15, 5),
+             ("wide-closure-skips-kernels", 14, 14, 6, 8, 14, 6), (None, 14, 14, 6, 7, 15, 6)]
     assert all(step[1:] != steps[0][1:] for step in steps if step[0])  # memo isolation shows
-    for fault, count, refined_count, scan_count, kernel_count in steps:
+    for fault, count, refined_count, scan_count, kernel_count, closure_size, narrow_count in steps:
         with injected(fault) if fault else contextlib.nullcontext():
             got, cold = answers(warm), answers(build_backend(spec))
         assert got[0] == cold[0] == count, fault
@@ -193,3 +198,5 @@ def test_results_do_not_depend_on_fault_history():
         assert got[2] == cold[2] and len(got[2]) == refined_count, fault
         assert got[3] == cold[3] == scan_count, fault
         assert got[4] == cold[4] == kernel_count, fault
+        assert got[5] == cold[5] == closure_size, fault
+        assert got[6] == cold[6] == narrow_count, fault

@@ -149,7 +149,7 @@ def test_star_oracle_agrees_with_theta_on_small_window(a2, monkeypatch):
         unpruned.extend(star_oracle_membership(a2, r, 0, 2, x, memo=memo) for x in objs)
         for (n, m, key), member in memo.items():
             if member:
-                assert all(core.obj_in(core.subcat(r.f_mask(m)), xk) for _, xk in key), (r.key(), n, m, key)
+                assert all(core.obj_in_mask(r.f_mask(m), xk) for _, xk in key), (r.key(), n, m, key)
     assert unpruned == pruned
 
 
@@ -181,8 +181,7 @@ A3_INTO_MIDDLE = ((0, 1), (2, 1))
 def scan_wides(spec):
     """The masks of the wide subcategories by the closure scans, sorted by
     members."""
-    return sorted((core.mask_of(S) for S, (_, wide) in scan_census(spec).items() if wide),
-                  key=core.members)
+    return sorted((S for S, (_, wide) in scan_census(spec).items() if wide), key=core.members)
 
 
 A4 = QuiverSpec(4, ((0, 1), (1, 2), (2, 3)), 2)
@@ -253,9 +252,9 @@ def closure_psi(backend, r, closed):
         if key not in closed:
             S = seed
             while True:
-                new = S.union(*quotients_leaving(backend, S, ambient),
-                              *(obj for _, obj in core._violations(
-                                  backend, S, ("extensions",), ambient)))
+                new = S | core.mask_of(itertools.chain(
+                    *quotients_leaving(backend, S, ambient),
+                    *(obj for _, obj in core._violations(backend, S, ("extensions",), ambient))))
                 if new == S:
                     break
                 S = new
@@ -263,10 +262,10 @@ def closure_psi(backend, r, closed):
         return closed[key]
 
     def value(k):
-        return glue(core.subcat(r.tf_mask(k) | r.f_mask(k - 1)), core.subcat(r.f_mask(k)))
+        return glue(r.tf_mask(k) | r.f_mask(k - 1), r.f_mask(k))
 
     entries = tuple(value(k) for k in range(r.lo, r.hi + 1))
-    return seq_of(backend, r.lo, r.hi, entries, frozenset(), value(r.hi + 1))
+    return derived.SubcatSeq(r.lo, r.hi, (0, *entries, value(r.hi + 1)))
 
 
 @pytest.mark.parametrize("spec, lo, hi, count", [
